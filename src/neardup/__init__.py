@@ -13,11 +13,9 @@ from .classifier import (
     choose_threshold,
     init_model,
     load_model,
-    predict_pairs,
     predict_rows,
     save_model,
     train,
-    xor_features,
 )
 from .clustering import (
     NearDupeCluster,
@@ -25,7 +23,6 @@ from .clustering import (
     k_cut,
     read_clusters_tsv,
     transitive_closure,
-    write_clusters_tsv,
 )
 from .config import PipelineConfig
 from .corpus import (
@@ -42,10 +39,7 @@ from .embeddings import (
     BinaryEmbedding,
     EmbeddingSet,
     LshConfig,
-    LshTermSet,
     binarize,
-    derive_terms,
-    jaccard_overlap,
     select_bits,
 )
 from .errors import (
@@ -84,6 +78,7 @@ from .search import (
     batch_search,
     overlap_pairs,
     recall_at_distance,
+    unordered_pairs,
 )
 from .selection import (
     ClusterHeadEntry,

@@ -15,19 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import DimensionError, FormatError, ModelError, TrainingError
+from .errors import FormatError, ModelError, TrainingError
+from .util import ByteReader
 
 MODEL_MAGIC = b"NDML"
 MODEL_VERSION = 1
-
-
-def xor_features(a, b) -> np.ndarray:
-    """XOR two 0/1 bit arrays of equal width into a float feature vector."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise DimensionError(f"embedding widths differ: {a.shape} vs {b.shape}")
-    return np.bitwise_xor(a, b).astype(np.float64)
 
 
 @dataclass
@@ -99,14 +91,6 @@ def forward_batch(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return _sigmoid(logits[:, 0])
 
 
-def forward(model: MlpModel, features) -> float:
-    """Score a single feature vector."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 1:
-        raise ModelError(f"expected a 1-d feature vector, got shape {feats.shape}")
-    return float(forward_batch(model, feats[np.newaxis, :])[0])
-
-
 def loss_and_grads(model: MlpModel, features: np.ndarray, labels: np.ndarray):
     """Mean BCE loss and analytic gradients for one batch.
 
@@ -161,11 +145,6 @@ class TrainResult:
     model: MlpModel
     epoch_losses: list = field(default_factory=list)
     validation: dict = field(default_factory=dict)
-
-
-def pair_features(pairs, embeddings: EmbeddingSet) -> np.ndarray:
-    """XOR feature matrix for (id_a, id_b) pairs, resolved against embeddings."""
-    return _unpack(_pair_xor_packed(pairs, embeddings), embeddings.d)
 
 
 def _pair_xor_packed(pairs, embeddings: EmbeddingSet) -> np.ndarray:
@@ -296,24 +275,13 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray, min_recall: float =
     return float(s_sorted[ends[pick]])
 
 
-def predict_pairs(model: MlpModel, pairs, embeddings: EmbeddingSet, chunk: int = 8192) -> np.ndarray:
-    """Scores for (id_a, id_b) pairs, order-preserving, chunked for memory."""
-    pairs = list(pairs)
-    if not pairs:
-        return np.zeros(0, dtype=np.float64)
+def predict_rows(model: MlpModel, embeddings: EmbeddingSet, rows_a, rows_b, chunk: int = 8192) -> np.ndarray:
+    """Scores for the row pairs (rows_a[i], rows_b[i]) of one embedding set,
+    order-preserving, chunked for memory. The one scoring entry point."""
     if embeddings.d != model.input_dim:
         raise ModelError(
             f"model expects input width {model.input_dim}, embeddings have d={embeddings.d}"
         )
-    out = np.empty(len(pairs), dtype=np.float64)
-    for s in range(0, len(pairs), chunk):
-        block = pairs[s : s + chunk]
-        out[s : s + len(block)] = forward_batch(model, pair_features(block, embeddings))
-    return out
-
-
-def predict_rows(model: MlpModel, embeddings: EmbeddingSet, rows_a, rows_b, chunk: int = 8192) -> np.ndarray:
-    """Same as predict_pairs but addressed by row indices (internal fast path)."""
     rows_a = np.asarray(rows_a, dtype=np.intp)
     rows_b = np.asarray(rows_b, dtype=np.intp)
     out = np.empty(rows_a.size, dtype=np.float64)
@@ -321,8 +289,7 @@ def predict_rows(model: MlpModel, embeddings: EmbeddingSet, rows_a, rows_b, chun
         xor = np.bitwise_xor(
             embeddings.packed[rows_a[s : s + chunk]], embeddings.packed[rows_b[s : s + chunk]]
         )
-        feats = np.unpackbits(xor, axis=1)[:, : embeddings.d].astype(np.float64)
-        out[s : s + feats.shape[0]] = forward_batch(model, feats)
+        out[s : s + xor.shape[0]] = forward_batch(model, _unpack(xor, embeddings.d))
     return out
 
 
@@ -349,21 +316,23 @@ def load_model(path) -> MlpModel:
         blob = fh.read()
     if blob[:4] != MODEL_MAGIC:
         raise FormatError(f"{path}: bad magic, not a model file")
-    version, n_layers = struct.unpack("<HH", blob[4:8])
+    r = ByteReader(blob, path, offset=4)
+    version, n_layers = r.unpack("<HH")
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    off = 8
     weights, biases = [], []
     for _ in range(n_layers):
-        rows, cols = struct.unpack("<II", blob[off : off + 8])
-        off += 8
-        w = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=off).astype(np.float64)
-        off += 4 * rows * cols
-        b = np.frombuffer(blob, dtype="<f4", count=rows, offset=off).astype(np.float64)
-        off += 4 * rows
-        weights.append(w.reshape(rows, cols))
-        biases.append(b)
-    if off + 4 != len(blob):
-        raise FormatError(f"{path}: trailing bytes after threshold")
-    (threshold,) = struct.unpack("<f", blob[off : off + 4])
-    return MlpModel(weights, biases, threshold=float(threshold))
+        rows, cols = r.unpack("<II")
+        weights.append(r.array("<f4", rows * cols).reshape(rows, cols))
+        biases.append(r.array("<f4", rows))
+    (threshold,) = r.unpack("<f")
+    if r.remaining:
+        raise FormatError(f"{path}: {r.remaining} trailing bytes after threshold")
+    if not (np.isfinite(threshold) and all(np.isfinite(a).all() for a in weights + biases)):
+        raise FormatError(f"{path}: non-finite weight, bias or threshold")
+    weights = [w.astype(np.float64) for w in weights]
+    biases = [b.astype(np.float64) for b in biases]
+    try:
+        return MlpModel(weights, biases, threshold=float(threshold))
+    except ModelError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -10,13 +10,7 @@ import json
 import logging
 import sys
 
-from .classifier import (
-    TrainConfig,
-    load_model,
-    predict_pairs,
-    save_model,
-    train,
-)
+from .classifier import TrainConfig, load_model, predict_rows, save_model, train
 from .clustering import clusters_to_tsv, k_cut, read_clusters_tsv, transitive_closure
 from .config import PipelineConfig
 from .corpus import (
@@ -31,9 +25,9 @@ from .errors import DataError, NearDupError
 from .incremental import assignments_to_tsv, run_incremental
 from .index import build_index, index_size_bytes, load_index, serialize_index
 from .pipeline import resolve_lsh_config, run_full
-from .search import SearchHit, SearchResultBatch, batch_search
+from .search import SearchHit, SearchResultBatch, batch_search, unordered_pairs
 from .selection import ClusterHeadEntry, emit_augmentation_labels, select_candidates, select_edges
-from .util import atomic_write_bytes, atomic_write_json, atomic_write_text, set_thread_cap
+from .util import atomic_write_bytes, atomic_write_json, atomic_write_text
 
 log = logging.getLogger("neardup")
 
@@ -158,7 +152,9 @@ def cmd_classify(args) -> int:
     model = load_model(args.model)
     embeddings = _load_embeddings(args.embeddings)
     pairs = _read_pairs_csv(args.pairs)
-    scores = predict_pairs(model, pairs, embeddings)
+    rows_a = embeddings.rows_of([a for a, _ in pairs])
+    rows_b = embeddings.rows_of([b for _, b in pairs])
+    scores = predict_rows(model, embeddings, rows_a, rows_b)
     body = "id_a,id_b,score\n" + "".join(
         f"{a},{b},{s:.9f}\n" for (a, b), s in zip(pairs, scores)
     )
@@ -212,9 +208,13 @@ def cmd_select(args) -> int:
             )
             print(f"{len(labels)} augmentation labels -> {args.labels_out}")
     else:
-        edges = select_edges(hits, model, embeddings, args.threshold)
-        atomic_write_text(args.out, "".join(f"{a}\t{b}\t{s:.6f}\n" for a, b, s in edges))
-        print(f"{len(edges)} edges -> {args.out}")
+        pairs_a, pairs_b = unordered_pairs(hits)
+        a, b, scores = select_edges(pairs_a, pairs_b, model, embeddings, args.threshold)
+        atomic_write_text(
+            args.out,
+            "".join(f"{x}\t{y}\t{s:.6f}\n" for x, y, s in zip(a.tolist(), b.tolist(), scores)),
+        )
+        print(f"{a.size} edges from {pairs_a.size} candidate pairs -> {args.out}")
     return 0
 
 
@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neardup", description="near-duplicate image detection over binary embeddings"
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker thread cap (default: NEARDUP_THREADS or all cores)")
     parser.add_argument("-v", "--verbose", action="count", default=0, help="log progress to stderr (-vv for debug)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -411,7 +410,6 @@ def main(argv=None) -> int:
     elif args.verbose >= 2:
         level = logging.DEBUG
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
-    set_thread_cap(args.threads)
     try:
         return args.func(args)
     except NearDupError as exc:

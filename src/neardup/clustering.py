@@ -52,8 +52,10 @@ class NearDupeCluster:
 def transitive_closure(edges) -> list:
     """Connected components of an undirected edge list.
 
-    Self-loops are ignored. Returns groups as sorted uint64 id arrays,
-    ordered by their minimum member id.
+    edges is anything numpy reads as an (n, 2) array of image ids: a list of
+    (a, b) tuples, or np.column_stack of two id arrays. Self-loops are
+    ignored. Returns groups as sorted uint64 id arrays, ordered by their
+    minimum member id.
     """
     pairs = _normalized_edges(edges)
     if pairs.shape[0] == 0:
@@ -96,15 +98,13 @@ def _runs(bounds: np.ndarray, size: int):
 
 
 def _normalized_edges(edges) -> np.ndarray:
-    rows = []
-    for a, b in edges:
-        a, b = int(a), int(b)
-        if a == b:
-            continue
-        rows.append((a, b) if a < b else (b, a))
-    if not rows:
+    pairs = np.asarray(edges, dtype=np.uint64)
+    if pairs.size == 0:
         return np.zeros((0, 2), dtype=np.uint64)
-    return np.array(rows, dtype=np.uint64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise DataError(f"edges must be (a, b) pairs, got shape {pairs.shape}")
+    pairs = np.sort(pairs, axis=1)
+    return pairs[pairs[:, 0] != pairs[:, 1]]
 
 
 def k_cut(groups, model: MlpModel, embeddings: EmbeddingSet, threshold: float, seed: int = 0) -> list:
@@ -187,11 +187,6 @@ def choose_head(member_ids, model: MlpModel, embeddings: EmbeddingSet) -> int:
 # (cluster_id, role head first, image_id) so output is byte-stable.
 
 
-def write_clusters_tsv(clusters, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(clusters_to_tsv(clusters))
-
-
 def clusters_to_tsv(clusters) -> str:
     lines = []
     for c in sorted(clusters, key=lambda c: c.cluster_id):
@@ -212,13 +207,17 @@ def read_clusters_tsv(path) -> list:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise DataError(f"{path}:{ln}: expected 4 tab-separated fields")
-            image_id, cluster_id, role = int(parts[0]), int(parts[1]), parts[2]
+            try:
+                image_id, cluster_id, role = int(parts[0]), int(parts[1]), parts[2]
+                score = float(parts[3]) if role == "member" else None
+            except ValueError as exc:
+                raise DataError(f"{path}:{ln}: {exc}") from None
             if role == "head":
                 if cluster_id in heads:
                     raise DataError(f"{path}:{ln}: duplicate head for cluster {cluster_id}")
                 heads[cluster_id] = image_id
             elif role == "member":
-                members.setdefault(cluster_id, []).append((image_id, float(parts[3])))
+                members.setdefault(cluster_id, []).append((image_id, score))
             else:
                 raise DataError(f"{path}:{ln}: unknown role {role!r}")
     missing = set(members) - set(heads)

@@ -93,7 +93,6 @@ class AugmentationSettings:
 @dataclass
 class PipelineConfig:
     seed: int = 42
-    threads: int = None  # None: NEARDUP_THREADS env, else machine cores
     lsh: LshSettings = field(default_factory=LshSettings)
     search: SearchSettings = field(default_factory=SearchSettings)
     classifier: ClassifierSettings = field(default_factory=ClassifierSettings)
@@ -103,8 +102,6 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         for section in (self.lsh, self.search, self.classifier, self.kcut, self.augmentation):
             section.validate()
-        if self.threads is not None and int(self.threads) < 1:
-            raise DataError("threads must be >= 1 when set")
         return self
 
     def to_dict(self) -> dict:
@@ -114,18 +111,19 @@ class PipelineConfig:
     def from_dict(cls, payload: dict) -> "PipelineConfig":
         if not isinstance(payload, dict):
             raise DataError("config root must be a JSON object")
-        known = {"seed", "threads", "lsh", "search", "classifier", "kcut", "augmentation"}
+        known = {"seed", "lsh", "search", "classifier", "kcut", "augmentation"}
         unknown = set(payload) - known
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
+        seed = payload.get("seed", 42)
+        _check_type("seed", seed, int)
         cfg = cls(
-            seed=int(payload.get("seed", 42)),
-            threads=payload.get("threads"),
-            lsh=_section(LshSettings, payload.get("lsh")),
-            search=_section(SearchSettings, payload.get("search")),
-            classifier=_section(ClassifierSettings, payload.get("classifier")),
-            kcut=_section(KcutSettings, payload.get("kcut")),
-            augmentation=_section(AugmentationSettings, payload.get("augmentation")),
+            seed=seed,
+            lsh=_section(LshSettings, "lsh", payload.get("lsh")),
+            search=_section(SearchSettings, "search", payload.get("search")),
+            classifier=_section(ClassifierSettings, "classifier", payload.get("classifier")),
+            kcut=_section(KcutSettings, "kcut", payload.get("kcut")),
+            augmentation=_section(AugmentationSettings, "augmentation", payload.get("augmentation")),
         )
         return cfg.validate()
 
@@ -144,13 +142,37 @@ class PipelineConfig:
         return cls.from_dict(payload)
 
 
-def _section(cls, payload):
+def _section(cls, key: str, payload):
     if payload is None:
         return cls()
     if not isinstance(payload, dict):
         raise DataError(f"config section for {cls.__name__} must be an object")
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = set(payload) - fields
+    fields = cls.__dataclass_fields__
+    unknown = set(payload) - set(fields)
     if unknown:
         raise DataError(f"unknown keys in {cls.__name__}: {sorted(unknown)}")
+    for name, value in payload.items():
+        if value is None and fields[name].default is None:
+            continue  # an optional field left unset
+        _check_type(f"{key}.{name}", value, fields[name].type)
     return cls(**payload)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_type(name: str, value, kind) -> None:
+    """JSON values must match the field's declared type: int, float (an int
+    is accepted), str, or list (of ints)."""
+    if kind is int:
+        ok = _is_int(value)
+    elif kind is float:
+        ok = _is_int(value) or isinstance(value, float)
+    elif kind is list:
+        ok = isinstance(value, list) and all(_is_int(v) for v in value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        expected = "list of integers" if kind is list else kind.__name__
+        raise DataError(f"config value {name} must be {expected}, got {value!r}")

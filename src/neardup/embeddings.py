@@ -8,7 +8,7 @@ becomes one integer term tagged with its group index:
     term = (group_index << g) | group_value
 
 so terms from different groups can never collide and every image carries
-exactly m/g distinct terms. Jaccard overlap of two term sets is the cheap
+exactly m/g distinct terms. The overlap of two images' terms is the cheap
 stand-in for cosine similarity used by candidate generation.
 
 Bit order conventions, used everywhere including the embedding file:
@@ -19,11 +19,11 @@ significant bit of the group value.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigMismatchError, DataError, DimensionError, FormatError, SelectionError
+from .errors import DataError, DimensionError, FormatError, NearDupError, SelectionError
 
 EMBEDDING_MAGIC = b"NDEM"
 EMBEDDING_VERSION = 1
@@ -110,18 +110,6 @@ class LshConfig:
         return self.m // self.term_bits
 
 
-@dataclass(frozen=True)
-class LshTermSet:
-    """The m/g derived terms of one image, immutable."""
-
-    image_id: int
-    terms: frozenset
-    config: LshConfig = field(compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", frozenset(int(t) for t in self.terms))
-
-
 def select_bits(sample, d: int, m: int) -> list:
     """Rank bit positions by empirical variance over a sample, descending,
     ties broken by lower index, and return the top m indices.
@@ -165,14 +153,6 @@ def _group_weights(g: int) -> np.ndarray:
     return (1 << np.arange(g - 1, -1, -1, dtype=np.uint32)).astype(np.uint32)
 
 
-def derive_terms(embedding: BinaryEmbedding, config: LshConfig) -> LshTermSet:
-    """Derive the image's LSH term set under config."""
-    if embedding.d != config.d:
-        raise DimensionError(f"embedding has d={embedding.d}, config expects {config.d}")
-    row = derive_terms_matrix(embedding.bits[np.newaxis, :], config)[0]
-    return LshTermSet(embedding.image_id, frozenset(int(t) for t in row), config)
-
-
 def derive_terms_matrix(bits: np.ndarray, config: LshConfig) -> np.ndarray:
     """Vectorized term derivation: (n, d) 0/1 matrix -> (n, term_count) uint32.
 
@@ -187,15 +167,6 @@ def derive_terms_matrix(bits: np.ndarray, config: LshConfig) -> np.ndarray:
     values = grouped @ _group_weights(g)
     tags = (np.arange(config.term_count, dtype=np.uint32) << np.uint32(g))
     return (values + tags).astype(np.uint32)
-
-
-def jaccard_overlap(a: LshTermSet, b: LshTermSet):
-    """Return (overlap_count, jaccard) for two term sets of the same config."""
-    if a.config != b.config:
-        raise ConfigMismatchError("term sets derive from different LSH configs")
-    overlap = len(a.terms & b.terms)
-    union = len(a.terms) + len(b.terms) - overlap
-    return overlap, (overlap / union if union else 0.0)
 
 
 class EmbeddingSet:
@@ -284,13 +255,6 @@ class EmbeddingSet:
             np.vstack([self.packed, other.packed]),
         )
 
-    def term_sets(self, config: LshConfig) -> list:
-        terms = derive_terms_matrix(self.bits_matrix(), config)
-        return [
-            LshTermSet(int(self.ids[i]), frozenset(int(t) for t in terms[i]), config)
-            for i in range(len(self))
-        ]
-
     # -- embedding file -------------------------------------------------
     #
     # magic "NDEM" | version u16 | d u16 | count u64
@@ -329,7 +293,10 @@ class EmbeddingSet:
                 f"{path}: expected {count} records ({count * rec.itemsize} bytes), got {len(body)}"
             )
         record = np.frombuffer(body, dtype=rec)
-        return cls(d, record["id"].copy(), record["bits"].copy().reshape(count, d // 8))
+        try:
+            return cls(d, record["id"].copy(), record["bits"].copy().reshape(count, d // 8))
+        except NearDupError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def hamming_distance_matrix(a: EmbeddingSet, rows_a, b: EmbeddingSet, rows_b) -> np.ndarray:

@@ -26,7 +26,7 @@ from .classifier import MlpModel, predict_rows
 from .clustering import NearDupeCluster, choose_head, clusters_to_tsv, read_clusters_tsv
 from .config import PipelineConfig
 from .embeddings import EmbeddingSet, LshConfig
-from .errors import StoreError
+from .errors import DataError, StoreError
 from .index import build_index, load_index, serialize_index
 from .pipeline import resolve_lsh_config, static_clusters
 from .search import batch_search
@@ -178,39 +178,64 @@ class ClusterStore:
 
     @classmethod
     def open(cls, directory) -> "ClusterStore":
+        """Load the generation the manifest names. A malformed manifest, heads
+        file or cluster table is a StoreError; a malformed embedding or index
+        file is a FormatError."""
         path = os.path.join(directory, MANIFEST_NAME)
         if not os.path.exists(path):
             raise StoreError(f"{directory}: not a cluster store (no {MANIFEST_NAME})")
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = _read_json(path)
+        if not isinstance(manifest, dict):
+            raise StoreError(f"{path}: manifest must be a JSON object")
         if manifest.get("version") != STORE_VERSION:
             raise StoreError(f"{directory}: unsupported store version {manifest.get('version')}")
-        files = manifest["files"]
+        files = manifest.get("files")
+        if not isinstance(files, dict) or not all(
+            isinstance(files.get(k), str) for k in ("embeddings", "head_index", "clusters", "heads")
+        ):
+            raise StoreError(f"{path}: 'files' must name embeddings, head_index, clusters and heads")
+        if not all(_is_count(manifest.get(k)) for k in ("k_aug", "batch_id")):
+            raise StoreError(f"{path}: k_aug and batch_id must be non-negative integers")
         embeddings = EmbeddingSet.load(os.path.join(directory, files["embeddings"]))
         head_index = load_index(os.path.join(directory, files["head_index"]))
         if not head_index.head_only:
             raise StoreError(f"{directory}: stored index is not marked head-only")
-        clusters = {c.cluster_id: c for c in read_clusters_tsv(os.path.join(directory, files["clusters"]))}
-        with open(os.path.join(directory, files["heads"]), "r", encoding="utf-8") as fh:
-            heads_payload = json.load(fh)
-        heads = {
-            int(cid): ClusterHeadEntry(
-                int(cid),
-                int(spec["head"]),
-                tuple((int(m), float(s)) for m, s in spec["augmentation"]),
-            )
-            for cid, spec in heads_payload.items()
-        }
+        clusters_path = os.path.join(directory, files["clusters"])
+        heads_path = os.path.join(directory, files["heads"])
+        try:
+            clusters = {c.cluster_id: c for c in read_clusters_tsv(clusters_path)}
+            heads = {
+                int(cid): ClusterHeadEntry(
+                    int(cid),
+                    int(spec["head"]),
+                    tuple((int(m), float(s)) for m, s in spec["augmentation"]),
+                )
+                for cid, spec in _read_json(heads_path).items()
+            }
+        except (DataError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise StoreError(f"{directory}: malformed cluster table or heads file: {exc!r}") from exc
         return cls(
             head_index.config,
             embeddings,
             clusters,
             heads,
-            k_aug=int(manifest["k_aug"]),
-            batch_id=int(manifest["batch_id"]),
+            k_aug=manifest["k_aug"],
+            batch_id=manifest["batch_id"],
             directory=directory,
             head_index=head_index,
         )
+
+
+def _read_json(path):
+    with open(path, "rb") as fh:
+        try:
+            return json.loads(fh.read())
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise StoreError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def run_nvo(

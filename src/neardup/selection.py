@@ -1,14 +1,15 @@
 """Classifier pass over search candidates.
 
-Two flavors exist. The static pipeline scores every (query, hit) pair and
-keeps those at or above the threshold as edges for clustering. The
-cluster-head flavor matches queries against existing clusters: the head is
-scored first and, failing that, each frozen augmentation member in order;
-the first image at or above the threshold decides the match. A query
-matching several clusters keeps only the best one.
+Two flavors exist. The static pipeline scores each unordered candidate pair
+once, as a < b (scores are symmetric), and keeps those at or above the
+threshold as edges for clustering. The cluster-head flavor matches queries
+against existing clusters: the head is scored first and, failing that, each
+frozen augmentation member in order; the first image at or above the
+threshold decides the match. A query matching several clusters keeps only
+the best one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,24 +50,16 @@ class VerifiedMatch:
     score: float
 
 
-def select_edges(hits: SearchResultBatch, model: MlpModel, embeddings: EmbeddingSet, threshold: float):
-    """Static-pipeline selection: all (query, hit, score) pairs with score >= threshold."""
+def select_edges(a, b, model: MlpModel, embeddings: EmbeddingSet, threshold: float):
+    """Static-pipeline selection over aligned pair arrays, as unordered_pairs
+    returns them: the (a, b, score) arrays of the pairs scoring >= threshold,
+    in input order."""
     _check_threshold(threshold)
-    q_ids, h_ids = [], []
-    for q in sorted(hits):
-        for h in hits[q]:
-            q_ids.append(q)
-            h_ids.append(h.index_image)
-    if not q_ids:
-        return []
-    rows_q = embeddings.rows_of(q_ids)
-    rows_h = embeddings.rows_of(h_ids)
-    scores = predict_rows(model, embeddings, rows_q, rows_h)
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    scores = predict_rows(model, embeddings, embeddings.rows_of(a), embeddings.rows_of(b))
     keep = scores >= threshold
-    return [
-        (q_ids[i], h_ids[i], float(scores[i]))
-        for i in np.nonzero(keep)[0]
-    ]
+    return a[keep], b[keep], scores[keep]
 
 
 def select_candidates(

@@ -1,44 +1,49 @@
-"""Atomic file writes and the global thread cap."""
+"""Atomic file writes and a bounds-checked reader for binary files."""
 
 import json
 import os
+import struct
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
-_THREAD_CAP = None
+import numpy as np
 
-
-def set_thread_cap(n) -> None:
-    """Cap worker threads for parallel stages; None restores the default."""
-    global _THREAD_CAP
-    _THREAD_CAP = None if n is None else max(1, int(n))
+from .errors import FormatError
 
 
-def thread_cap() -> int:
-    """Explicit cap, else NEARDUP_THREADS, else the machine's cores."""
-    if _THREAD_CAP is not None:
-        return _THREAD_CAP
-    env = os.environ.get("NEARDUP_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+class ByteReader:
+    """Sequential reads from a file's bytes; running past the end is a
+    FormatError naming the file, never a struct or numpy error."""
 
+    def __init__(self, blob: bytes, path, offset: int = 0):
+        self.blob = blob
+        self.path = path
+        self.offset = offset
 
-def map_chunks(fn, chunks):
-    """Run fn over chunks, in a thread pool when the cap allows.
+    @property
+    def remaining(self) -> int:
+        return len(self.blob) - self.offset
 
-    Chunk boundaries are fixed by the caller, so results are identical
-    whatever the cap; only wall-clock changes.
-    """
-    chunks = list(chunks)
-    cap = thread_cap()
-    if cap <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=min(cap, len(chunks))) as pool:
-        return list(pool.map(fn, chunks))
+    def _advance(self, n: int) -> int:
+        if n > self.remaining:
+            raise FormatError(
+                f"{self.path}: truncated: needs {n} bytes at offset {self.offset}, "
+                f"{self.remaining} left"
+            )
+        start = self.offset
+        self.offset += n
+        return start
+
+    def take(self, n: int) -> bytes:
+        start = self._advance(n)
+        return self.blob[start : start + n]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        """A read-only view of the next count items."""
+        start = self._advance(np.dtype(dtype).itemsize * count)
+        return np.frombuffer(self.blob, dtype=dtype, count=count, offset=start)
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from neardup import EmbeddingSet, LshConfig, MlpModel
+from neardup.embeddings import derive_terms_matrix
 
 
 def popcount_model(d: int, theta: float, alpha: float = 8.0, threshold: float = 0.5) -> MlpModel:
@@ -26,6 +27,12 @@ def popcount_model(d: int, theta: float, alpha: float = 8.0, threshold: float = 
         [np.zeros(1), np.zeros(1), np.zeros(1), np.array([float(alpha) * float(theta)])],
         threshold=threshold,
     )
+
+
+def term_sets(embeddings: EmbeddingSet, config: LshConfig) -> dict:
+    """image id -> frozenset of its terms, one row of derive_terms_matrix each."""
+    terms = derive_terms_matrix(embeddings.bits_matrix(), config)
+    return {int(i): frozenset(int(t) for t in row) for i, row in zip(embeddings.ids, terms)}
 
 
 def flip(bits: np.ndarray, positions) -> np.ndarray:

@@ -37,7 +37,7 @@ from neardup import (
     train,
     transitive_closure,
 )
-from neardup.classifier import init_model, loss_and_grads, predict_pairs
+from neardup.classifier import init_model, loss_and_grads, predict_rows
 from neardup.embeddings import derive_terms_matrix
 
 from conftest import popcount_model, star_set
@@ -278,7 +278,8 @@ def test_c07_kcut_partitions_and_members_clear_threshold():
             clusters_seen += 1
             if not c.members:
                 continue
-            scores = predict_pairs(model, [(m, c.head) for m, _ in c.members], emb)
+            rows = emb.rows_of([m for m, _ in c.members])
+            scores = predict_rows(model, emb, rows, [emb.row_of(c.head)] * rows.size)
             assert (scores >= 0.9).all()
             stored = np.array([s for _, s in c.members])
             assert scores == pytest.approx(stored, abs=1e-9)

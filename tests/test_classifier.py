@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neardup import (
-    DimensionError,
     EmbeddingSet,
     FormatError,
     MlpModel,
@@ -17,13 +18,11 @@ from neardup import (
     choose_threshold,
     init_model,
     load_model,
-    predict_pairs,
     predict_rows,
     save_model,
     train,
-    xor_features,
 )
-from neardup.classifier import forward, forward_batch, loss_and_grads
+from neardup.classifier import forward_batch, loss_and_grads
 
 
 def forward_oracle(model, feats):
@@ -58,6 +57,11 @@ def threshold_oracle(scores, labels, min_recall):
     return min(scores) if best is None else best[1]
 
 
+def forward_one(model, feats):
+    """forward_batch on a single feature vector."""
+    return float(forward_batch(model, np.asarray(feats, dtype=np.float64)[np.newaxis, :])[0])
+
+
 def random_model(rng, widths):
     weights = [rng.normal(size=(o, i)) for i, o in zip(widths, widths[1:])]
     biases = [rng.normal(size=o) for o in widths[1:]]
@@ -66,8 +70,8 @@ def random_model(rng, widths):
 
 def test_sigmoid_unit_value():
     m = MlpModel([np.ones((1, 1))], [np.zeros(1)])
-    assert forward(m, np.array([1.0])) == pytest.approx(0.7310585786300049, abs=1e-15)
-    assert forward(m, np.array([0.0])) == 0.5
+    assert forward_one(m, [1.0]) == pytest.approx(0.7310585786300049, abs=1e-15)
+    assert forward_one(m, [0.0]) == 0.5
 
 
 def test_forward_matches_scalar_oracle(rng):
@@ -75,7 +79,7 @@ def test_forward_matches_scalar_oracle(rng):
         m = random_model(rng, widths)
         for _ in range(5):
             x = rng.integers(0, 2, size=widths[0]).astype(np.float64)
-            assert forward(m, x) == pytest.approx(forward_oracle(m, x), abs=1e-12)
+            assert forward_one(m, x) == pytest.approx(forward_oracle(m, x), abs=1e-12)
 
 
 def test_forward_batch_matches_single(rng):
@@ -84,7 +88,7 @@ def test_forward_batch_matches_single(rng):
     batch = forward_batch(m, x)
     for i in range(20):
         # blas sums batched and single rows in different orders
-        assert batch[i] == pytest.approx(forward(m, x[i]), abs=1e-12)
+        assert batch[i] == pytest.approx(forward_one(m, x[i]), abs=1e-12)
 
 
 def test_bce_loss_value(rng):
@@ -122,15 +126,6 @@ def test_gradients_match_finite_differences(rng):
     assert worst < 1e-4
 
 
-def test_xor_features_symmetric_and_checked():
-    a = np.array([1, 0, 1, 1], dtype=np.uint8)
-    b = np.array([1, 1, 0, 1], dtype=np.uint8)
-    assert np.array_equal(xor_features(a, b), [0.0, 1.0, 1.0, 0.0])
-    assert np.array_equal(xor_features(a, b), xor_features(b, a))
-    with pytest.raises(DimensionError):
-        xor_features(a, np.zeros(5, dtype=np.uint8))
-
-
 def test_init_model_xavier_bounds():
     m = init_model(64, hidden=(32, 16), seed=3)
     assert m.widths == [64, 32, 16, 1]
@@ -160,7 +155,7 @@ def test_train_separates_two_points():
     result = train(pairs, emb, cfg)
     assert len(result.epoch_losses) == 60
     assert result.epoch_losses[-1] < result.epoch_losses[0]
-    dup, far = predict_pairs(result.model, [(0, 1), (0, 2)], emb)
+    dup, far = predict_rows(result.model, emb, [0, 0], [1, 2])
     assert dup > 0.9
     assert far < 0.1
 
@@ -189,26 +184,29 @@ def test_train_rejects_bad_labels():
         train([(0, 1, 2), (0, 2, 0)], emb)
 
 
-def test_predict_pairs_symmetric_and_ordered(rng):
+def test_predict_rows_symmetric_and_ordered(rng):
     bits = rng.integers(0, 2, size=(6, 16), dtype=np.uint8)
     emb = EmbeddingSet.from_bits(np.arange(6, dtype=np.uint64), bits)
     m = random_model(rng, [16, 5, 1])
-    fwd = predict_pairs(m, [(0, 1), (2, 3), (4, 5)], emb)
-    rev = predict_pairs(m, [(1, 0), (3, 2), (5, 4)], emb)
+    fwd = predict_rows(m, emb, [0, 2, 4], [1, 3, 5])
+    rev = predict_rows(m, emb, [1, 3, 5], [0, 2, 4])
     assert np.array_equal(fwd, rev)
     # chunking must not change anything
-    assert np.array_equal(fwd, predict_pairs(m, [(0, 1), (2, 3), (4, 5)], emb, chunk=1))
-    by_rows = predict_rows(m, emb, [0, 2, 4], [1, 3, 5])
-    assert np.array_equal(fwd, by_rows)
-    assert predict_pairs(m, [], emb).shape == (0,)
+    assert np.array_equal(fwd, predict_rows(m, emb, [0, 2, 4], [1, 3, 5], chunk=1))
+    # each score is the network on the pair's XOR bits
+    for i, (a, b) in enumerate([(0, 1), (2, 3), (4, 5)]):
+        assert fwd[i] == pytest.approx(forward_oracle(m, bits[a] ^ bits[b]), abs=1e-12)
+    assert predict_rows(m, emb, [], []).shape == (0,)
 
 
-def test_predict_pairs_checks_width(rng):
+def test_predict_rows_checks_width(rng):
     bits = rng.integers(0, 2, size=(2, 16), dtype=np.uint8)
     emb = EmbeddingSet.from_bits(np.arange(2, dtype=np.uint64), bits)
     m = random_model(rng, [8, 1])
     with pytest.raises(ModelError):
-        predict_pairs(m, [(0, 1)], emb)
+        predict_rows(m, emb, [0], [1])
+    with pytest.raises(ModelError):
+        predict_rows(m, emb, [], [])
 
 
 def test_choose_threshold_matches_exhaustive_oracle(rng):
@@ -271,3 +269,37 @@ def test_model_file_rejects_corruption(tmp_path, rng):
     (tmp_path / "trailing").write_bytes(blob + b"\x00")
     with pytest.raises(FormatError):
         load_model(tmp_path / "trailing")
+
+
+def test_model_file_rejects_truncation(tmp_path, rng):
+    path = tmp_path / "m.ndml"
+    save_model(random_model(rng, [6, 3, 1]), path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ndml"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(FormatError):
+            load_model(cut)
+    # a well-formed file holding no layers is not a model
+    cut.write_bytes(blob[:6] + b"\x00\x00" + blob[-4:])
+    with pytest.raises(FormatError):
+        load_model(cut)
+    # nor is one whose threshold is NaN
+    cut.write_bytes(blob[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+    with pytest.raises(FormatError):
+        load_model(cut)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_model_file_bit_flips_load_or_raise_format_error(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("flip") / "m.ndml"
+    save_model(random_model(np.random.default_rng(4), [6, 3, 1]), path)
+    blob = bytearray(path.read_bytes())
+    pos = data.draw(st.integers(0, len(blob) - 1))
+    blob[pos] ^= 1 << data.draw(st.integers(0, 7))
+    path.write_bytes(bytes(blob))
+    try:
+        load_model(path)
+    except FormatError:
+        pass

@@ -123,6 +123,10 @@ def test_index_search_select_cluster_flow(workspace):
     edge_lines = (root / "edges.tsv").read_text().splitlines()
     assert edge_lines
     assert len(edge_lines[0].split("\t")) == 3
+    # each unordered pair once, as a < b, in (a, b) order
+    pairs = [tuple(int(x) for x in line.split("\t")[:2]) for line in edge_lines]
+    assert all(a < b for a, b in pairs)
+    assert pairs == sorted(set(pairs))
 
     assert main(
         [
@@ -304,23 +308,13 @@ def test_errors_exit_one_with_stage_name(workspace, tmp_path, capsys):
     assert "error in gen-corpus" in capsys.readouterr().err
 
 
-def test_thread_cap_flag_and_env(workspace, tmp_path, monkeypatch):
-    from neardup.util import set_thread_cap, thread_cap
-
-    monkeypatch.setenv("NEARDUP_THREADS", "3")
-    set_thread_cap(None)
-    assert thread_cap() == 3
-    # the CLI flag overrides the environment
-    assert main(
-        [
-            "--threads", "2",
-            "search",
-            "--index", str(workspace / "corpus.ndix"),
-            "--queries", emb_path(workspace),
-            "--out", str(tmp_path / "hits.tsv"),
-        ]
-    ) == 0
-    assert thread_cap() == 2
-    set_thread_cap(None)
-    monkeypatch.delenv("NEARDUP_THREADS")
-    assert thread_cap() >= 1
+def test_truncated_model_exits_one_without_traceback(workspace, tmp_path, capsys):
+    blob = (workspace / "model.ndml").read_bytes()
+    cut = tmp_path / "cut.ndml"
+    cut.write_bytes(blob[: len(blob) // 2])
+    argv = ["run", "--embeddings", emb_path(workspace), "--model", str(cut),
+            "--config", str(workspace / "config.json"), "--out", str(tmp_path / "o.tsv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error in run:" in err and "truncated" in err
+    assert not (tmp_path / "o.tsv").exists()

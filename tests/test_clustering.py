@@ -11,10 +11,10 @@ from neardup import (
     k_cut,
     read_clusters_tsv,
     transitive_closure,
-    write_clusters_tsv,
 )
 from neardup.clustering import clusters_to_tsv
-from neardup.classifier import predict_pairs
+from neardup.classifier import predict_rows
+from neardup.util import atomic_write_text
 
 from conftest import popcount_model, star_set
 
@@ -68,6 +68,15 @@ def test_closure_matches_union_find(rng):
         assert as_lists(transitive_closure(edges)) == union_find_oracle(edges)
 
 
+def test_closure_takes_id_arrays_and_rejects_other_shapes():
+    a = np.array([3, 2, 2**64 - 2], dtype=np.uint64)
+    b = np.array([2, 1, 7], dtype=np.uint64)
+    assert as_lists(transitive_closure(np.column_stack((a, b)))) == [[1, 2, 3], [7, 2**64 - 2]]
+    assert transitive_closure(np.zeros((0, 2), dtype=np.uint64)) == []
+    with pytest.raises(DataError):
+        transitive_closure([(1, 2, 3)])
+
+
 def test_closure_groups_sorted_by_min_member():
     groups = transitive_closure([(30, 31), (1, 2), (10, 11), (2, 10)])
     assert as_lists(groups) == [[1, 2, 10, 11], [30, 31]]
@@ -110,7 +119,7 @@ def test_k_cut_members_clear_threshold():
     for c in clusters:
         assert c.cluster_id == min(c.image_ids)
         for m, s in c.members:
-            (recomputed,) = predict_pairs(model, [(c.head, m)], emb)
+            (recomputed,) = predict_rows(model, emb, [emb.row_of(c.head)], [emb.row_of(m)])
             assert s == recomputed
             assert s >= 0.5
 
@@ -168,7 +177,9 @@ def choose_head_oracle(ids, model, emb):
     best = None
     for h in sorted(ids):
         total = sum(
-            float(predict_pairs(model, [(h, o)], emb)[0]) for o in ids if o != h
+            float(predict_rows(model, emb, [emb.row_of(h)], [emb.row_of(o)])[0])
+            for o in ids
+            if o != h
         )
         if best is None or total > best[0] + 1e-12:
             best = (total, h)
@@ -213,7 +224,7 @@ def test_clusters_tsv_round_trip(tmp_path):
         NearDupeCluster(1, 1, []),
     ]
     path = tmp_path / "c.tsv"
-    write_clusters_tsv(clusters, path)
+    atomic_write_text(path, clusters_to_tsv(clusters))
     text = path.read_text()
     # sorted by cluster id, head row first, members sorted, score %.6f
     assert text.splitlines() == [

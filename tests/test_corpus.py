@@ -145,7 +145,7 @@ def test_generate_labels_deterministic(small_corpus):
 
 def test_hard_negatives_collide_in_index(lsh64):
     # two groups two bits apart: every cross pair collides in the index
-    from conftest import star_set
+    from conftest import star_set, term_sets
 
     emb = star_set(64, 13, [(0, []), (1, [0]), (10, [1]), (11, [2])])
     truth = GroundTruth(
@@ -158,7 +158,7 @@ def test_hard_negatives_collide_in_index(lsh64):
     )
     neg = [(a, b) for a, b, l in labels if l == 0]
     assert len(neg) == 3
-    sets = {ts.image_id: ts.terms for ts in emb.term_sets(lsh64)}
+    sets = term_sets(emb, lsh64)
     assert all(len(sets[a] & sets[b]) >= 2 for a, b in neg)
 
 

@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neardup import (
-    BinaryEmbedding,
-    ConfigMismatchError,
     DataError,
     EmbeddingSet,
     LshConfig,
+    batch_search,
     binarize,
-    derive_terms,
-    jaccard_overlap,
+    build_index,
     select_bits,
 )
 from neardup.embeddings import derive_terms_matrix, hamming_distance_matrix
@@ -50,6 +48,14 @@ def chunk_oracle(bits, selected, g):
         value = int(picked[group * g : (group + 1) * g], 2)
         terms.add((group << g) | value)
     return terms
+
+
+def overlap_hit(config, a_bits, b_bits):
+    """(overlap, jaccard) of b's search hit on a, (0, 0.0) when they share no term."""
+    index = build_index(EmbeddingSet.from_bits(np.array([0], dtype=np.uint64), a_bits[np.newaxis]), config)
+    query = EmbeddingSet.from_bits(np.array([1], dtype=np.uint64), b_bits[np.newaxis])
+    hits = batch_search(query, index, k=1, min_overlap=1)[1]
+    return (hits[0].overlap, hits[0].jaccard) if hits else (0, 0.0)
 
 
 # -- binarization -------------------------------------------------------------
@@ -116,11 +122,10 @@ def test_derive_terms_hand_example():
     # 3 groups of 4 over positions 0..11; trailing unselected bits must not matter
     config = LshConfig(d=16, selected_bits=tuple(range(12)), term_bits=4)
     bits = np.array([1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1], dtype=np.uint8)
-    terms = derive_terms(BinaryEmbedding(5, bits), config)
+    terms = derive_terms_matrix(bits[np.newaxis, :], config)[0]
     # groups: 1010 -> 10, 0001 -> (1<<4)|1 = 17, 1100 -> (2<<4)|12 = 44
-    assert terms.terms == {10, 17, 44}
-    assert terms.image_id == 5
-    assert terms.terms == chunk_oracle(bits, config.selected_bits, 4)
+    assert terms.tolist() == [10, 17, 44]
+    assert set(terms.tolist()) == chunk_oracle(bits, config.selected_bits, 4)
 
 
 @settings(max_examples=50)
@@ -130,9 +135,10 @@ def test_derive_terms_matches_chunk_oracle(seed):
     d, g = 32, 4
     selected = tuple(int(i) for i in rng.permutation(d)[:16])
     config = LshConfig(d=d, selected_bits=selected, term_bits=g)
-    bits = rng.integers(0, 2, size=d, dtype=np.uint8)
-    got = derive_terms(BinaryEmbedding(0, bits), config)
-    assert got.terms == chunk_oracle(bits, selected, g)
+    bits = rng.integers(0, 2, size=(3, d), dtype=np.uint8)
+    got = derive_terms_matrix(bits, config)
+    for row, terms in zip(bits, got):
+        assert set(terms.tolist()) == chunk_oracle(row, selected, g)
 
 
 def test_term_count_and_group_disjointness(lsh64, rng):
@@ -149,43 +155,28 @@ def test_term_count_and_group_disjointness(lsh64, rng):
 
 def test_single_flip_degrades_overlap_by_one(lsh64, rng):
     bits = rng.integers(0, 2, size=64, dtype=np.uint8)
-    a = derive_terms(BinaryEmbedding(0, bits), lsh64)
     flipped = bits.copy()
     flipped[13] ^= 1  # inside group 2 of the selected range
-    b = derive_terms(BinaryEmbedding(1, flipped), lsh64)
-    overlap, jac = jaccard_overlap(a, b)
+    overlap, jac = overlap_hit(lsh64, bits, flipped)
     assert overlap == 5
     assert jac == pytest.approx(5 / 7)
     # a flip outside the selected range changes nothing
     outside = bits.copy()
     outside[50] ^= 1
-    c = derive_terms(BinaryEmbedding(2, outside), lsh64)
-    assert jaccard_overlap(a, c) == (6, 1.0)
+    assert overlap_hit(lsh64, bits, outside) == (6, 1.0)
 
 
 def test_jaccard_overlap_frozen_values():
     config = LshConfig(d=144, selected_bits=tuple(range(144)), term_bits=12)
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2, size=144, dtype=np.uint8)
-    a = derive_terms(BinaryEmbedding(0, bits), config)
-    b = derive_terms(BinaryEmbedding(1, bits), config)
-    assert jaccard_overlap(a, b) == (12, 1.0)  # identical: all 12 terms shared
-    inverted = derive_terms(BinaryEmbedding(2, 1 - bits), config)
-    assert jaccard_overlap(a, inverted) == (0, 0.0)
+    assert overlap_hit(config, bits, bits.copy()) == (12, 1.0)  # identical: all 12 terms shared
+    assert overlap_hit(config, bits, 1 - bits) == (0, 0.0)
     # flip one bit in each of 6 groups: overlap 6, jaccard 6/(24-6)
     half = bits.copy()
     for group in range(6):
         half[group * 12] ^= 1
-    c = derive_terms(BinaryEmbedding(3, half), config)
-    assert jaccard_overlap(a, c) == (6, pytest.approx(1 / 3))
-
-
-def test_jaccard_overlap_rejects_config_mismatch():
-    c1 = LshConfig(d=16, selected_bits=tuple(range(8)), term_bits=4)
-    c2 = LshConfig(d=16, selected_bits=tuple(range(8, 16)), term_bits=4)
-    bits = np.ones(16, dtype=np.uint8)
-    with pytest.raises(ConfigMismatchError):
-        jaccard_overlap(derive_terms(BinaryEmbedding(0, bits), c1), derive_terms(BinaryEmbedding(1, bits), c2))
+    assert overlap_hit(config, bits, half) == (6, pytest.approx(1 / 3))
 
 
 def test_overlap_tracks_hamming_distance(rng):
@@ -194,17 +185,18 @@ def test_overlap_tracks_hamming_distance(rng):
 
     config = LshConfig(d=256, selected_bits=tuple(range(144)), term_bits=12)
     base = rng.integers(0, 2, size=256, dtype=np.uint8)
-    distances, overlaps = [], []
-    a = derive_terms(BinaryEmbedding(0, base), config)
+    distances, others = [], []
     for i in range(2000):
         k = int(rng.integers(0, 80))
         positions = rng.choice(256, size=k, replace=False) if k else []
         other = base.copy()
         if k:
             other[positions] ^= 1
-        b = derive_terms(BinaryEmbedding(1, other), config)
         distances.append(k)
-        overlaps.append(jaccard_overlap(a, b)[0])
+        others.append(other)
+    terms = derive_terms_matrix(np.stack([base] + others), config)
+    # group j always lands in column j, so shared terms are equal columns
+    overlaps = (terms[1:] == terms[0]).sum(axis=1)
     rho, _ = spearmanr(distances, overlaps)
     assert rho < -0.8
 
@@ -288,6 +280,44 @@ def test_embedding_file_rejects_corruption(tmp_path, rng):
     (tmp_path / "truncated.ndem").write_bytes(blob[:-3])
     with pytest.raises(FormatError):
         EmbeddingSet.load(tmp_path / "truncated.ndem")
+
+
+def test_embedding_file_rejects_truncation_and_duplicate_ids(tmp_path, rng):
+    from neardup.errors import FormatError
+
+    bits = rng.integers(0, 2, size=(3, 16), dtype=np.uint8)
+    path = tmp_path / "x.ndem"
+    EmbeddingSet.from_bits(np.arange(3, dtype=np.uint64), bits).save(path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ndem"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(FormatError):
+            EmbeddingSet.load(cut)
+    # record 1's id byte set to record 0's id: a parseable file with a repeat
+    dup = bytearray(blob)
+    dup[16 + 10] = 0
+    cut.write_bytes(bytes(dup))
+    with pytest.raises(FormatError):
+        EmbeddingSet.load(cut)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_embedding_file_bit_flips_load_or_raise_format_error(data, tmp_path_factory):
+    from neardup.errors import FormatError
+
+    bits = np.random.default_rng(5).integers(0, 2, size=(4, 16), dtype=np.uint8)
+    path = tmp_path_factory.mktemp("flip") / "x.ndem"
+    EmbeddingSet.from_bits(np.arange(4, dtype=np.uint64), bits).save(path)
+    blob = bytearray(path.read_bytes())
+    pos = data.draw(st.integers(0, len(blob) - 1))
+    blob[pos] ^= 1 << data.draw(st.integers(0, 7))
+    path.write_bytes(bytes(blob))
+    try:
+        EmbeddingSet.load(path)
+    except FormatError:
+        pass
 
 
 def test_hamming_distance_matrix_matches_xor_count(rng):

@@ -1,0 +1,56 @@
+"""Golden digests: the cluster tables of a fixed seeded run, byte for byte.
+
+A refactor or speed-up of search, selection, scoring or clustering must
+leave these tables identical. A digest that moves means the change altered
+clustering output: report that, do not re-record the digest to pass.
+Scores pass through BLAS, so another BLAS build may round differently.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from neardup import (
+    PipelineConfig,
+    SyntheticCorpusSpec,
+    generate_corpus,
+    run_full,
+    run_incremental,
+    train_default_model,
+)
+from neardup.clustering import clusters_to_tsv
+
+RUN_FULL_SHA256 = "db8024457abf4a690b5a5f9cd801769d9e7a90206d71f4b5958bc47d5567182d"
+INGEST_SHA256 = "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda"
+
+
+def spec(seed, n_base):
+    return SyntheticCorpusSpec(seed=seed, n_base=n_base, d=256, flip_min=1, flip_max=8)
+
+
+@pytest.fixture(scope="module")
+def seeded():
+    """A model trained with default settings on one corpus, and a second corpus."""
+    config = PipelineConfig()
+    train_emb, train_truth = generate_corpus(spec(11, 300))
+    model = train_default_model(train_emb, train_truth, config)[0].model
+    emb, _ = generate_corpus(spec(12, 500))
+    return config, model, emb
+
+
+def test_run_full_cluster_tsv_digest(seeded, tmp_path):
+    config, model, emb = seeded
+    path = tmp_path / "clusters.tsv"
+    _, report = run_full(emb, model, config, path)
+    assert (report["candidate_pairs"], report["edges"], report["non_singleton_clusters"]) == (1616, 1242, 215)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RUN_FULL_SHA256
+
+
+def test_incremental_store_table_digest(seeded, tmp_path):
+    config, model, emb = seeded
+    perm = np.random.default_rng(12).permutation(len(emb))
+    for rows in np.array_split(perm, 3):
+        store, _, _ = run_incremental(tmp_path / "store", emb.subset(emb.ids[np.sort(rows)]), model, config)
+    table = clusters_to_tsv(store.clusters.values()).encode()
+    assert hashlib.sha256(table).hexdigest() == INGEST_SHA256

@@ -140,6 +140,32 @@ def test_store_open_rejects_bad_state(tmp_path):
         ClusterStore.open(tmp_path / "store")
 
 
+def test_store_open_rejects_malformed_manifest_and_heads(tmp_path):
+    store = make_store(directory=tmp_path / "store")
+    manifest = tmp_path / "store" / "manifest.json"
+    good = manifest.read_text()
+    for cut in range(len(good.rstrip())):
+        manifest.write_text(good[:cut])
+        with pytest.raises(StoreError):
+            ClusterStore.open(tmp_path / "store")
+    for bad in ('{"version": 1}', '{"version": 1, "files": {}}', "[1]",
+                good.replace('"k_aug": 3', '"k_aug": "3"')):
+        manifest.write_text(bad)
+        with pytest.raises(StoreError):
+            ClusterStore.open(tmp_path / "store")
+
+    store.save()  # a good manifest again; now break the files it names
+    heads = tmp_path / "store" / "heads-0.json"
+    for bad in ('{"1": {"head": 1}}', '{"1": [1]}', "[]", '{"x": {"head": 1, "augmentation": []}}'):
+        heads.write_text(bad)
+        with pytest.raises(StoreError):
+            ClusterStore.open(tmp_path / "store")
+    store.save()
+    (tmp_path / "store" / "clusters-0.tsv").write_text("1\tone\thead\t\n")
+    with pytest.raises(StoreError):
+        ClusterStore.open(tmp_path / "store")
+
+
 def test_nvo_matches_a_duplicate_of_the_head(model):
     store = make_store()
     matches = run_nvo(store, batch([(100, [])]), model, threshold=0.5)

@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neardup import EmbeddingSet, LshConfig, build_index, index_size_bytes, load_index, save_index
-from neardup.embeddings import derive_terms, BinaryEmbedding
+from conftest import term_sets
+
+from neardup import (
+    DataError,
+    EmbeddingSet,
+    LshConfig,
+    build_index,
+    index_size_bytes,
+    load_index,
+    save_index,
+)
 from neardup.errors import EncodingError, FormatError, IndexBuildError
 from neardup.index import (
     IdDictionary,
@@ -49,14 +58,14 @@ def vb_decode_oracle(payload):
     return values
 
 
-def naive_index_oracle(term_sets):
+def naive_index_oracle(sets):
     # dict of python lists, dense ids in input order
     dense = {}
     postings = {}
-    for ts in term_sets:
-        dense[ts.image_id] = len(dense)
-        for t in sorted(ts.terms):
-            postings.setdefault(t, []).append(dense[ts.image_id])
+    for image_id, terms in sets.items():
+        dense[image_id] = len(dense)
+        for t in sorted(terms):
+            postings.setdefault(t, []).append(dense[image_id])
     return dense, postings
 
 
@@ -132,15 +141,15 @@ def test_id_dictionary_bijective(ids):
 
 
 @pytest.fixture
-def small_sets(lsh64, rng):
+def small_set(rng):
     bits = rng.integers(0, 2, size=(30, 64), dtype=np.uint8)
     ids = rng.choice(10**6, size=30, replace=False).astype(np.uint64)
-    return EmbeddingSet.from_bits(ids, bits).term_sets(lsh64)
+    return EmbeddingSet.from_bits(ids, bits)
 
 
-def test_build_index_matches_naive_oracle(small_sets):
-    index = build_index(small_sets)
-    dense, postings = naive_index_oracle(small_sets)
+def test_build_index_matches_naive_oracle(small_set, lsh64):
+    index = build_index(small_set, lsh64)
+    dense, postings = naive_index_oracle(term_sets(small_set, lsh64))
     assert len(index.dictionary) == len(dense)
     for ext, dn in dense.items():
         assert index.dictionary.to_dense(ext) == dn
@@ -150,46 +159,41 @@ def test_build_index_matches_naive_oracle(small_sets):
     assert index.posting_count() == sum(len(v) for v in postings.values())
 
 
-def test_build_index_from_embedding_set_equivalent(small_sets, lsh64):
-    # the bulk EmbeddingSet path and the per-term-set path must agree
-    via_sets = build_index(small_sets)
-    index = build_index(via_sets_to_embeddings(small_sets, lsh64), lsh64)
+def test_build_index_from_embedding_set_equivalent(small_set, lsh64):
+    # bits rebuilt from the term rows alone index exactly like the originals
+    rebuilt = via_sets_to_embeddings(term_sets(small_set, lsh64), lsh64)
+    via_sets = build_index(rebuilt, lsh64)
+    index = build_index(small_set, lsh64)
     assert index.terms == via_sets.terms
     for t in index.terms:
         assert index.posting_ids(t).tolist() == via_sets.posting_ids(t).tolist()
 
 
-def via_sets_to_embeddings(term_sets, config):
+def via_sets_to_embeddings(sets, config):
     # invert term derivation: place each group value back into its bits
     rows, ids = [], []
-    for ts in term_sets:
+    for image_id, terms in sets.items():
         bits = np.zeros(config.d, dtype=np.uint8)
-        for term in ts.terms:
+        for term in terms:
             group = term >> config.term_bits
             value = term & ((1 << config.term_bits) - 1)
             for k in range(config.term_bits):
                 pos = config.selected_bits[group * config.term_bits + k]
                 bits[pos] = (value >> (config.term_bits - 1 - k)) & 1
         rows.append(bits)
-        ids.append(ts.image_id)
+        ids.append(image_id)
     return EmbeddingSet.from_bits(np.array(ids, dtype=np.uint64), np.stack(rows))
 
 
-def test_build_index_rejects_duplicates(small_sets):
-    with pytest.raises(IndexBuildError):
-        build_index(small_sets + [small_sets[0]])
-
-
-def test_build_index_rejects_mixed_configs(small_sets):
-    other = LshConfig(d=64, selected_bits=tuple(range(28, 64)), term_bits=6)
-    bits = np.ones(64, dtype=np.uint8)
-    odd = derive_terms(BinaryEmbedding(10**9, bits), other)
-    with pytest.raises(IndexBuildError):
-        build_index(small_sets + [odd])
+def test_build_index_rejects_duplicates(small_set):
+    # an index input is an EmbeddingSet, which cannot hold an id twice
+    with pytest.raises(DataError):
+        small_set.concat(small_set.subset(small_set.ids[:1]))
 
 
 def test_empty_index(lsh64):
-    index = build_index([], config=lsh64)
+    empty = EmbeddingSet.from_bits(np.zeros(0, dtype=np.uint64), np.zeros((0, 64), dtype=np.uint8))
+    index = build_index(empty, config=lsh64)
     assert len(index) == 0
     assert index.terms == []
     assert index.posting_count() == 0
@@ -222,8 +226,8 @@ def test_single_posting_payload_is_one_byte(lsh64, rng):
     assert sizes.serialized == header_size_bytes(index) + 6 * (12 + 1)
 
 
-def test_index_file_round_trip(small_sets, tmp_path):
-    index = build_index(small_sets, head_only=True)
+def test_index_file_round_trip(small_set, lsh64, tmp_path):
+    index = build_index(small_set, lsh64, head_only=True)
     path = tmp_path / "x.ndix"
     save_index(index, path)
     back = load_index(path)
@@ -237,8 +241,8 @@ def test_index_file_round_trip(small_sets, tmp_path):
     assert serialize_index(back) == path.read_bytes()
 
 
-def test_index_file_rejects_corruption(small_sets, tmp_path):
-    index = build_index(small_sets)
+def test_index_file_rejects_corruption(small_set, lsh64, tmp_path):
+    index = build_index(small_set, lsh64)
     path = tmp_path / "x.ndix"
     save_index(index, path)
     blob = path.read_bytes()
@@ -248,6 +252,57 @@ def test_index_file_rejects_corruption(small_sets, tmp_path):
     (tmp_path / "trail.ndix").write_bytes(blob + b"\x00")
     with pytest.raises(FormatError):
         load_index(tmp_path / "trail.ndix")
+
+
+def test_index_file_rejects_truncation(small_set, lsh64, tmp_path):
+    blob = serialize_index(build_index(small_set, lsh64))
+    path = tmp_path / "cut.ndix"
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load_index(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_index_file_bit_flips_load_or_raise_format_error(data):
+    rng = np.random.default_rng(3)
+    config = LshConfig(d=64, selected_bits=tuple(range(36)), term_bits=6)
+    emb = EmbeddingSet.from_bits(np.arange(8, dtype=np.uint64), rng.integers(0, 2, size=(8, 64), dtype=np.uint8))
+    blob = bytearray(serialize_index(build_index(emb, config)))
+    pos = data.draw(st.integers(0, len(blob) - 1))
+    blob[pos] ^= 1 << data.draw(st.integers(0, 7))
+    try:
+        load_index_from_bytes(bytes(blob))
+    except FormatError:
+        pass
+
+
+def test_index_file_rejects_inconsistent_postings(lsh64):
+    import struct
+
+    def blob(n_images, entries):
+        parts = [
+            b"NDIX",
+            struct.pack("<HB", 1, 0),
+            struct.pack("<HHH", lsh64.d, lsh64.term_bits, lsh64.m),
+            np.array(lsh64.selected_bits, dtype="<u2").tobytes(),
+            struct.pack("<Q", n_images),
+            np.arange(n_images, dtype="<u8").tobytes(),
+            struct.pack("<I", len(entries)),
+        ]
+        for term, ids in entries:
+            payload = varbyte_encode(ids)
+            parts.append(struct.pack("<III", term, len(ids), len(payload)) + payload)
+        return b"".join(parts)
+
+    assert load_index_from_bytes(blob(2, [(3, [0, 1]), (7, [1])])).posting_ids(7).tolist() == [1]
+    with pytest.raises(FormatError):
+        load_index_from_bytes(blob(2, [(3, [0, 2])]))  # dense id beyond the dictionary
+    with pytest.raises(FormatError):
+        load_index_from_bytes(blob(2, [(7, [0]), (3, [1])]))  # terms out of order
+    with pytest.raises(FormatError):
+        load_index_from_bytes(blob(2, [(3, [0]), (3, [1])]))  # repeated term
 
 
 def test_compression_beats_baseline_on_clustered_ids(rng):

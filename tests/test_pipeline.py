@@ -150,6 +150,25 @@ def test_config_rejects_unknown_and_invalid():
         PipelineConfig.from_dict({"search": {"k": 0}})
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"search": {"k": "5"}},
+        {"seed": "abc"},
+        {"lsh": {"selected_bits": 3}},
+        {"classifier": {"hidden": 5}},
+        {"classifier": {"hidden": [64, "32"]}},
+        {"kcut": {"threshold": "0.5"}},
+        {"augmentation": {"k_aug": True}},
+        {"classifier": {"model_path": 7}},
+        {"threads": 2},
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(payload):
+    with pytest.raises(DataError):
+        PipelineConfig.from_dict(payload)
+
+
 def test_evaluate_pipeline_exact_on_clean_corpus():
     emb, truth = three_group_corpus()
     report = evaluate_pipeline(

@@ -7,20 +7,21 @@ from neardup import (
     ConfigMismatchError,
     DataError,
     EmbeddingSet,
-    LshConfig,
     batch_search,
     build_index,
     overlap_pairs,
     recall_at_distance,
+    unordered_pairs,
 )
+from neardup.search import SearchHit, SearchResultBatch
 
-from conftest import star_set
+from conftest import star_set, term_sets
 
 
 def search_oracle(queries, indexed, cfg, min_overlap):
     """Every pair, counted by set intersection. No ranking, no truncation."""
-    q_sets = {ts.image_id: ts.terms for ts in queries.term_sets(cfg)}
-    i_sets = {ts.image_id: ts.terms for ts in indexed.term_sets(cfg)}
+    q_sets = term_sets(queries, cfg)
+    i_sets = term_sets(indexed, cfg)
     hits = set()
     for q, qt in q_sets.items():
         for i, it in i_sets.items():
@@ -146,10 +147,19 @@ def test_config_mismatch_rejected(lsh64, rng):
     )
     with pytest.raises(ConfigMismatchError):
         batch_search(other, index)
-    narrow = LshConfig(d=64, selected_bits=tuple(range(30)), term_bits=6)
-    foreign = random_set(rng, 3).term_sets(narrow)
-    with pytest.raises(ConfigMismatchError):
-        batch_search(foreign, index)
+
+
+def test_unordered_pairs_matches_set_oracle(lsh64, rng):
+    indexed = random_set(rng, 80)
+    hits = batch_search(indexed, build_index(indexed, lsh64), k=5, min_overlap=1)
+    want = sorted({(min(q, h.index_image), max(q, h.index_image)) for q, hl in hits.items() for h in hl})
+    a, b = unordered_pairs(hits)
+    assert a.dtype == b.dtype == np.uint64
+    assert list(zip(a.tolist(), b.tolist())) == want
+    # ids at the top of the u64 range survive; a hit on the query itself is dropped
+    top = 2**64 - 2
+    a, b = unordered_pairs(SearchResultBatch([(top, [SearchHit(3, 2, 0.2), SearchHit(top, 6, 1.0)])]))
+    assert (a.tolist(), b.tolist()) == ([3], [top])
 
 
 def test_bad_parameters_rejected(lsh64, rng):

@@ -14,6 +14,7 @@ from neardup import (
     emit_augmentation_labels,
     select_candidates,
     select_edges,
+    unordered_pairs,
 )
 
 from conftest import popcount_model, star_set
@@ -175,13 +176,19 @@ def test_select_edges_filters_at_threshold(model):
         D, 29, [(0, []), (1, [0, 1]), (2, list(range(8))), (3, list(range(20)))]
     )
     hits = SearchResultBatch(
-        [(0, [SearchHit(1, 6, 0.5), SearchHit(2, 4, 0.3), SearchHit(3, 2, 0.1)])]
+        [
+            (0, [SearchHit(1, 6, 0.5), SearchHit(2, 4, 0.3), SearchHit(3, 2, 0.1)]),
+            (2, [SearchHit(0, 4, 0.3)]),  # the reverse of a pair above
+        ]
     )
-    edges = select_edges(hits, model, emb, threshold=0.5)
+    a, b = unordered_pairs(hits)
+    assert list(zip(a.tolist(), b.tolist())) == [(0, 1), (0, 2), (0, 3)]
+    edges_a, edges_b, scores = select_edges(a, b, model, emb, threshold=0.5)
     # hamming 2 and 8 pass theta 9.5, hamming 20 does not
-    assert [(q, h) for q, h, _ in edges] == [(0, 1), (0, 2)]
-    assert edges[0][2] == pytest.approx(score_at(2))
-    assert edges[1][2] == pytest.approx(score_at(8))
-    assert select_edges(SearchResultBatch(), model, emb, 0.5) == []
+    assert list(zip(edges_a.tolist(), edges_b.tolist())) == [(0, 1), (0, 2)]
+    assert scores[0] == pytest.approx(score_at(2))
+    assert scores[1] == pytest.approx(score_at(8))
+    none = select_edges(*unordered_pairs(SearchResultBatch()), model, emb, 0.5)
+    assert [x.size for x in none] == [0, 0, 0]
     with pytest.raises(DataError):
-        select_edges(hits, model, emb, 0.0)
+        select_edges(a, b, model, emb, 0.0)
