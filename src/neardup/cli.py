@@ -145,7 +145,17 @@ def _read_pairs_csv(path) -> list:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["id_a", "id_b"]:
             raise DataError(f"{path}: expected header id_a,id_b")
-        return [(int(row[0]), int(row[1])) for row in reader if row]
+        pairs = []
+        for ln, row in enumerate(reader, 2):
+            if not row:
+                continue
+            if len(row) < 2:
+                raise DataError(f"{path}:{ln}: expected at least 2 columns")
+            try:
+                pairs.append((int(row[0]), int(row[1])))
+            except ValueError as exc:
+                raise DataError(f"{path}:{ln}: {exc}") from None
+        return pairs
 
 
 def cmd_classify(args) -> int:
@@ -174,9 +184,11 @@ def _read_hits_tsv(path) -> SearchResultBatch:
             if len(parts) != 4:
                 raise DataError(f"{path}:{ln}: expected 4 tab-separated fields")
             q, m, overlap, jac = parts
-            results.setdefault(int(q), []).append(
-                SearchHit(int(m), int(overlap), float(jac))
-            )
+            try:
+                q, hit = int(q), SearchHit(int(m), int(overlap), float(jac))
+            except ValueError as exc:
+                raise DataError(f"{path}:{ln}: {exc}") from None
+            results.setdefault(q, []).append(hit)
     return results
 
 
@@ -228,7 +240,10 @@ def _read_edges_tsv(path) -> list:
             parts = line.split("\t")
             if len(parts) < 2:
                 raise DataError(f"{path}:{ln}: expected at least 2 tab-separated fields")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError as exc:
+                raise DataError(f"{path}:{ln}: {exc}") from None
     return edges
 
 

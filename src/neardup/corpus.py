@@ -236,10 +236,13 @@ def read_labels_csv(path) -> list:
                 continue
             if len(row) < 3:
                 raise DataError(f"{path}:{ln}: expected at least 3 columns")
-            label = int(row[2])
+            try:
+                id_a, id_b, label = int(row[0]), int(row[1]), int(row[2])
+            except ValueError as exc:
+                raise DataError(f"{path}:{ln}: {exc}") from None
             if label not in (0, 1):
                 raise DataError(f"{path}:{ln}: label must be 0 or 1")
-            out.append((int(row[0]), int(row[1]), label))
+            out.append((id_a, id_b, label))
     return out
 
 

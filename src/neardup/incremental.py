@@ -254,8 +254,8 @@ def run_nvo(
     corrupt.
     """
     head_by_image = store.head_entries_by_image()
-    index_ids = {int(i) for i in store.head_index.dictionary.external}
-    if index_ids != set(head_by_image):
+    head_ids = np.sort(np.fromiter(head_by_image, dtype=np.uint64, count=len(head_by_image)))
+    if not np.array_equal(np.sort(store.head_index.dictionary.external), head_ids):
         raise StoreError("head index out of sync with cluster heads")
     if len(new_embeddings) == 0 or not head_by_image:
         return []

@@ -6,6 +6,9 @@ sequence of dense ids holding that term, stored delta-encoded with
 variable-byte coding: little-endian 7-bit groups, high bit set meaning a
 continuation byte follows. The whole point is to undercut the naive
 8-bytes-per-posting layout; `index_size_bytes` reports both sides.
+
+In memory the lists are CSR arrays (sorted terms, offsets, flat dense ids),
+and the file codec codes or decodes every list in one vectorised pass.
 """
 
 import struct
@@ -34,7 +37,7 @@ def varbyte_encode(values) -> bytes:
     deltas = np.empty_like(vals)
     deltas[0] = vals[0]
     np.subtract(vals[1:], vals[:-1], out=deltas[1:])
-    return _vb_encode_u64(deltas.astype(np.uint64))
+    return _vb_encode_u64(deltas.astype(np.uint64))[0].tobytes()
 
 
 def varbyte_decode(payload: bytes) -> np.ndarray:
@@ -49,19 +52,23 @@ def varbyte_decode(payload: bytes) -> np.ndarray:
     return ids.astype(np.uint32)
 
 
-def _vb_encode_u64(deltas: np.ndarray) -> bytes:
+def _vb_encode_u64(values: np.ndarray):
+    """Varbyte-code every value of a u64 array back to back, in one pass.
+
+    Returns the coded bytes (uint8 array) and the byte count of each value.
+    """
     # byte count per value: 1 + how many 7-bit shifts still leave residue
-    nbytes = np.ones(deltas.shape[0], dtype=np.int64)
+    nbytes = np.ones(values.shape[0], dtype=np.int64)
     for k in range(1, 10):
-        nbytes += (deltas >= (np.uint64(1) << np.uint64(7 * k))).astype(np.int64)
+        nbytes += (values >= (np.uint64(1) << np.uint64(7 * k))).astype(np.int64)
     total = int(nbytes.sum())
     starts = np.cumsum(nbytes) - nbytes
     within = np.arange(total, dtype=np.int64) - np.repeat(starts, nbytes)
-    rep = np.repeat(deltas, nbytes)
+    rep = np.repeat(values, nbytes)
     out = ((rep >> (np.uint64(7) * within.astype(np.uint64))) & np.uint64(0x7F)).astype(np.uint8)
     cont = within < np.repeat(nbytes - 1, nbytes)
     out[cont] |= 0x80
-    return out.tobytes()
+    return out, nbytes
 
 
 def _vb_decode_u64(raw: np.ndarray) -> np.ndarray:
@@ -94,16 +101,21 @@ class IdDictionary:
 
     def __post_init__(self):
         self.external = np.ascontiguousarray(self.external, dtype=np.uint64)
-        self._dense = {int(v): i for i, v in enumerate(self.external)}
-        if len(self._dense) != self.external.size:
+        if np.unique(self.external).size != self.external.size:
             raise IndexBuildError("duplicate external ids in dictionary")
+        self._dense = None  # external -> dense map, built on first lookup
 
     def __len__(self) -> int:
         return self.external.size
 
+    def _dense_map(self) -> dict:
+        if self._dense is None:
+            self._dense = {v: i for i, v in enumerate(self.external.tolist())}
+        return self._dense
+
     def to_dense(self, external_id: int) -> int:
         try:
-            return self._dense[int(external_id)]
+            return self._dense_map()[int(external_id)]
         except KeyError:
             raise KeyError(f"external id {external_id} not in dictionary") from None
 
@@ -111,16 +123,7 @@ class IdDictionary:
         return int(self.external[dense_id])
 
     def __contains__(self, external_id) -> bool:
-        return int(external_id) in self._dense
-
-
-class PostingList(NamedTuple):
-    term: int
-    count: int
-    payload: bytes  # delta + varbyte encoded dense ids
-
-    def ids(self) -> np.ndarray:
-        return varbyte_decode(self.payload)
+        return int(external_id) in self._dense_map()
 
 
 class IndexSizes(NamedTuple):
@@ -129,34 +132,64 @@ class IndexSizes(NamedTuple):
     baseline: int  # 8 bytes per posting
 
 
-class PostingIndex:
-    """term -> posting list map plus the id dictionary and build config."""
+_NO_IDS = np.zeros(0, dtype=np.uint32)
+_NO_IDS.setflags(write=False)
 
-    def __init__(self, config: LshConfig, dictionary: IdDictionary, postings: dict, head_only: bool = False):
+
+class PostingIndex:
+    """Posting lists in CSR form plus the id dictionary and build config.
+
+    terms[i] (strictly increasing u32) posts the dense ids
+    ids[offsets[i]:offsets[i + 1]], strictly increasing within each term.
+    The three arrays are read-only.
+    """
+
+    def __init__(
+        self,
+        config: LshConfig,
+        dictionary: IdDictionary,
+        terms: np.ndarray,
+        offsets: np.ndarray,
+        ids: np.ndarray,
+        head_only: bool = False,
+    ):
         self.config = config
         self.dictionary = dictionary
-        # dict term -> np.uint32 array of dense ids, strictly increasing
-        self._postings = postings
+        self.terms = _frozen(terms, np.uint32)
+        self.offsets = _frozen(offsets, np.int64)
+        self.ids = _frozen(ids, np.uint32)
+        if self.offsets.shape != (self.terms.size + 1,) or self.offsets[-1] != self.ids.size:
+            raise IndexBuildError("posting offsets do not match terms and ids")
         self.head_only = head_only
 
-    @property
-    def terms(self) -> list:
-        return sorted(self._postings)
-
     def posting_ids(self, term: int) -> np.ndarray:
-        return self._postings.get(int(term), np.zeros(0, dtype=np.uint32))
-
-    def posting_lists(self) -> list:
-        return [
-            PostingList(t, self._postings[t].size, varbyte_encode(self._postings[t]))
-            for t in sorted(self._postings)
-        ]
+        term = int(term)
+        if not 0 <= term < 2**32:
+            return _NO_IDS
+        pos = int(np.searchsorted(self.terms, term))
+        if pos == self.terms.size or self.terms[pos] != term:
+            return _NO_IDS
+        return self.ids[self.offsets[pos] : self.offsets[pos + 1]]
 
     def posting_count(self) -> int:
-        return int(sum(v.size for v in self._postings.values()))
+        return int(self.ids.size)
 
     def __len__(self) -> int:
         return len(self.dictionary)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.ascontiguousarray(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def sorted_runs(sorted_keys: np.ndarray):
+    """Distinct values of a sorted array and the CSR offsets of their runs."""
+    bounds = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    starts = np.concatenate((np.zeros(min(sorted_keys.size, 1), dtype=np.int64), bounds))
+    offsets = np.append(starts, sorted_keys.size).astype(np.int64)
+    return sorted_keys[starts], offsets
 
 
 def build_index(embeddings: EmbeddingSet, config: LshConfig, head_only: bool = False) -> PostingIndex:
@@ -170,21 +203,40 @@ def build_index(embeddings: EmbeddingSet, config: LshConfig, head_only: bool = F
     flat_terms = term_matrix.reshape(-1)
     flat_dense = np.repeat(np.arange(n, dtype=np.uint32), t)
     order = np.lexsort((flat_dense, flat_terms))
-    sorted_terms = flat_terms[order]
-    sorted_dense = flat_dense[order]
-    postings = {}
-    if sorted_terms.size:
-        boundaries = np.nonzero(np.diff(sorted_terms))[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [sorted_terms.size]))
-        for s, e in zip(starts, ends):
-            postings[int(sorted_terms[s])] = sorted_dense[s:e].copy()
-    return PostingIndex(config, dictionary, postings, head_only=head_only)
+    terms, offsets = sorted_runs(flat_terms[order])
+    return PostingIndex(config, dictionary, terms, offsets, flat_dense[order], head_only=head_only)
+
+
+def _list_heads(offsets: np.ndarray) -> np.ndarray:
+    """True at the first posting of each non-empty list."""
+    heads = np.zeros(offsets[-1], dtype=bool)
+    heads[offsets[:-1][np.diff(offsets) > 0]] = True
+    return heads
+
+
+def _encode_postings(index: PostingIndex):
+    """Delta + varbyte code every posting list in one pass.
+
+    Returns the concatenated payloads (uint8 array, term order) and each
+    term's payload byte count.
+    """
+    ids = index.ids.astype(np.int64)
+    heads = _list_heads(index.offsets)
+    deltas = np.empty_like(ids)
+    deltas[:1] = ids[:1]
+    np.subtract(ids[1:], ids[:-1], out=deltas[1:])
+    if (deltas[~heads] <= 0).any():
+        raise EncodingError("posting ids must be strictly increasing")
+    deltas[heads] = ids[heads]  # each list restarts from its absolute first id
+    payload, nbytes = _vb_encode_u64(deltas.astype(np.uint64))
+    byte_ends = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(nbytes)))
+    term_nbytes = byte_ends[index.offsets[1:]] - byte_ends[index.offsets[:-1]]
+    return payload, term_nbytes
 
 
 def index_size_bytes(index: PostingIndex) -> IndexSizes:
     """Report compressed payload, full serialized size, and the 8 B/posting baseline."""
-    payload = sum(len(p.payload) for p in index.posting_lists())
+    payload = int(_encode_postings(index)[0].size)
     serialized = len(serialize_index(index))
     baseline = 8 * index.posting_count()
     return IndexSizes(payload, serialized, baseline)
@@ -198,29 +250,42 @@ def index_size_bytes(index: PostingIndex) -> IndexSizes:
 # postings:       n_terms u32 | per term: term u32 | count u32 | nbytes u32 | payload
 # all integers little-endian.
 
+_ENTRY = np.dtype([("term", "<u4"), ("count", "<u4"), ("nbytes", "<u4")])
+
+
+def _entry_mask(entry_starts: np.ndarray, size: int) -> np.ndarray:
+    """True at the bytes of the 12-byte entry headers in a postings body."""
+    mask = np.zeros(size, dtype=bool)
+    mask[(entry_starts[:, None] + np.arange(_ENTRY.itemsize)).reshape(-1)] = True
+    return mask
+
 
 def serialize_index(index: PostingIndex) -> bytes:
     cfg = index.config
-    parts = [
-        INDEX_MAGIC,
-        struct.pack("<HB", INDEX_VERSION, 1 if index.head_only else 0),
-        struct.pack("<HHH", cfg.d, cfg.term_bits, cfg.m),
-        np.array(cfg.selected_bits, dtype="<u2").tobytes(),
-        struct.pack("<Q", len(index.dictionary)),
-        index.dictionary.external.astype("<u8").tobytes(),
-    ]
-    lists = index.posting_lists()
-    parts.append(struct.pack("<I", len(lists)))
-    for pl in lists:
-        parts.append(struct.pack("<III", pl.term, pl.count, len(pl.payload)))
-        parts.append(pl.payload)
-    return b"".join(parts)
-
-
-def header_size_bytes(index: PostingIndex) -> int:
-    """Serialized size minus the posting entries: magic, config, dictionary."""
-    cfg = index.config
-    return 4 + 3 + 6 + 2 * cfg.m + 8 + 8 * len(index.dictionary) + 4
+    payload, term_nbytes = _encode_postings(index)
+    n_terms = index.terms.size
+    entries = np.empty(n_terms, dtype=_ENTRY)
+    entries["term"] = index.terms
+    entries["count"] = np.diff(index.offsets)
+    entries["nbytes"] = term_nbytes
+    # entry i starts after i earlier headers and the payloads of terms < i
+    entry_starts = _ENTRY.itemsize * np.arange(n_terms, dtype=np.int64) + np.cumsum(term_nbytes) - term_nbytes
+    body = np.empty(_ENTRY.itemsize * n_terms + payload.size, dtype=np.uint8)
+    is_entry = _entry_mask(entry_starts, body.size)
+    body[is_entry] = entries.view(np.uint8)
+    body[~is_entry] = payload
+    return b"".join(
+        [
+            INDEX_MAGIC,
+            struct.pack("<HB", INDEX_VERSION, 1 if index.head_only else 0),
+            struct.pack("<HHH", cfg.d, cfg.term_bits, cfg.m),
+            np.array(cfg.selected_bits, dtype="<u2").tobytes(),
+            struct.pack("<Q", len(index.dictionary)),
+            index.dictionary.external.astype("<u8").tobytes(),
+            struct.pack("<I", n_terms),
+            body.tobytes(),
+        ]
+    )
 
 
 def save_index(index: PostingIndex, path) -> None:
@@ -246,26 +311,76 @@ def load_index(path) -> PostingIndex:
     (n_images,) = r.unpack("<Q")
     external = r.array("<u8", n_images).copy()
     (n_terms,) = r.unpack("<I")
-    postings = {}
-    prev_term = -1
-    for _ in range(n_terms):
-        term, count, nbytes = r.unpack("<III")
-        if term <= prev_term:
-            raise FormatError(f"{path}: term {term} follows {prev_term}; terms must be strictly increasing")
-        prev_term = term
-        try:
-            ids = varbyte_decode(r.take(nbytes))
-        except EncodingError as exc:
-            raise FormatError(f"{path}: posting list for term {term}: {exc}") from exc
-        if ids.size != count:
-            raise FormatError(f"{path}: posting list for term {term} decodes to {ids.size}, header says {count}")
-        if ids.size and ids[-1] >= n_images:
-            raise FormatError(f"{path}: term {term} posts dense id {ids[-1]}, dictionary holds {n_images}")
-        postings[term] = ids
-    if r.remaining:
-        raise FormatError(f"{path}: {r.remaining} trailing bytes")
     try:
         dictionary = IdDictionary(external)
     except IndexBuildError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return PostingIndex(config, dictionary, postings, head_only=bool(head_only))
+    try:
+        terms, offsets, ids = _decode_postings(blob, r.offset, n_terms, n_images)
+    except (EncodingError, FormatError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return PostingIndex(config, dictionary, terms, offsets, ids, head_only=bool(head_only))
+
+
+def _decode_postings(blob: bytes, start: int, n_terms: int, n_images: int):
+    """The postings section blob[start:] as CSR arrays (terms, offsets, ids),
+    each posting list checked as a per-list decode would check it."""
+    size = len(blob) - start
+    if n_terms * _ENTRY.itemsize > size:
+        raise FormatError(f"truncated: {n_terms} posting entries cannot fit in {size} bytes")
+    # the only walk over entries: find where each one starts
+    entry_starts = []
+    pos, end = start, len(blob)
+    for _ in range(n_terms):
+        if pos + _ENTRY.itemsize > end:
+            raise FormatError(f"truncated: posting entry at offset {pos} runs past the end")
+        entry_starts.append(pos - start)
+        pos += _ENTRY.itemsize + struct.unpack_from("<I", blob, pos + 8)[0]
+    if pos > end:
+        raise FormatError(f"truncated: postings need {pos - end} more bytes")
+    if pos < end:
+        raise FormatError(f"{end - pos} trailing bytes")
+
+    body = np.frombuffer(blob, dtype=np.uint8)[start:]
+    entry_starts = np.array(entry_starts, dtype=np.int64)
+    is_entry = _entry_mask(entry_starts, size)
+    entries = body[is_entry].view(_ENTRY)
+    terms = entries["term"].astype(np.int64)
+    counts = entries["count"].astype(np.int64)
+    term_nbytes = entries["nbytes"].astype(np.int64)
+    bad = np.flatnonzero(terms[1:] <= terms[:-1])
+    if bad.size:
+        i = bad[0] + 1
+        raise FormatError(f"term {terms[i]} follows {terms[i - 1]}; terms must be strictly increasing")
+
+    payload = body[~is_entry]
+    value_ends = (payload & 0x80) == 0
+    byte_ends = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(term_nbytes)))
+    nonempty = np.flatnonzero(term_nbytes)
+    cut = nonempty[~value_ends[byte_ends[1:][nonempty] - 1]]
+    if cut.size:
+        raise FormatError(f"posting list for term {terms[cut[0]]}: truncated varbyte payload: ends mid-value")
+    ends_seen = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(value_ends)))
+    decoded = ends_seen[byte_ends[1:]] - ends_seen[byte_ends[:-1]]
+    bad = np.flatnonzero(decoded != counts)
+    if bad.size:
+        i = bad[0]
+        raise FormatError(f"posting list for term {terms[i]} decodes to {decoded[i]}, header says {counts[i]}")
+
+    # every list ends on a value boundary, so one decode of the whole stream
+    # splits values exactly as a per-list decode would
+    deltas = _vb_decode_u64(payload)
+    offsets = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
+    # segmented prefix sum: wraps modulo 2^64 exactly as a per-list cumsum does
+    running = np.cumsum(deltas, dtype=np.uint64)
+    before = np.concatenate((np.zeros(1, dtype=np.uint64), running))[offsets[:-1]]
+    ids = running - np.repeat(before, counts)
+    if ids.size and ids.max() > np.uint64(2**32 - 1):
+        raise EncodingError("decoded posting id overflows 32 bits")
+    ids = ids.astype(np.int64)
+    bad = np.flatnonzero(~_list_heads(offsets)[1:] & (ids[1:] <= ids[:-1]))
+    if bad.size:
+        raise EncodingError(f"decoded posting ids are not strictly increasing at posting {bad[0] + 1}")
+    if ids.size and ids.max() >= n_images:
+        raise FormatError(f"a posting list holds dense id {ids.max()}, dictionary holds {n_images}")
+    return terms, offsets, ids

@@ -13,7 +13,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, LshConfig, derive_terms_matrix, hamming_distance_matrix
 from .errors import ConfigMismatchError, DataError
-from .index import PostingIndex
+from .index import PostingIndex, sorted_runs
 
 
 class SearchHit(NamedTuple):
@@ -63,18 +63,21 @@ def overlap_pairs(queries: EmbeddingSet, index: PostingIndex, min_overlap: int =
     order = np.lexsort((flat_q, flat_t))
     flat_t = flat_t[order]
     flat_q = flat_q[order]
-    bounds = np.nonzero(np.diff(flat_t))[0] + 1
-    starts = np.concatenate(([0], bounds))
-    q_uniq_terms = flat_t[starts]
-    q_counts = np.diff(np.append(starts, flat_t.size))
+    q_uniq_terms, q_offsets = sorted_runs(flat_t)
 
-    # join on terms present in both sides
+    # join on terms present in both sides, found with one sorted lookup
+    pos = np.searchsorted(index.terms, q_uniq_terms)
+    found = pos < index.terms.size
+    found[found] &= index.terms[pos[found]] == q_uniq_terms[found]
+    qi = np.flatnonzero(found)
+    pi = pos[qi]
     key_parts = []
-    for ti, term in enumerate(q_uniq_terms):
-        post = index.posting_ids(int(term))
-        if post.size == 0:
-            continue
-        qs = flat_q[starts[ti] : starts[ti] + q_counts[ti]]
+    for q_lo, q_hi, p_lo, p_hi in zip(
+        q_offsets[qi].tolist(), q_offsets[qi + 1].tolist(),
+        index.offsets[pi].tolist(), index.offsets[pi + 1].tolist(),
+    ):
+        qs = flat_q[q_lo:q_hi]
+        post = index.ids[p_lo:p_hi]
         # cross product qs x post, query-major
         q_rep = np.repeat(qs.astype(np.uint64), post.size)
         p_tile = np.tile(post.astype(np.uint64), qs.size)

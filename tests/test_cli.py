@@ -308,6 +308,37 @@ def test_errors_exit_one_with_stage_name(workspace, tmp_path, capsys):
     assert "error in gen-corpus" in capsys.readouterr().err
 
 
+def _non_numeric_run(workspace, tmp_path, capsys, command, flag, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    common = ["--embeddings", emb_path(workspace), "--out", str(tmp_path / "o")]
+    model = ["--model", str(workspace / "model.ndml")] if command != "train-classifier" else []
+    assert main([command, flag, str(bad), *model, *common]) == 1
+    err = capsys.readouterr().err
+    assert f"error in {command}:" in err and f"{bad}:2:" in err
+    assert "Traceback" not in err
+
+
+def test_select_hits_with_non_numeric_field_exit_one(workspace, tmp_path, capsys):
+    _non_numeric_run(workspace, tmp_path, capsys, "select", "--hits", "hits.tsv",
+                     "1\t2\t3\t0.5\n1\tx\t2\t0.5\n")
+
+
+def test_cluster_edges_with_non_numeric_field_exit_one(workspace, tmp_path, capsys):
+    _non_numeric_run(workspace, tmp_path, capsys, "cluster", "--edges", "edges.tsv",
+                     "1\t2\t0.9\n3\tfour\t0.9\n")
+
+
+def test_classify_pairs_with_non_numeric_field_exit_one(workspace, tmp_path, capsys):
+    _non_numeric_run(workspace, tmp_path, capsys, "classify", "--pairs", "pairs.csv",
+                     "id_a,id_b\n1,b\n")
+
+
+def test_train_labels_with_non_numeric_field_exit_one(workspace, tmp_path, capsys):
+    _non_numeric_run(workspace, tmp_path, capsys, "train-classifier", "--labels", "labels.csv",
+                     "id_a,id_b,label\n1,2,yes\n")
+
+
 def test_truncated_model_exits_one_without_traceback(workspace, tmp_path, capsys):
     blob = (workspace / "model.ndml").read_bytes()
     cut = tmp_path / "cut.ndml"

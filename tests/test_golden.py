@@ -1,8 +1,10 @@
 """Golden digests: the cluster tables of a fixed seeded run, byte for byte.
 
 A refactor or speed-up of search, selection, scoring or clustering must
-leave these tables identical. A digest that moves means the change altered
-clustering output: report that, do not re-record the digest to pass.
+leave these tables identical, and a change to the index codec must leave the
+head-index file identical. A digest that moves means the change altered
+clustering output or the file format: report that, do not re-record the
+digest to pass.
 Scores pass through BLAS, so another BLAS build may round differently.
 """
 
@@ -20,9 +22,11 @@ from neardup import (
     train_default_model,
 )
 from neardup.clustering import clusters_to_tsv
+from neardup.index import load_index, serialize_index
 
 RUN_FULL_SHA256 = "db8024457abf4a690b5a5f9cd801769d9e7a90206d71f4b5958bc47d5567182d"
 INGEST_SHA256 = "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda"
+HEAD_INDEX_SHA256 = "24123629982fd336fe15b93cf7a32a3510a63ea3f1a7bf3a953e9b848b840267"
 
 
 def spec(seed, n_base):
@@ -47,10 +51,26 @@ def test_run_full_cluster_tsv_digest(seeded, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == RUN_FULL_SHA256
 
 
-def test_incremental_store_table_digest(seeded, tmp_path):
+@pytest.fixture(scope="module")
+def ingested(seeded, tmp_path_factory):
+    """The store left by ingesting the second corpus in three batches."""
     config, model, emb = seeded
+    directory = tmp_path_factory.mktemp("golden") / "store"
     perm = np.random.default_rng(12).permutation(len(emb))
     for rows in np.array_split(perm, 3):
-        store, _, _ = run_incremental(tmp_path / "store", emb.subset(emb.ids[np.sort(rows)]), model, config)
+        store, _, _ = run_incremental(directory, emb.subset(emb.ids[np.sort(rows)]), model, config)
+    return store, directory
+
+
+def test_incremental_store_table_digest(ingested):
+    store, _ = ingested
     table = clusters_to_tsv(store.clusters.values()).encode()
     assert hashlib.sha256(table).hexdigest() == INGEST_SHA256
+
+
+def test_head_index_file_digest(ingested):
+    _, directory = ingested
+    path = directory / "heads-3.ndix"
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == HEAD_INDEX_SHA256
+    assert serialize_index(load_index(path)) == blob

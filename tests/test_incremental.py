@@ -185,9 +185,13 @@ def test_nvo_uses_the_augmentation_list(model):
 
 def test_nvo_detects_out_of_sync_head_index(model):
     store = make_store()
-    store.head_index = build_index(store.embeddings.subset([2]), lshc(), head_only=True)
-    with pytest.raises(StoreError):
-        run_nvo(store, batch([(100, [])]), model, 0.5)
+    for indexed in ([2], [1, 11], [1, 2, 10]):
+        store.head_index = build_index(store.embeddings.subset(indexed), lshc(), head_only=True)
+        with pytest.raises(StoreError):
+            run_nvo(store, batch([(100, [])]), model, 0.5)
+    # the same heads in another dense order are in sync
+    store.head_index = build_index(store.embeddings.subset([10, 1]), lshc(), head_only=True)
+    assert [m.cluster_id for m in run_nvo(store, batch([(100, [])]), model, 0.5)] == [1]
 
 
 def test_nvn_is_the_static_pipeline(model):

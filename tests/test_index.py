@@ -17,7 +17,6 @@ from neardup import (
 from neardup.errors import EncodingError, FormatError, IndexBuildError
 from neardup.index import (
     IdDictionary,
-    header_size_bytes,
     serialize_index,
     varbyte_decode,
     varbyte_encode,
@@ -153,7 +152,7 @@ def test_build_index_matches_naive_oracle(small_set, lsh64):
     assert len(index.dictionary) == len(dense)
     for ext, dn in dense.items():
         assert index.dictionary.to_dense(ext) == dn
-    assert sorted(index.terms) == sorted(postings)
+    assert index.terms.tolist() == sorted(postings)
     for term, ids in postings.items():
         assert index.posting_ids(term).tolist() == ids
     assert index.posting_count() == sum(len(v) for v in postings.values())
@@ -164,7 +163,7 @@ def test_build_index_from_embedding_set_equivalent(small_set, lsh64):
     rebuilt = via_sets_to_embeddings(term_sets(small_set, lsh64), lsh64)
     via_sets = build_index(rebuilt, lsh64)
     index = build_index(small_set, lsh64)
-    assert index.terms == via_sets.terms
+    assert index.terms.tolist() == via_sets.terms.tolist()
     for t in index.terms:
         assert index.posting_ids(t).tolist() == via_sets.posting_ids(t).tolist()
 
@@ -195,12 +194,13 @@ def test_empty_index(lsh64):
     empty = EmbeddingSet.from_bits(np.zeros(0, dtype=np.uint64), np.zeros((0, 64), dtype=np.uint8))
     index = build_index(empty, config=lsh64)
     assert len(index) == 0
-    assert index.terms == []
+    assert len(index.terms) == 0
     assert index.posting_count() == 0
     blob = serialize_index(index)
-    assert len(blob) == header_size_bytes(index)
+    # magic 4 + version/head_only 3 + config 6 + 36 selected bits * 2 + count 8 + n_terms 4
+    assert len(blob) == 4 + 3 + 6 + 2 * 36 + 8 + 4
     back = load_index_from_bytes(blob)
-    assert back.terms == []
+    assert len(back.terms) == 0
     assert back.config == lsh64
 
 
@@ -223,7 +223,8 @@ def test_single_posting_payload_is_one_byte(lsh64, rng):
     # 6 terms, one dense id 0 each: 1 payload byte per posting vs 8 baseline
     assert sizes.payload == 6
     assert sizes.baseline == 48
-    assert sizes.serialized == header_size_bytes(index) + 6 * (12 + 1)
+    # 97 header bytes + one dictionary id (8) + 6 entries of 12 header bytes + 1 payload byte
+    assert sizes.serialized == 97 + 8 + 6 * (12 + 1)
 
 
 def test_index_file_round_trip(small_set, lsh64, tmp_path):
@@ -234,7 +235,7 @@ def test_index_file_round_trip(small_set, lsh64, tmp_path):
     assert back.head_only is True
     assert back.config == index.config
     np.testing.assert_array_equal(back.dictionary.external, index.dictionary.external)
-    assert back.terms == index.terms
+    assert back.terms.tolist() == index.terms.tolist()
     for t in index.terms:
         assert back.posting_ids(t).tolist() == index.posting_ids(t).tolist()
     # byte-stable: serializing the loaded index reproduces the file
