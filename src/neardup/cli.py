@@ -93,15 +93,10 @@ def cmd_build_index(args) -> int:
 def cmd_search(args) -> int:
     index = load_index(args.index)
     queries = _load_embeddings(args.queries)
-    results = batch_search(queries, index, k=args.k, min_overlap=args.min_overlap)
-    lines = []
-    total = 0
-    for q in sorted(results):
-        for h in results[q]:
-            lines.append(f"{q}\t{h.index_image}\t{h.overlap}\t{h.jaccard:.6f}")
-            total += 1
-    atomic_write_text(args.out, "".join(line + "\n" for line in lines))
-    print(f"{total} hits for {len(queries)} queries -> {args.out}")
+    hits = batch_search(queries, index, k=args.k, min_overlap=args.min_overlap)
+    rows = zip(hits.query.tolist(), hits.hit.tolist(), hits.overlap.tolist(), hits.jaccard.tolist())
+    atomic_write_text(args.out, "".join(f"{q}\t{h}\t{o}\t{j:.6f}\n" for q, h, o, j in rows))
+    print(f"{hits.query.size} hits for {len(queries)} queries -> {args.out}")
     return 0
 
 
@@ -174,7 +169,7 @@ def cmd_classify(args) -> int:
 
 
 def _read_hits_tsv(path) -> SearchResultBatch:
-    results = SearchResultBatch()
+    results = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -189,7 +184,7 @@ def _read_hits_tsv(path) -> SearchResultBatch:
             except ValueError as exc:
                 raise DataError(f"{path}:{ln}: {exc}") from None
             results.setdefault(q, []).append(hit)
-    return results
+    return SearchResultBatch(results)
 
 
 def cmd_select(args) -> int:

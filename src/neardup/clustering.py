@@ -130,20 +130,15 @@ def k_cut(groups, model: MlpModel, embeddings: EmbeddingSet, threshold: float, s
 
     while work:
         pivots = [int(w[rng.integers(w.size)]) for w in work]
-        rows_q, rows_p, spans = [], [], []
-        for w, pivot in zip(work, pivots):
-            others = w[w != pivot]
-            start = len(rows_q)
-            rows_q.extend(embeddings.rows_of(others))
-            rows_p.extend([embeddings.row_of(pivot)] * others.size)
-            spans.append((start, len(rows_q), others))
-        scores = (
-            predict_rows(model, embeddings, np.array(rows_q), np.array(rows_p))
-            if rows_q
-            else np.zeros(0)
-        )
+        rest = [w[w != pivot] for w, pivot in zip(work, pivots)]
+        sizes = np.array([r.size for r in rest], dtype=np.int64)
+        # one lookup and one scoring call for every group of the round
+        rows_q = embeddings.rows_of(np.concatenate(rest))
+        rows_p = np.repeat(embeddings.rows_of(pivots), sizes)
+        scores = predict_rows(model, embeddings, rows_q, rows_p)
+        ends = np.cumsum(sizes)
         next_work = []
-        for (start, end, others), pivot in zip(spans, pivots):
+        for start, end, others, pivot in zip((ends - sizes).tolist(), ends.tolist(), rest, pivots):
             s = scores[start:end]
             passed = s >= threshold
             members = [(int(m), float(sc)) for m, sc in zip(others[passed], s[passed])]

@@ -193,6 +193,7 @@ class EmbeddingSet:
         self.ids = ids
         self.packed = packed
         self._row_of = None
+        self._by_id = None  # (sorted ids, their rows), for rows_of
         self._unpacked = None
 
     def __len__(self) -> int:
@@ -230,7 +231,21 @@ class EmbeddingSet:
             raise DataError(f"unknown image id {image_id}") from None
 
     def rows_of(self, image_ids) -> np.ndarray:
-        return np.array([self.row_of(i) for i in image_ids], dtype=np.intp)
+        """Rows of many ids at once, by a sorted lookup; DataError on an unknown id."""
+        if self._by_id is None:
+            order = np.argsort(self.ids, kind="stable")
+            self._by_id = (self.ids[order], order)
+        sorted_ids, order = self._by_id
+        try:
+            wanted = np.asarray(image_ids, dtype=np.uint64).reshape(-1)
+        except (OverflowError, TypeError, ValueError):
+            raise DataError("image ids must be integers in [0, 2^64)") from None
+        pos = np.searchsorted(sorted_ids, wanted)
+        known = pos < sorted_ids.size
+        known[known] = sorted_ids[pos[known]] == wanted[known]
+        if not known.all():
+            raise DataError(f"unknown image id {int(wanted[~known][0])}")
+        return order[pos].astype(np.intp)
 
     def get(self, image_id: int) -> BinaryEmbedding:
         row = self.row_of(image_id)

@@ -81,9 +81,8 @@ def static_clusters(
 
     t0 = time.perf_counter()
     hits = batch_search(embeddings, index, k=config.search.k, min_overlap=config.search.min_overlap)
-    n_hits = sum(len(v) for v in hits.values())
     timings["search"] = time.perf_counter() - t0
-    log.info("search produced %d candidate pairs", n_hits)
+    log.info("search produced %d candidate pairs", hits.query.size)
 
     t0 = time.perf_counter()
     pairs_a, pairs_b = unordered_pairs(hits)
@@ -99,11 +98,9 @@ def static_clusters(
 
     t0 = time.perf_counter()
     clusters = k_cut(groups, model, embeddings, config.kcut.threshold, seed=config.seed)
-    clustered = {i for c in clusters for i in c.image_ids}
-    for image_id in embeddings.ids:
-        image_id = int(image_id)
-        if image_id not in clustered:
-            clusters.append(NearDupeCluster(image_id, image_id, []))
+    clustered = np.fromiter((i for c in clusters for i in c.image_ids), dtype=np.uint64)
+    for image_id in np.setdiff1d(embeddings.ids, clustered).tolist():
+        clusters.append(NearDupeCluster(image_id, image_id, []))
     clusters.sort(key=lambda c: c.cluster_id)
     timings["cut"] = time.perf_counter() - t0
     log.info("%d clusters (%d non-singleton)", len(clusters), sum(1 for c in clusters if c.size > 1))

@@ -84,16 +84,16 @@ def select_candidates(
 
     candidates = []  # (query, entry)
     seen = set()
-    for q in sorted(hits):
-        for h in hits[q]:
-            entry = heads.get(int(h.index_image))
-            if entry is None:
-                raise DataError(f"hit {h.index_image} is not a known cluster head")
-            key = (q, entry.cluster_id)
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append((int(q), entry))
+    # the hit arrays run by query id, each query's hits in rank order
+    for q, h in zip(hits.query.tolist(), hits.hit.tolist()):
+        entry = heads.get(h)
+        if entry is None:
+            raise DataError(f"hit {h} is not a known cluster head")
+        key = (q, entry.cluster_id)
+        if key in seen:
+            continue
+        seen.add(key)
+        candidates.append((q, entry))
     if not candidates:
         return []
 

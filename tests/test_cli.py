@@ -5,8 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from neardup import generate_labels, load_corpus, read_clusters_tsv, write_labels_csv
-from neardup.cli import main
+from neardup import (
+    batch_search,
+    generate_labels,
+    load_corpus,
+    read_clusters_tsv,
+    unordered_pairs,
+    write_labels_csv,
+)
+from neardup.cli import _read_hits_tsv, main
 from neardup.index import load_index
 
 
@@ -73,6 +80,23 @@ def test_gen_corpus_writes_a_loadable_corpus(workspace):
     embeddings, truth = load_corpus(workspace / "corpus")
     assert len(embeddings) == truth.ids.size
     assert (workspace / "corpus" / "spec.json").exists()
+
+
+@pytest.mark.parametrize("k", [1, 3, 20])
+def test_hits_tsv_round_trip_matches_in_memory_search(workspace, tmp_path, k):
+    out = tmp_path / "hits.tsv"
+    index_path = workspace / "corpus.ndix"
+    assert main(["search", "--index", str(index_path), "--queries", emb_path(workspace),
+                 "--k", str(k), "--out", str(out)]) == 0
+    embeddings, _ = load_corpus(workspace / "corpus")
+    hits = batch_search(embeddings, load_index(index_path), k=k)
+    read = _read_hits_tsv(out)
+    assert hits.query.size and read.query.size == hits.query.size
+    for got, want in zip(unordered_pairs(read), unordered_pairs(hits)):
+        np.testing.assert_array_equal(got, want)
+    for name in ("query", "hit", "overlap"):
+        np.testing.assert_array_equal(getattr(read, name), getattr(hits, name))
+    np.testing.assert_allclose(read.jaccard, hits.jaccard, rtol=0, atol=5e-7)
 
 
 def test_train_report(workspace):

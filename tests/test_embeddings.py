@@ -235,6 +235,14 @@ def test_embedding_set_basics(rng):
     assert both.ids.tolist() == [7, 3, 9]
     with pytest.raises(DataError):
         es.row_of(12345)
+    # rows_of: the sorted lookup agrees with row_of on any order, repeats included
+    want = [3, 100, 3, 7, 4, 9]
+    assert es.rows_of(want).tolist() == [es.row_of(i) for i in want]
+    assert es.rows_of(np.array(want, dtype=np.uint64)).dtype == np.intp
+    assert es.rows_of([]).tolist() == []
+    for bad in ([3, 12345], [2**64 - 1], [-1], [101]):
+        with pytest.raises(DataError):
+            es.rows_of(bad)
     with pytest.raises(DataError):
         EmbeddingSet.from_bits(np.array([1, 1], dtype=np.uint64), bits[:2])
 

@@ -27,6 +27,11 @@ from neardup.index import load_index, serialize_index
 RUN_FULL_SHA256 = "db8024457abf4a690b5a5f9cd801769d9e7a90206d71f4b5958bc47d5567182d"
 INGEST_SHA256 = "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda"
 HEAD_INDEX_SHA256 = "24123629982fd336fe15b93cf7a32a3510a63ea3f1a7bf3a953e9b848b840267"
+# the same run with top-K binding: (k, candidate pairs, edges, non-singleton clusters, sha256)
+RUN_FULL_SMALL_K = (
+    (2, 943, 644, 216, "c650bc625d72f40942a5fa425af8c2ca53b5408a17020def968e11b81da8ced1"),
+    (1, 598, 349, 200, "4c9f0db3571687708a5b9d9bfee397c5fb837a73a2ad6654be554a4b1c90cb35"),
+)
 
 
 def spec(seed, n_base):
@@ -49,6 +54,16 @@ def test_run_full_cluster_tsv_digest(seeded, tmp_path):
     _, report = run_full(emb, model, config, path)
     assert (report["candidate_pairs"], report["edges"], report["non_singleton_clusters"]) == (1616, 1242, 215)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == RUN_FULL_SHA256
+
+
+@pytest.mark.parametrize("k, pairs, edges, clusters, digest", RUN_FULL_SMALL_K)
+def test_run_full_digest_where_top_k_binds(seeded, tmp_path, k, pairs, edges, clusters, digest):
+    _, model, emb = seeded
+    config = PipelineConfig.from_dict({"search": {"k": k}})
+    path = tmp_path / "clusters.tsv"
+    _, report = run_full(emb, model, config, path)
+    assert (report["candidate_pairs"], report["edges"], report["non_singleton_clusters"]) == (pairs, edges, clusters)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")

@@ -2,18 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neardup import (
     ConfigMismatchError,
     DataError,
     EmbeddingSet,
+    LshConfig,
+    PostingIndex,
     batch_search,
     build_index,
     overlap_pairs,
     recall_at_distance,
+    search,
     unordered_pairs,
 )
-from neardup.search import SearchHit, SearchResultBatch
+from neardup.embeddings import derive_terms_matrix
+from neardup.search import SearchHit, SearchResultBatch, join_blocks
 
 from conftest import star_set, term_sets
 
@@ -196,3 +202,155 @@ def test_recall_at_distance_alignment_checked(lsh64):
     emb = star_set(64, 23, [(0, []), (1, [0])])
     with pytest.raises(DataError):
         recall_at_distance(emb, np.array([0]), lsh64, distance_threshold=4)
+
+
+# -- the blocked join against the brute-force oracle ---------------------------
+
+# the lsh64 fixture as a constant: hypothesis tests take no function-scoped fixtures
+LSH64 = LshConfig(d=64, selected_bits=tuple(range(36)), term_bits=6)
+
+
+def clustered_set(rng, n, n_bases, flip_p, id_space=10_000):
+    """n rows scattered around a few random bases, under shuffled ids, so
+    pairs share many terms, overlaps tie often, and dense order is not id order."""
+    bases = rng.integers(0, 2, size=(n_bases, 64), dtype=np.uint8)
+    bits = bases[rng.integers(n_bases, size=n)]
+    bits ^= (rng.random((n, 64)) < flip_p).astype(np.uint8)
+    ids = rng.choice(id_space, size=n, replace=False).astype(np.uint64)
+    return EmbeddingSet.from_bits(ids, bits)
+
+
+def ranked_oracle(queries, indexed, cfg, min_overlap, k):
+    """query id -> [(hit id, overlap)] by (overlap desc, id asc), first k."""
+    per_query = {int(q): [] for q in queries.ids}
+    for q, i, c in search_oracle(queries, indexed, cfg, min_overlap):
+        per_query[q].append((i, c))
+    return {q: sorted(v, key=lambda ic: (-ic[1], ic[0]))[:k] for q, v in per_query.items()}
+
+
+def takes_half_path(queries, index):
+    terms = derive_terms_matrix(queries.bits_matrix(), index.config)
+    return search._self_join_lists(queries, terms, index) is not None
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    n_bases=st.integers(1, 4),
+    flip_p=st.sampled_from([0.0, 0.02, 0.08, 0.3]),
+    case=st.sampled_from(["self", "self_copy", "same_ids_other_bits", "subset", "reordered", "head_only"]),
+    k=st.sampled_from([1, 2, 5, 100]),
+    min_overlap=st.integers(1, 3),
+    budget=st.sampled_from([1, 2, 5, 17, 64, None]),
+)
+def test_join_matches_brute_force(seed, n, n_bases, flip_p, case, k, min_overlap, budget):
+    rng = np.random.default_rng(seed)
+    indexed = clustered_set(rng, n, n_bases, flip_p)
+    queries = indexed
+    index_set = indexed
+    if case == "self_copy":
+        queries = EmbeddingSet.from_bits(indexed.ids.copy(), indexed.bits_matrix().copy())
+    elif case == "same_ids_other_bits":
+        bits = indexed.bits_matrix().copy()
+        bits[rng.integers(n), rng.integers(36)] ^= 1  # one selected bit moves one term
+        queries = EmbeddingSet.from_bits(indexed.ids, bits)
+    elif case == "subset":
+        queries = indexed.subset(rng.choice(indexed.ids, size=rng.integers(1, n + 1), replace=False))
+    elif case == "reordered":
+        queries = indexed.subset(indexed.ids[::-1])
+    elif case == "head_only":
+        index_set = indexed.subset(rng.choice(indexed.ids, size=rng.integers(1, n + 1), replace=False))
+    index = build_index(index_set, LSH64, head_only=case == "head_only")
+    # the half path is for the indexed set itself: same ids in dense order, same terms
+    same = np.array_equal(queries.ids, index_set.ids) and np.array_equal(
+        derive_terms_matrix(queries.bits_matrix(), LSH64),
+        derive_terms_matrix(index_set.bits_matrix(), LSH64),
+    )
+    assert same == (case in ("self", "self_copy")) or case in ("subset", "reordered", "head_only")
+    assert takes_half_path(queries, index) == same
+
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(search, "JOIN_KEY_BUDGET", budget)
+        got_q, got_i, got_c = overlap_pairs(queries, index, min_overlap=min_overlap)
+        hits = batch_search(queries, index, k=k, min_overlap=min_overlap)
+
+    # overlap_pairs: every pair once per direction, in (query row, dense id) order
+    q_row = {int(v): r for r, v in enumerate(queries.ids)}
+    i_row = {int(v): r for r, v in enumerate(index_set.ids)}
+    want = sorted(
+        search_oracle(queries, index_set, LSH64, min_overlap),
+        key=lambda qic: (q_row[qic[0]], i_row[qic[1]]),
+    )
+    assert list(zip(got_q.tolist(), got_i.tolist(), got_c.tolist())) == want
+    assert got_q.dtype == got_i.dtype == np.uint64 and got_c.dtype == np.int64
+
+    # batch_search: top k per query, every query present, jaccard from the overlap
+    t = LSH64.term_count
+    assert list(hits) == [int(q) for q in queries.ids]
+    got = {q: [(h.index_image, h.overlap) for h in hl] for q, hl in hits.items()}
+    assert got == ranked_oracle(queries, index_set, LSH64, min_overlap, k)
+    assert all(h.jaccard == h.overlap / (2 * t - h.overlap) for hl in hits.values() for h in hl)
+    assert np.all(hits.query[1:] >= hits.query[:-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    row_keys=st.lists(st.integers(0, 40), max_size=60),
+    budget=st.integers(1, 100),
+)
+def test_join_blocks_stay_within_budget(row_keys, budget):
+    keys = np.array(row_keys, dtype=np.int64)
+    bounds = join_blocks(keys, budget)
+    assert bounds[0] == 0 and bounds[-1] == keys.size
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        assert stop > start
+        block = int(keys[start:stop].sum())
+        # within budget unless the block is one row; and no room for the next row
+        assert block <= budget or stop == start + 1
+        if stop < keys.size:
+            assert block + keys[stop] > budget
+
+
+def test_self_join_materialises_half_the_keys(lsh64, rng, monkeypatch):
+    indexed = clustered_set(rng, 60, 3, 0.05)
+    index = build_index(indexed, lsh64)
+    seen = []
+    join = search._join
+    monkeypatch.setattr(search, "_join", lambda lo, hi, *a: seen.append(int((hi - lo).sum())) or join(lo, hi, *a))
+    overlap_pairs(indexed, index)
+    lengths = np.diff(index.offsets)
+    # each list of length L pairs its postings L * (L - 1) / 2 times
+    assert seen == [int((lengths * (lengths - 1) // 2).sum())]
+
+
+def test_unsorted_posting_list_is_not_self_joined(lsh64, rng):
+    # the half join needs each list to rise; a hand-made index breaking that
+    # takes the general join, which does not
+    indexed = clustered_set(rng, 12, 2, 0.02)
+    index = build_index(indexed, lsh64)
+    lengths = np.diff(index.offsets)
+    longest = int(np.argmax(lengths))
+    ids = index.ids.copy()
+    ids[index.offsets[longest] : index.offsets[longest + 1]] = ids[index.offsets[longest] : index.offsets[longest + 1]][::-1]
+    shuffled = PostingIndex(lsh64, index.dictionary, index.terms, index.offsets, ids)
+    assert takes_half_path(indexed, index) and not takes_half_path(indexed, shuffled)
+    for m in (1, 2):
+        got = overlap_pairs(indexed, shuffled, min_overlap=m)
+        want = overlap_pairs(indexed, index, min_overlap=m)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_search_result_batch_from_lists():
+    batch = SearchResultBatch([(5, [SearchHit(9, 4, 0.5), SearchHit(2, 3, 0.25)]), (1, []), (3, [SearchHit(5, 2, 0.1)])])
+    assert list(batch) == [5, 1, 3] and len(batch) == 3
+    assert batch[5] == [SearchHit(9, 4, 0.5), SearchHit(2, 3, 0.25)]  # list order kept
+    assert batch[1] == [] and 1 in batch and 2 not in batch and -1 not in batch
+    assert batch.query.tolist() == [3, 5, 5] and batch.hit.tolist() == [5, 9, 2]
+    assert batch == {5: [(9, 4, 0.5), (2, 3, 0.25)], 1: [], 3: [(5, 2, 0.1)]}
+    with pytest.raises(KeyError):
+        batch[2]
+    with pytest.raises(ValueError):
+        batch.hit[0] = 1  # read-only
