@@ -14,7 +14,8 @@ re-partitions each group: draw a random pivot, split off the pivot plus
 everything scoring at or above the threshold against it as one finished
 cluster with the pivot as head, and keep cutting the remainder until
 nothing is left. Every emitted member carries its score against the head,
-all >= threshold by construction.
+all >= threshold by construction. Pairs scored before the cut, such as the
+static pipeline's kept edges, keep their scores; only the others are scored.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ import numpy as np
 from .classifier import MlpModel, predict_rows
 from .embeddings import EmbeddingSet
 from .errors import DataError
+from .search import row_pair_keys
 
 
 @dataclass
@@ -107,15 +109,24 @@ def _normalized_edges(edges) -> np.ndarray:
     return pairs[pairs[:, 0] != pairs[:, 1]]
 
 
-def k_cut(groups, model: MlpModel, embeddings: EmbeddingSet, threshold: float, seed: int = 0) -> list:
+def k_cut(
+    groups, model: MlpModel, embeddings: EmbeddingSet, threshold: float, seed: int = 0, scored=None
+) -> list:
     """Cut closure groups into threshold-coherent clusters, pivot as head.
 
     Deterministic for a fixed seed: groups are processed in input order and
     pivot draws come from one seeded generator. Singleton groups bypass the
-    cut and come back as singleton clusters.
+    cut and come back as singleton clusters. scored, if given, is the
+    aligned (a, b, score) id and score arrays of pairs already scored, as
+    select_edges returns them; a (pivot, member) pair found there in either
+    order takes that score, and only the others are scored. A fresh score
+    of such a pair could differ from the given one only by rounding in the
+    last bits (see classifier), so the clusters are the same either way
+    unless a score sits that close to the threshold.
     """
     if not 0.0 < threshold < 1.0:
         raise DataError(f"threshold must be in (0, 1), got {threshold}")
+    known_keys, known_scores = _score_table(scored, embeddings)
     rng = np.random.default_rng(seed)
     out = []
     work = []
@@ -132,10 +143,18 @@ def k_cut(groups, model: MlpModel, embeddings: EmbeddingSet, threshold: float, s
         pivots = [int(w[rng.integers(w.size)]) for w in work]
         rest = [w[w != pivot] for w, pivot in zip(work, pivots)]
         sizes = np.array([r.size for r in rest], dtype=np.int64)
-        # one lookup and one scoring call for every group of the round
+        # one lookup and at most one scoring call for every group of the round
         rows_q = embeddings.rows_of(np.concatenate(rest))
         rows_p = np.repeat(embeddings.rows_of(pivots), sizes)
-        scores = predict_rows(model, embeddings, rows_q, rows_p)
+        keys = row_pair_keys(rows_q, rows_p)
+        pos = np.searchsorted(known_keys, keys)
+        found = pos < known_keys.size
+        found[found] = known_keys[pos[found]] == keys[found]
+        scores = np.empty(keys.size, dtype=np.float64)
+        scores[found] = known_scores[pos[found]]
+        if not found.all():
+            missing = ~found
+            scores[missing] = predict_rows(model, embeddings, rows_q[missing], rows_p[missing])
         ends = np.cumsum(sizes)
         next_work = []
         for start, end, others, pivot in zip((ends - sizes).tolist(), ends.tolist(), rest, pivots):
@@ -151,6 +170,19 @@ def k_cut(groups, model: MlpModel, embeddings: EmbeddingSet, threshold: float, s
                 next_work.append(residual)
         work = next_work
     return sorted(out, key=lambda c: c.cluster_id)
+
+
+def _score_table(scored, embeddings: EmbeddingSet):
+    """The sorted unordered row-pair keys of the (a, b, score) arrays and
+    their scores; both empty for None."""
+    if scored is None:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.float64)
+    a, b, score = (np.asarray(x).reshape(-1) for x in scored)
+    if not a.size == b.size == score.size:
+        raise DataError(f"scored arrays differ in length: {a.size}, {b.size}, {score.size}")
+    keys = row_pair_keys(embeddings.rows_of(a), embeddings.rows_of(b))
+    order = np.argsort(keys, kind="stable")
+    return keys[order], score.astype(np.float64)[order]
 
 
 def choose_head(member_ids, model: MlpModel, embeddings: EmbeddingSet) -> int:

@@ -195,6 +195,7 @@ class EmbeddingSet:
         self._row_of = None
         self._by_id = None  # (sorted ids, their rows), for rows_of
         self._unpacked = None
+        self._terms = None  # (LshConfig, its read-only term matrix), for terms
 
     def __len__(self) -> int:
         return self.ids.shape[0]
@@ -221,6 +222,16 @@ class EmbeddingSet:
         if self._unpacked is None:
             self._unpacked = np.unpackbits(self.packed, axis=1)[:, : self.d]
         return self._unpacked
+
+    def terms(self, config: LshConfig) -> np.ndarray:
+        """derive_terms_matrix of the set's bits, read-only; the last
+        config's matrix is kept, so indexing a set and searching it with
+        itself derive the terms once."""
+        if self._terms is None or self._terms[0] != config:
+            matrix = derive_terms_matrix(self.bits_matrix(), config)
+            matrix.setflags(write=False)
+            self._terms = (config, matrix)
+        return self._terms[1]
 
     def row_of(self, image_id: int) -> int:
         if self._row_of is None:

@@ -162,7 +162,12 @@ class ClusterStore:
             }
             for cid, entry in sorted(self.heads.items())
         }
-        atomic_write_json(os.path.join(directory, names["heads"]), heads_payload)
+        # compact: rewritten on every batch, read only by open; the indented
+        # form goes through json's pure-Python encoder
+        atomic_write_text(
+            os.path.join(directory, names["heads"]),
+            json.dumps(heads_payload, sort_keys=True, separators=(",", ":")) + "\n",
+        )
         atomic_write_bytes(
             os.path.join(directory, names["head_index"]), serialize_index(self.head_index)
         )

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, LshConfig, derive_terms_matrix
+from .embeddings import EmbeddingSet, LshConfig
 from .errors import DimensionError, EncodingError, FormatError, IndexBuildError
 from .util import ByteReader
 
@@ -197,7 +197,7 @@ def build_index(embeddings: EmbeddingSet, config: LshConfig, head_only: bool = F
 
     Dense ids follow the set's row order.
     """
-    term_matrix = derive_terms_matrix(embeddings.bits_matrix(), config)
+    term_matrix = embeddings.terms(config)
     dictionary = IdDictionary(embeddings.ids)
     n, t = term_matrix.shape
     flat_terms = term_matrix.reshape(-1)

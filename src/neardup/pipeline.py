@@ -86,7 +86,7 @@ def static_clusters(
 
     t0 = time.perf_counter()
     pairs_a, pairs_b = unordered_pairs(hits)
-    edges_a, edges_b, _ = select_edges(
+    edges_a, edges_b, edge_scores = select_edges(
         pairs_a, pairs_b, model, embeddings, config.classifier.threshold
     )
     timings["select"] = time.perf_counter() - t0
@@ -97,7 +97,15 @@ def static_clusters(
     timings["closure"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    clusters = k_cut(groups, model, embeddings, config.kcut.threshold, seed=config.seed)
+    # pivot pairs that are kept edges take their selection scores
+    clusters = k_cut(
+        groups,
+        model,
+        embeddings,
+        config.kcut.threshold,
+        seed=config.seed,
+        scored=(edges_a, edges_b, edge_scores),
+    )
     clustered = np.fromiter((i for c in clusters for i in c.image_ids), dtype=np.uint64)
     for image_id in np.setdiff1d(embeddings.ids, clustered).tolist():
         clusters.append(NearDupeCluster(image_id, image_id, []))

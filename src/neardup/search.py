@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, LshConfig, derive_terms_matrix, hamming_distance_matrix
+from .embeddings import EmbeddingSet, LshConfig, hamming_distance_matrix
 from .errors import ConfigMismatchError, DataError
 from .index import PostingIndex, _list_heads, sorted_runs
 
@@ -227,7 +227,7 @@ def overlap_pairs(queries: EmbeddingSet, index: PostingIndex, min_overlap: int =
         raise DataError(f"min_overlap must be >= 1, got {min_overlap}")
     if queries.d != index.config.d:
         raise ConfigMismatchError(f"queries have d={queries.d}, index built at d={index.config.d}")
-    q_terms = derive_terms_matrix(queries.bits_matrix(), index.config)
+    q_terms = queries.terms(index.config)
     if q_terms.shape[0] == 0 or index.terms.size == 0:
         return np.zeros(0, np.uint64), np.zeros(0, np.uint64), np.zeros(0, np.int64)
 
@@ -316,12 +316,12 @@ def recall_at_distance(
 
     index = build_index(embeddings, config)
     got_a, got_b = unordered_pairs(batch_search(embeddings, index, k=k, min_overlap=min_overlap))
-    got = _row_pair_keys(embeddings.rows_of(got_a), embeddings.rows_of(got_b))
-    wanted = _row_pair_keys(rows_a, rows_b)
+    got = row_pair_keys(embeddings.rows_of(got_a), embeddings.rows_of(got_b))
+    wanted = row_pair_keys(rows_a, rows_b)
     return int(np.isin(wanted, got).sum()) / rows_a.size
 
 
-def _row_pair_keys(rows_a, rows_b) -> np.ndarray:
+def row_pair_keys(rows_a, rows_b) -> np.ndarray:
     """One uint64 key per unordered pair of rows: min << 32 | max."""
     a = np.asarray(rows_a, dtype=np.uint64)
     b = np.asarray(rows_b, dtype=np.uint64)

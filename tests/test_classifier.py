@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neardup import (
+    DataError,
     EmbeddingSet,
     FormatError,
     MlpModel,
@@ -22,7 +23,7 @@ from neardup import (
     save_model,
     train,
 )
-from neardup.classifier import forward_batch, loss_and_grads
+from neardup.classifier import SCORE_CHUNK_ROWS, forward_batch, loss_and_grads
 
 
 def forward_oracle(model, feats):
@@ -207,6 +208,69 @@ def test_predict_rows_checks_width(rng):
         predict_rows(m, emb, [0], [1])
     with pytest.raises(ModelError):
         predict_rows(m, emb, [], [])
+
+
+def test_predict_rows_rejects_bad_rows(rng):
+    bits = rng.integers(0, 2, size=(6, 16), dtype=np.uint8)
+    emb = EmbeddingSet.from_bits(np.arange(6, dtype=np.uint64), bits)
+    m = random_model(rng, [16, 5, 1])
+    bad = [
+        ([0, 1, 2, 3], [5]),  # would broadcast to four scores
+        ([0, 1, 2], [5, 6]),
+        ([-1], [0]),  # would wrap to the last row
+        ([0], [6]),
+        ([0, 1], [2, -6]),
+        ([[0, 1]], [[2, 3]]),
+        (np.zeros((2, 1)), np.zeros((2, 1))),
+        (0, 1),
+    ]
+    for rows_a, rows_b in bad:
+        with pytest.raises(DataError):
+            predict_rows(m, emb, rows_a, rows_b)
+    assert predict_rows(m, emb, [0, 5], [5, 0]).shape == (2,)
+
+
+# one canonical-width model and a call spanning three chunks, shared by the
+# examples below
+_SUBSET_RNG = np.random.default_rng(20261018)
+_SUBSET_EMB = EmbeddingSet.from_bits(
+    np.arange(400, dtype=np.uint64), _SUBSET_RNG.integers(0, 2, size=(400, 256), dtype=np.uint8)
+)
+_SUBSET_MODEL = init_model(256, seed=5)
+for _b in _SUBSET_MODEL.biases:
+    _b += _SUBSET_RNG.normal(scale=0.1, size=_b.shape)
+_SUBSET_A = _SUBSET_RNG.integers(0, 400, size=2 * SCORE_CHUNK_ROWS + 300)
+_SUBSET_B = _SUBSET_RNG.integers(0, 400, size=_SUBSET_A.size)
+_SUBSET_FULL = predict_rows(_SUBSET_MODEL, _SUBSET_EMB, _SUBSET_A, _SUBSET_B)
+# BLAS sums a call's last rows, and calls of a few rows, in another order,
+# so a score may move in its last bits with the pairs sharing its call (up
+# to 2.2e-16 seen); a pair scored from the wrong rows moves far more than
+# this bound of 64 units in the last place of 1.0
+_CALL_SHAPE_ATOL = 64 * np.finfo(np.float64).eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.one_of(
+        st.integers(1, _SUBSET_A.size),
+        st.sampled_from(
+            [SCORE_CHUNK_ROWS - 1, SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS + 1, 2 * SCORE_CHUNK_ROWS + 1]
+        ),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_rows_subset_matches_full_call(size, seed):
+    # k_cut reuses selection scores: a pair's score is the same in either
+    # order, and other pairs in the call, their order and the chunk cut move
+    # it by rounding at most
+    r = np.random.default_rng(seed)
+    pick = r.permutation(_SUBSET_A.size)[:size]
+    swap = r.integers(0, 2, size=size).astype(bool)
+    rows_a = np.where(swap, _SUBSET_B[pick], _SUBSET_A[pick])
+    rows_b = np.where(swap, _SUBSET_A[pick], _SUBSET_B[pick])
+    got = predict_rows(_SUBSET_MODEL, _SUBSET_EMB, rows_a, rows_b)
+    assert np.array_equal(got, predict_rows(_SUBSET_MODEL, _SUBSET_EMB, rows_b, rows_a))
+    assert np.abs(got - _SUBSET_FULL[pick]).max() <= _CALL_SHAPE_ATOL
 
 
 def test_choose_threshold_matches_exhaustive_oracle(rng):

@@ -12,8 +12,11 @@ from neardup import (
     read_clusters_tsv,
     transitive_closure,
 )
+from neardup import clustering
 from neardup.clustering import clusters_to_tsv
 from neardup.classifier import predict_rows
+from neardup.search import row_pair_keys
+from neardup.selection import select_edges
 from neardup.util import atomic_write_text
 
 from conftest import popcount_model, star_set
@@ -147,6 +150,60 @@ def test_k_cut_partitions_random_groups(rng):
     for c in clusters:
         assert c.cluster_id == min(c.image_ids)
         assert all(s >= 0.5 for _, s in c.members)
+
+
+def test_k_cut_with_edge_scores_matches_rescoring(rng, monkeypatch):
+    # popcount scores come from exact integer sums, so a pair scores the same
+    # bits in any call and reused scores must change nothing
+    members = [(i, sorted(rng.choice(D, size=rng.integers(0, 10), replace=False))) for i in range(50)]
+    # 100..102 are close to each other but never candidates, so no edge links them
+    members += [(100, list(range(40, 52))), (101, list(range(40, 53))), (102, list(range(41, 52)))]
+    emb = star_set(D, 53, members)
+    model = popcount_model(D, 7.5, alpha=1.0)  # h <= 6 scores >= 0.8, h <= 8 >= 0.3
+    ia, ib = np.triu_indices(50, k=1)
+    take = rng.random(ia.size) < 0.6
+    a, b = ia[take].astype(np.uint64), ib[take].astype(np.uint64)
+    edges_a, edges_b, edge_scores = select_edges(a, b, model, emb, 0.8)
+    # the lookup takes either order and any sequence: give about half the
+    # edges as (b, a), all of them shuffled
+    flip = rng.random(edges_a.size) < 0.5
+    perm = rng.permutation(edges_a.size)
+    scored = (
+        np.where(flip, edges_b, edges_a)[perm],
+        np.where(flip, edges_a, edges_b)[perm],
+        edge_scores[perm],
+    )
+    groups = transitive_closure(np.column_stack((edges_a, edges_b)))
+    groups.append(np.array([100, 101, 102], dtype=np.uint64))
+    known = row_pair_keys(emb.rows_of(edges_a), emb.rows_of(edges_b))
+
+    asked = []
+    real = clustering.predict_rows
+
+    def counting(model, embeddings, rows_a, rows_b, *args, **kwargs):
+        asked.append(row_pair_keys(rows_a, rows_b))
+        return real(model, embeddings, rows_a, rows_b, *args, **kwargs)
+
+    monkeypatch.setattr(clustering, "predict_rows", counting)
+    for threshold in (0.8, 0.3):  # the selection threshold, and below it
+        asked.clear()
+        plain = k_cut(groups, model, emb, threshold, seed=4)
+        round_pairs = np.concatenate(asked)
+        asked.clear()
+        reused = k_cut(groups, model, emb, threshold, seed=4, scored=scored)
+        assert [(c.cluster_id, c.head, c.members) for c in reused] == [
+            (c.cluster_id, c.head, c.members) for c in plain
+        ]
+        # only the round pairs that are not edges were scored, each once
+        missing = round_pairs[~np.isin(round_pairs, known)]
+        rescored = np.concatenate(asked) if asked else np.zeros(0, dtype=np.uint64)
+        assert np.array_equal(np.sort(rescored), np.sort(missing))
+        assert 0 < missing.size < round_pairs.size
+        if threshold < 0.8:
+            # a rescored pair below the selection threshold joined a cluster
+            assert any(sc < 0.8 for c in reused for _, sc in c.members)
+    with pytest.raises(DataError):
+        k_cut(groups, model, emb, 0.5, scored=(edges_a, edges_b, edge_scores[:-1]))
 
 
 def test_k_cut_singletons_bypass():

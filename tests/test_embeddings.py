@@ -247,6 +247,19 @@ def test_embedding_set_basics(rng):
         EmbeddingSet.from_bits(np.array([1, 1], dtype=np.uint64), bits[:2])
 
 
+def test_terms_kept_per_config(rng):
+    bits = rng.integers(0, 2, size=(7, 64), dtype=np.uint8)
+    es = EmbeddingSet.from_bits(np.arange(7, dtype=np.uint64), bits)
+    four = LshConfig(d=64, selected_bits=tuple(range(36)), term_bits=4)
+    six = LshConfig(d=64, selected_bits=tuple(range(36)), term_bits=6)
+    terms = es.terms(four)
+    assert np.array_equal(terms, derive_terms_matrix(bits, four))
+    assert not terms.flags.writeable  # shared by every caller
+    assert es.terms(LshConfig(d=64, selected_bits=tuple(range(36)), term_bits=4)) is terms
+    assert np.array_equal(es.terms(six), derive_terms_matrix(bits, six))
+    assert np.array_equal(es.terms(four), terms)
+
+
 def test_packed_bit_zero_is_msb_of_byte_zero():
     bits = np.zeros(16, dtype=np.uint8)
     bits[0] = 1

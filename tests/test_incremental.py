@@ -4,6 +4,7 @@ All distances are engineered through star_set flip lists, so the popcount
 model gives exact, predictable scores everywhere.
 """
 
+import json
 import math
 
 import numpy as np
@@ -120,6 +121,19 @@ def test_store_save_open_round_trip(tmp_path):
     assert serialize_index(again.head_index) == serialize_index(store.head_index)
     for name in ("manifest.json", "clusters-0.tsv", "heads-0.json", "heads-0.ndix", "embeddings-0.ndem"):
         assert (tmp_path / "store" / name).exists()
+
+
+def test_heads_file_is_compact_json_and_round_trips(tmp_path):
+    store = make_store(directory=tmp_path / "store")
+    text = (tmp_path / "store" / "heads-0.json").read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert payload["1"] == {"augmentation": [[2, s(1)]], "head": 1}
+    again = ClusterStore.open(tmp_path / "store")
+    assert again.heads == store.heads
+    # a reopened store writes the same bytes again
+    again.save(tmp_path / "copy")
+    assert (tmp_path / "copy" / "heads-0.json").read_text(encoding="utf-8") == text
 
 
 def test_store_open_rejects_bad_state(tmp_path):
