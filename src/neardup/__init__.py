@@ -18,6 +18,7 @@ from .classifier import (
     train,
 )
 from .clustering import (
+    ClusterTable,
     NearDupeCluster,
     choose_head,
     k_cut,
@@ -81,8 +82,8 @@ from .search import (
     unordered_pairs,
 )
 from .selection import (
-    ClusterHeadEntry,
-    VerifiedMatch,
+    ClusterHeads,
+    HeadMatches,
     emit_augmentation_labels,
     select_candidates,
     select_edges,

@@ -26,7 +26,7 @@ from .incremental import assignments_to_tsv, run_incremental
 from .index import build_index, index_size_bytes, load_index, serialize_index
 from .pipeline import resolve_lsh_config, run_full
 from .search import SearchHit, SearchResultBatch, batch_search, unordered_pairs
-from .selection import ClusterHeadEntry, emit_augmentation_labels, select_candidates, select_edges
+from .selection import ClusterHeads, emit_augmentation_labels, select_candidates, select_edges
 from .util import atomic_write_bytes, atomic_write_json, atomic_write_text
 
 log = logging.getLogger("neardup")
@@ -76,8 +76,7 @@ def cmd_build_index(args) -> int:
     config = _load_config(args.config)
     lsh = resolve_lsh_config(config, embeddings)
     if args.heads:
-        clusters = read_clusters_tsv(args.heads)
-        head_ids = sorted(c.head for c in clusters)
+        head_ids = sorted(read_clusters_tsv(args.heads).heads.tolist())
         index = build_index(embeddings.subset(head_ids), lsh, head_only=True)
     else:
         index = build_index(embeddings, lsh)
@@ -194,18 +193,10 @@ def cmd_select(args) -> int:
     if args.threshold is None:
         args.threshold = model.threshold
     if args.clusters:
-        clusters = read_clusters_tsv(args.clusters)
-        heads = {}
-        for c in clusters:
-            aug = sorted(c.members, key=lambda ms: (-ms[1], ms[0]))[: args.k_aug]
-            heads[c.head] = ClusterHeadEntry(c.cluster_id, c.head, tuple(aug))
+        heads = ClusterHeads.from_table(read_clusters_tsv(args.clusters), args.k_aug)
         matches = select_candidates(hits, heads, model, embeddings, args.threshold, k_aug=args.k_aug)
-        atomic_write_text(
-            args.out,
-            "".join(
-                f"{m.query}\t{m.cluster_id}\t{m.matched_via}\t{m.score:.6f}\n" for m in matches
-            ),
-        )
+        rows = zip(*(a.tolist() for a in (matches.query, matches.cluster, matches.via, matches.score)))
+        atomic_write_text(args.out, "".join(f"{q}\t{c}\t{v}\t{s:.6f}\n" for q, c, v, s in rows))
         print(f"{len(matches)} matched queries -> {args.out}")
         if args.labels_out:
             labels = emit_augmentation_labels(matches, heads, model, embeddings, args.threshold)
@@ -251,8 +242,7 @@ def cmd_cluster(args) -> int:
     groups = transitive_closure(edges)
     clusters = k_cut(groups, model, embeddings, args.threshold, seed=args.seed)
     atomic_write_text(args.out, clusters_to_tsv(clusters))
-    clustered = sum(c.size for c in clusters)
-    print(f"{len(clusters)} clusters over {clustered} images -> {args.out}")
+    print(f"{len(clusters)} clusters over {clusters.image.size} images -> {args.out}")
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Edge clustering: transitive closure, greedy threshold cut, head choice.
+"""Edge clustering: transitive closure, greedy threshold cut, head choice,
+and the cluster table.
 
 Transitive closure runs iterative minimum-label propagation over the edge
 set: each edge starts with its own id (the pair itself, compared
@@ -16,9 +17,17 @@ cluster with the pivot as head, and keep cutting the remainder until
 nothing is left. Every emitted member carries its score against the head,
 all >= threshold by construction. Pairs scored before the cut, such as the
 static pipeline's kept edges, keep their scores; only the others are scored.
+A round cuts all open groups at once, as flat ids plus group sizes, with
+one generator call for the pivots and at most one scoring call.
+
+Clusters travel as a ClusterTable of aligned arrays, from the cut through
+the store to the cluster file; NearDupeCluster is a read-only view.
 """
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,21 +35,15 @@ from .classifier import MlpModel, predict_rows
 from .embeddings import EmbeddingSet
 from .errors import DataError
 from .search import row_pair_keys
+from .util import find_sorted, first_repeat
 
 
-@dataclass
-class NearDupeCluster:
+class NearDupeCluster(NamedTuple):
+    """One cluster: members are (image_id, score_vs_head) pairs by image id."""
+
     cluster_id: int
     head: int
-    members: list = field(default_factory=list)  # (image_id, score_vs_head)
-
-    def __post_init__(self):
-        self.members = [(int(m), float(s)) for m, s in self.members]
-        ids = [m for m, _ in self.members]
-        if self.head in ids:
-            raise DataError(f"cluster {self.cluster_id}: head listed among members")
-        if len(ids) != len(set(ids)):
-            raise DataError(f"cluster {self.cluster_id}: duplicate member")
+    members: list = ()
 
     @property
     def image_ids(self) -> list:
@@ -49,6 +52,86 @@ class NearDupeCluster:
     @property
     def size(self) -> int:
         return 1 + len(self.members)
+
+
+class ClusterTable:
+    """Clusters as aligned read-only arrays, one row per image.
+
+    image and cluster are uint64, head flags the one head row of each
+    cluster and score is a member's score against its head (NaN on head
+    rows); columns is the four as a tuple. Rows come in any order and are
+    kept in cluster-file order: by cluster id, head first, then members by
+    image id. starts, cluster_ids, heads and sizes hold one entry per
+    cluster. len() counts clusters; iterating yields NearDupeCluster views.
+    """
+
+    def __init__(self, image=(), cluster=(), head=(), score=()):
+        image, cluster = (np.asarray(a, dtype=np.uint64).reshape(-1) for a in (image, cluster))
+        head, score = np.asarray(head, dtype=bool).reshape(-1), np.asarray(score, dtype=np.float64).reshape(-1)
+        if not image.size == cluster.size == head.size == score.size:
+            raise DataError("cluster table columns must be aligned")
+        order = np.lexsort((image, ~head, cluster))
+        self.columns = tuple(a[order] for a in (image, cluster, head, score))
+        for a in self.columns:
+            a.setflags(write=False)
+        self.image, self.cluster, self.head, self.score = self.columns
+        first = np.r_[True, self.cluster[1:] != self.cluster[:-1]][: image.size]
+        if not np.array_equal(first, self.head):
+            raise DataError(f"cluster {self.cluster[first != self.head][0]}: needs exactly one head row")
+        self.starts = np.flatnonzero(first)
+        self.cluster_ids, self.heads = self.cluster[self.starts], self.image[self.starts]
+        self.sizes = np.diff(np.append(self.starts, image.size))
+
+    @classmethod
+    def from_clusters(cls, clusters) -> "ClusterTable":
+        """The table of NearDupeCluster-like objects (a table is returned as
+        is); an image listed twice is a DataError."""
+        if isinstance(clusters, ClusterTable):
+            return clusters
+        rows = []
+        for c in clusters:
+            rows.append((c.head, c.cluster_id, True, math.nan))
+            rows += [(m, c.cluster_id, False, s) for m, s in c.members]
+        table = cls(*zip(*rows)) if rows else cls()
+        twice = first_repeat(table.image)
+        if twice:
+            raise DataError(f"cluster {table.cluster[twice[0]]}: image {table.image[twice[0]]} listed twice")
+        return table
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def __iter__(self):
+        return map(self.cluster_at, range(len(self)))
+
+    def cluster_at(self, pos: int) -> NearDupeCluster:
+        lo, hi = self.starts[pos], self.starts[pos] + self.sizes[pos]
+        members = zip(self.image[lo + 1 : hi].tolist(), self.score[lo + 1 : hi].tolist())
+        return NearDupeCluster(int(self.cluster[lo]), int(self.image[lo]), list(members))
+
+
+class ClusterIndex(Mapping):
+    """Read-only map of cluster id -> NearDupeCluster over a ClusterTable;
+    values() is the table itself."""
+
+    def __init__(self, table: ClusterTable):
+        self.table = table
+
+    def __getitem__(self, cluster_id) -> NearDupeCluster:
+        if isinstance(cluster_id, (int, np.integer)) and 0 <= cluster_id < 2**64:
+            pos, found = find_sorted(self.table.cluster_ids, [cluster_id])
+            if found[0]:
+                return self.table.cluster_at(int(pos[0]))
+        raise KeyError(cluster_id)
+
+    def __iter__(self):
+        return iter(self.table.cluster_ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def values(self) -> ClusterTable:
+        return self.table
 
 
 def transitive_closure(edges) -> list:
@@ -111,65 +194,48 @@ def _normalized_edges(edges) -> np.ndarray:
 
 def k_cut(
     groups, model: MlpModel, embeddings: EmbeddingSet, threshold: float, seed: int = 0, scored=None
-) -> list:
+) -> ClusterTable:
     """Cut closure groups into threshold-coherent clusters, pivot as head.
 
-    Deterministic for a fixed seed: groups are processed in input order and
-    pivot draws come from one seeded generator. Singleton groups bypass the
-    cut and come back as singleton clusters. scored, if given, is the
+    Deterministic for a fixed seed: each round draws the pivots of its groups,
+    in input order, from one seeded generator. scored, if given, is the
     aligned (a, b, score) id and score arrays of pairs already scored, as
     select_edges returns them; a (pivot, member) pair found there in either
-    order takes that score, and only the others are scored. A fresh score
-    of such a pair could differ from the given one only by rounding in the
-    last bits (see classifier), so the clusters are the same either way
-    unless a score sits that close to the threshold.
+    order takes that score, and only the others are scored. A fresh score of
+    such a pair could differ from the given one only by rounding in the last
+    bits (see classifier), so the clusters are the same either way unless a
+    score sits that close to the threshold.
     """
     if not 0.0 < threshold < 1.0:
         raise DataError(f"threshold must be in (0, 1), got {threshold}")
     known_keys, known_scores = _score_table(scored, embeddings)
     rng = np.random.default_rng(seed)
-    out = []
-    work = []
-    for g in groups:
-        ids = np.asarray(g, dtype=np.uint64)
-        if ids.size == 0:
-            continue
-        if ids.size == 1:
-            out.append(NearDupeCluster(int(ids[0]), int(ids[0]), []))
-        else:
-            work.append(np.sort(ids))
-
-    while work:
-        pivots = [int(w[rng.integers(w.size)]) for w in work]
-        rest = [w[w != pivot] for w, pivot in zip(work, pivots)]
-        sizes = np.array([r.size for r in rest], dtype=np.int64)
+    groups = [np.asarray(g, dtype=np.uint64).reshape(-1) for g in groups]
+    sizes = np.array([g.size for g in groups], dtype=np.int64)
+    ids = np.concatenate(groups) if groups else np.zeros(0, dtype=np.uint64)
+    ids = ids[np.lexsort((ids, np.repeat(np.arange(sizes.size), sizes)))]  # each group sorted
+    sizes, parts = sizes[sizes > 0], []
+    while sizes.size:
+        # a one-member group draws no random bits: its pivot is its member
+        pivot_at = np.cumsum(sizes) - sizes + rng.integers(sizes)
+        pivots, rest = ids[pivot_at], np.delete(ids, pivot_at)
+        group = np.repeat(np.arange(sizes.size), sizes - 1)
         # one lookup and at most one scoring call for every group of the round
-        rows_q = embeddings.rows_of(np.concatenate(rest))
-        rows_p = np.repeat(embeddings.rows_of(pivots), sizes)
-        keys = row_pair_keys(rows_q, rows_p)
-        pos = np.searchsorted(known_keys, keys)
-        found = pos < known_keys.size
-        found[found] = known_keys[pos[found]] == keys[found]
-        scores = np.empty(keys.size, dtype=np.float64)
+        rows_q, rows_p = embeddings.rows_of(rest), embeddings.rows_of(pivots)[group]
+        pos, found = find_sorted(known_keys, row_pair_keys(rows_q, rows_p))
+        scores = np.empty(rest.size, dtype=np.float64)
         scores[found] = known_scores[pos[found]]
         if not found.all():
             missing = ~found
             scores[missing] = predict_rows(model, embeddings, rows_q[missing], rows_p[missing])
-        ends = np.cumsum(sizes)
-        next_work = []
-        for start, end, others, pivot in zip((ends - sizes).tolist(), ends.tolist(), rest, pivots):
-            s = scores[start:end]
-            passed = s >= threshold
-            members = [(int(m), float(sc)) for m, sc in zip(others[passed], s[passed])]
-            cluster_ids = [pivot] + [m for m, _ in members]
-            out.append(NearDupeCluster(min(cluster_ids), pivot, members))
-            residual = others[~passed]
-            if residual.size == 1:
-                out.append(NearDupeCluster(int(residual[0]), int(residual[0]), []))
-            elif residual.size > 1:
-                next_work.append(residual)
-        work = next_work
-    return sorted(out, key=lambda c: c.cluster_id)
+        passed = scores >= threshold
+        cluster = pivots.copy()  # the smallest id of pivot and passing members
+        np.minimum.at(cluster, group[passed], rest[passed])
+        parts.append((pivots, cluster, np.ones(pivots.size, dtype=bool), np.full(pivots.size, np.nan)))
+        parts.append((rest[passed], cluster[group[passed]], np.zeros(int(passed.sum()), dtype=bool), scores[passed]))
+        ids, sizes = rest[~passed], np.bincount(group[~passed], minlength=sizes.size)
+        sizes = sizes[sizes > 0]
+    return ClusterTable(*map(np.concatenate, zip(*parts)))
 
 
 def _score_table(scored, embeddings: EmbeddingSet):
@@ -185,25 +251,32 @@ def _score_table(scored, embeddings: EmbeddingSet):
     return keys[order], score.astype(np.float64)[order]
 
 
-def choose_head(member_ids, model: MlpModel, embeddings: EmbeddingSet) -> int:
-    """Medoid by classifier score: the member with the largest score sum
-    against all others, ties to the smallest id."""
-    ids = sorted(int(m) for m in member_ids)
-    if not ids:
+def choose_head(ids, sizes, model: MlpModel, embeddings: EmbeddingSet) -> np.ndarray:
+    """Medoid of each group by classifier score: the member with the largest
+    score sum against the others of its group, ties to the smallest id. ids
+    holds the groups one after another and sizes their lengths; all pairs
+    are scored in one call, and each sum adds in upper-triangle order.
+    """
+    ids = np.asarray(ids, dtype=np.uint64).reshape(-1)
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    if sizes.size == 0 or sizes.min() < 1 or sizes.sum() != ids.size:
         raise DataError("cannot choose a head from zero members")
-    if len(set(ids)) != len(ids):
+    group = np.repeat(np.arange(sizes.size), sizes)
+    ids = ids[np.lexsort((ids, group))]
+    if np.any((ids[1:] == ids[:-1]) & (group[1:] == group[:-1])):
         raise DataError("duplicate ids in head selection")
-    if len(ids) == 1:
-        return ids[0]
-    n = len(ids)
-    ia, ib = np.triu_indices(n, k=1)
-    rows = embeddings.rows_of(ids)
-    scores = predict_rows(model, embeddings, rows[ia], rows[ib])
-    sums = np.zeros(n)
-    np.add.at(sums, ia, scores)
-    np.add.at(sums, ib, scores)
-    # ids are sorted ascending, argmax takes the first of equal sums
-    return ids[int(np.argmax(sums))]
+    # pairs (i, j), i < j, within each group, in upper-triangle order
+    later = np.repeat(np.cumsum(sizes), sizes) - 1 - np.arange(ids.size)
+    ia = np.repeat(np.arange(ids.size), later)
+    ib = ia + 1 + np.arange(ia.size) - np.repeat(np.cumsum(later) - later, later)
+    sums = np.zeros(ids.size)
+    if ia.size:
+        rows = embeddings.rows_of(ids)
+        scores = predict_rows(model, embeddings, rows[ia], rows[ib])
+        sums = np.bincount(np.concatenate((ia, ib)), np.concatenate((scores, scores)), ids.size)
+    # within a group: largest sum first, equal sums keep ascending id order
+    best = np.lexsort((-sums, group))
+    return ids[best[np.cumsum(sizes) - sizes]]
 
 
 # -- cluster file -----------------------------------------------------------
@@ -215,42 +288,71 @@ def choose_head(member_ids, model: MlpModel, embeddings: EmbeddingSet) -> int:
 
 
 def clusters_to_tsv(clusters) -> str:
-    lines = []
-    for c in sorted(clusters, key=lambda c: c.cluster_id):
-        lines.append(f"{c.head}\t{c.cluster_id}\thead\t")
-        for m, s in sorted(c.members):
-            lines.append(f"{m}\t{c.cluster_id}\tmember\t{s:.6f}")
-    return "".join(line + "\n" for line in lines)
+    """The cluster file of a ClusterTable, or of NearDupeCluster-like objects
+    through ClusterTable.from_clusters."""
+    table = ClusterTable.from_clusters(clusters)
+    tails = ["head\t" if h else "member\t%.6f" % s for h, s in zip(table.head.tolist(), table.score.tolist())]
+    return "".join(map("{}\t{}\t{}\n".format, table.image.tolist(), table.cluster.tolist(), tails))
 
 
-def read_clusters_tsv(path) -> list:
-    heads = {}
-    members = {}
+def read_clusters_tsv(path) -> ClusterTable:
+    """Parse a cluster file, rows in any order, into a ClusterTable.
+
+    Blank lines are skipped. The first malformed line is a DataError naming
+    <path>:<line>: a field count other than 4, an id that is not a u64, a
+    member score that is not a float, an unknown role, a second head for a
+    cluster, or an image already on an earlier row. So are member rows of a
+    cluster without a head row.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{ln}: expected 4 tab-separated fields")
-            try:
-                image_id, cluster_id, role = int(parts[0]), int(parts[1]), parts[2]
-                score = float(parts[3]) if role == "member" else None
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from None
-            if role == "head":
-                if cluster_id in heads:
-                    raise DataError(f"{path}:{ln}: duplicate head for cluster {cluster_id}")
-                heads[cluster_id] = image_id
-            elif role == "member":
-                members.setdefault(cluster_id, []).append((image_id, score))
-            else:
-                raise DataError(f"{path}:{ln}: unknown role {role!r}")
-    missing = set(members) - set(heads)
-    if missing:
-        raise DataError(f"{path}: member rows for clusters without heads: {sorted(missing)}")
-    return [
-        NearDupeCluster(cid, heads[cid], members.get(cid, []))
-        for cid in sorted(heads)
-    ]
+        raw = fh.read().split("\n")
+    lines = list(filter(None, raw))
+    # the first bad row and its message; the checks go in the order they
+    # apply to one line, each over the rows before the first bad one so far
+    bad = [len(lines), ""]
+
+    def flag(rows, message):
+        if len(rows) and rows[0] < bad[0]:
+            bad[:] = [int(rows[0]), message(int(rows[0]))]
+
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=len(lines))
+    flag(np.flatnonzero(tabs != 3), lambda r: "expected 4 tab-separated fields")
+    fields = "\t".join(lines[: bad[0]]).split("\t") if bad[0] else []
+    image = _parse_column(fields[0::4], int, np.uint64, flag)
+    cluster = _parse_column(fields[1::4], int, np.uint64, flag)
+    is_head = np.array([role == "head" for role in fields[2::4]], dtype=bool)
+    is_member = np.array([role == "member" for role in fields[2::4]], dtype=bool)
+    members = np.flatnonzero(is_member[: bad[0]])
+    score = np.full(is_head.size, np.nan)
+    parsed = _parse_column(
+        [fields[4 * r + 3] for r in members.tolist()], float, np.float64, lambda rows, m: flag(members[rows], m)
+    )
+    score[members[: parsed.size]] = parsed
+    flag(np.flatnonzero(~(is_head | is_member)[: bad[0]]), lambda r: f"unknown role {fields[4 * r + 2]!r}")
+    heads = np.flatnonzero(is_head[: bad[0]])
+    flag(heads[first_repeat(cluster[heads])[:1]], lambda r: f"duplicate head for cluster {cluster[r]}")
+    twice = first_repeat(image[: bad[0]])
+    flag(twice[:1], lambda r: f"image {image[r]} already in cluster {cluster[twice[1]]}")
+    if bad[1]:
+        line_no = [n for n, line in enumerate(raw, 1) if line][bad[0]]
+        raise DataError(f"{path}:{line_no}: {bad[1]}")
+    orphans = cluster[is_member & ~np.isin(cluster, cluster[is_head])]
+    if orphans.size:
+        raise DataError(f"{path}: member rows for clusters without heads: {np.unique(orphans).tolist()}")
+    return ClusterTable(image, cluster, is_head, score)
+
+
+def _parse_column(values: list, parse, dtype, flag) -> np.ndarray:
+    """values through parse into a dtype array. The first value that fails
+    is flagged with its row and message, and only the rows before it come
+    back."""
+    try:
+        return np.fromiter(map(parse, values), dtype=dtype, count=len(values))
+    except (ValueError, OverflowError):
+        pass
+    for row, value in enumerate(values):
+        try:
+            np.array([parse(value)], dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            flag([row], lambda r: str(exc))
+            return np.fromiter(map(parse, values[:row]), dtype=dtype, count=row)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, FormatError, NearDupError, SelectionError
+from .util import find_sorted
 
 EMBEDDING_MAGIC = b"NDEM"
 EMBEDDING_VERSION = 1
@@ -187,31 +188,18 @@ class EmbeddingSet:
             )
         if ids.size and int(ids.max()) > MAX_IMAGE_ID:
             raise DataError(f"image id out of range [0, 2^64 - 2]: {int(ids.max())}")
-        if ids.size != np.unique(ids).size:
+        order = np.argsort(ids, kind="stable")
+        if np.any(ids[order[1:]] == ids[order[:-1]]):
             raise DataError("duplicate image ids in embedding set")
         self.d = d
         self.ids = ids
         self.packed = packed
-        self._row_of = None
-        self._by_id = None  # (sorted ids, their rows), for rows_of
+        self._by_id = (ids[order], order)  # sorted ids and their rows, for rows_of
         self._unpacked = None
         self._terms = None  # (LshConfig, its read-only term matrix), for terms
 
     def __len__(self) -> int:
         return self.ids.shape[0]
-
-    @classmethod
-    def from_embeddings(cls, embeddings) -> "EmbeddingSet":
-        embs = list(embeddings)
-        if not embs:
-            raise DimensionError("cannot build an EmbeddingSet from zero embeddings")
-        d = embs[0].d
-        for e in embs:
-            if e.d != d:
-                raise DimensionError("mixed embedding widths")
-        ids = np.array([e.image_id for e in embs], dtype=np.uint64)
-        packed = np.stack([np.packbits(e.bits) for e in embs])
-        return cls(d, ids, packed)
 
     @classmethod
     def from_bits(cls, ids, bits: np.ndarray) -> "EmbeddingSet":
@@ -233,40 +221,22 @@ class EmbeddingSet:
             self._terms = (config, matrix)
         return self._terms[1]
 
-    def row_of(self, image_id: int) -> int:
-        if self._row_of is None:
-            self._row_of = {int(v): i for i, v in enumerate(self.ids)}
-        try:
-            return self._row_of[int(image_id)]
-        except KeyError:
-            raise DataError(f"unknown image id {image_id}") from None
-
     def rows_of(self, image_ids) -> np.ndarray:
         """Rows of many ids at once, by a sorted lookup; DataError on an unknown id."""
-        if self._by_id is None:
-            order = np.argsort(self.ids, kind="stable")
-            self._by_id = (self.ids[order], order)
         sorted_ids, order = self._by_id
         try:
             wanted = np.asarray(image_ids, dtype=np.uint64).reshape(-1)
         except (OverflowError, TypeError, ValueError):
             raise DataError("image ids must be integers in [0, 2^64)") from None
-        pos = np.searchsorted(sorted_ids, wanted)
-        known = pos < sorted_ids.size
-        known[known] = sorted_ids[pos[known]] == wanted[known]
+        pos, known = find_sorted(sorted_ids, wanted)
         if not known.all():
             raise DataError(f"unknown image id {int(wanted[~known][0])}")
         return order[pos].astype(np.intp)
 
     def get(self, image_id: int) -> BinaryEmbedding:
-        row = self.row_of(image_id)
+        (row,) = self.rows_of([image_id])
         bits = np.unpackbits(self.packed[row])[: self.d]
         return BinaryEmbedding(int(self.ids[row]), bits)
-
-    def __contains__(self, image_id) -> bool:
-        if self._row_of is None:
-            self._row_of = {int(v): i for i, v in enumerate(self.ids)}
-        return int(image_id) in self._row_of
 
     def subset(self, image_ids) -> "EmbeddingSet":
         rows = self.rows_of(image_ids)

@@ -1,14 +1,15 @@
 """Incremental ingestion: new batches join existing clusters or form new ones.
 
-A ClusterStore holds the current clustering: every stored image's embedding,
-one head entry per cluster with its frozen augmentation list, and an LSH
-index over the heads only. Each incoming batch runs two searches. New-vs-old
-matches batch images against stored heads through the head index; new-vs-new
-runs the static pipeline inside the batch. Merge prefers old clusters: an
-image with a head match joins its matched cluster, the rest of its batch
-cluster follows the best-matched member, and only batch clusters with no
-matched member at all enter the store as new clusters (head re-picked as the
-medoid, members rescored against it).
+A ClusterStore holds the current clustering as arrays: every stored image's
+embedding, the cluster table (clustering.ClusterTable), the heads with their
+frozen augmentation lists (selection.ClusterHeads), and an LSH index over
+the heads only. Each incoming batch runs two searches. New-vs-old matches
+batch images against stored heads through the head index; new-vs-new runs
+the static pipeline inside the batch. Merge prefers old clusters: an image
+with a head match joins its matched cluster, the rest of its batch cluster
+follows the best-matched member, and only batch clusters with no matched
+member at all enter the store as new clusters (heads re-picked as medoids in
+one batched call, members rescored against them). Merge appends table rows.
 
 On disk a store is a directory. Data files carry the generation number in
 their name and are never rewritten; manifest.json names the current
@@ -19,19 +20,20 @@ previous generation readable.
 import json
 import logging
 import os
+import time
 
 import numpy as np
 
 from .classifier import MlpModel, predict_rows
-from .clustering import NearDupeCluster, choose_head, clusters_to_tsv, read_clusters_tsv
+from .clustering import ClusterIndex, ClusterTable, choose_head, clusters_to_tsv, read_clusters_tsv
 from .config import PipelineConfig
 from .embeddings import EmbeddingSet, LshConfig
 from .errors import DataError, StoreError
 from .index import build_index, load_index, serialize_index
 from .pipeline import resolve_lsh_config, static_clusters
 from .search import batch_search
-from .selection import ClusterHeadEntry, emit_augmentation_labels, select_candidates
-from .util import atomic_write_bytes, atomic_write_json, atomic_write_text
+from .selection import ClusterHeads, HeadMatches, emit_augmentation_labels, select_candidates
+from .util import atomic_write_bytes, atomic_write_json, atomic_write_text, find_sorted, first_repeat
 
 log = logging.getLogger("neardup")
 
@@ -39,24 +41,19 @@ MANIFEST_NAME = "manifest.json"
 STORE_VERSION = 1
 
 
-def _head_entry(cluster: NearDupeCluster, k_aug: int) -> ClusterHeadEntry:
-    aug = sorted(cluster.members, key=lambda ms: (-ms[1], ms[0]))[:k_aug]
-    return ClusterHeadEntry(cluster.cluster_id, cluster.head, tuple(aug))
-
-
-def _empty_embeddings(d: int) -> EmbeddingSet:
-    return EmbeddingSet(d, np.zeros(0, dtype=np.uint64), np.zeros((0, d // 8), dtype=np.uint8))
-
-
 class ClusterStore:
-    """The persistent clustering state between batches."""
+    """The persistent clustering state between batches.
+
+    table is the ClusterTable, heads the ClusterHeads; clusters is a
+    read-only map of cluster id -> NearDupeCluster view over the table.
+    """
 
     def __init__(
         self,
         lsh_config: LshConfig,
         embeddings: EmbeddingSet,
-        clusters: dict,
-        heads: dict,
+        table: ClusterTable,
+        heads: ClusterHeads,
         k_aug: int = 3,
         batch_id: int = 0,
         directory=None,
@@ -64,50 +61,36 @@ class ClusterStore:
     ):
         self.lsh_config = lsh_config
         self.embeddings = embeddings
-        self.clusters = dict(clusters)
-        self.heads = dict(heads)
+        self.table = table
+        self.heads = heads
         self.k_aug = int(k_aug)
         self.batch_id = int(batch_id)
         self.directory = directory
 
-        if set(self.clusters) != set(self.heads):
+        if not np.array_equal(table.cluster_ids, heads.cluster):
             raise StoreError("cluster table and head entries disagree on cluster ids")
-        self.image_to_cluster = {}
-        total = 0
-        for cid, cluster in self.clusters.items():
-            entry = self.heads[cid]
-            if cluster.cluster_id != cid or entry.cluster_id != cid or entry.head != cluster.head:
-                raise StoreError(f"cluster {cid}: head entry does not match cluster")
-            for image_id in cluster.image_ids:
-                if image_id in self.image_to_cluster:
-                    raise StoreError(f"image {image_id} appears in more than one cluster")
-                if image_id not in self.embeddings:
-                    raise StoreError(f"image {image_id} is clustered but has no stored embedding")
-                self.image_to_cluster[image_id] = cid
-                total += 1
-        if total != len(self.embeddings):
-            raise StoreError(
-                f"{len(self.embeddings)} stored embeddings but {total} clustered images"
-            )
-        self.head_index = head_index if head_index is not None else self._build_head_index()
+        wrong = np.flatnonzero(table.heads != heads.head)
+        if wrong.size:
+            raise StoreError(f"cluster {heads.cluster[wrong[0]]}: head entry does not match cluster")
+        twice = first_repeat(table.image)
+        if twice:
+            raise StoreError(f"image {table.image[twice[0]]} appears in more than one cluster")
+        stored = np.isin(table.image, embeddings.ids)
+        if not stored.all():
+            raise StoreError(f"image {table.image[~stored][0]} is clustered but has no stored embedding")
+        if table.image.size != len(embeddings):
+            raise StoreError(f"{len(embeddings)} stored embeddings but {table.image.size} clustered images")
+        self.clusters = ClusterIndex(table)
+        if head_index is None:
+            head_index = build_index(embeddings.subset(np.sort(heads.head)), lsh_config, head_only=True)
+        self.head_index = head_index
 
     def __len__(self) -> int:
         return len(self.embeddings)
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
-
-    def head_entries_by_image(self) -> dict:
-        return {e.head: e for e in self.heads.values()}
-
-    def _build_head_index(self):
-        head_ids = sorted(e.head for e in self.heads.values())
-        if head_ids:
-            subset = self.embeddings.subset(head_ids)
-        else:
-            subset = _empty_embeddings(self.lsh_config.d)
-        return build_index(subset, self.lsh_config, head_only=True)
+        return len(self.table)
 
     @classmethod
     def initialize(
@@ -118,22 +101,15 @@ class ClusterStore:
         k_aug: int = 3,
         directory=None,
     ) -> "ClusterStore":
-        """Create a store from a finished clustering, keeping heads as given.
+        """Create a store from a finished clustering (a ClusterTable or
+        NearDupeCluster-like objects), keeping heads as given.
 
         Augmentation lists are fixed here: the top k_aug members of each
         cluster by (score desc, id asc).
         """
-        clusters = list(clusters)
-        heads = {c.cluster_id: _head_entry(c, k_aug) for c in clusters}
-        store = cls(
-            lsh_config,
-            embeddings,
-            {c.cluster_id: c for c in clusters},
-            heads,
-            k_aug=k_aug,
-            batch_id=0,
-            directory=directory,
-        )
+        table = ClusterTable.from_clusters(clusters)
+        heads = ClusterHeads.from_table(table, k_aug)
+        store = cls(lsh_config, embeddings, table, heads, k_aug=k_aug, directory=directory)
         if directory is not None:
             store.save()
         return store
@@ -151,23 +127,8 @@ class ClusterStore:
             "head_index": f"heads-{tag}.ndix",
             "embeddings": f"embeddings-{tag}.ndem",
         }
-        atomic_write_text(
-            os.path.join(directory, names["clusters"]),
-            clusters_to_tsv(self.clusters.values()),
-        )
-        heads_payload = {
-            str(cid): {
-                "head": entry.head,
-                "augmentation": [[m, s] for m, s in entry.augmentation],
-            }
-            for cid, entry in sorted(self.heads.items())
-        }
-        # compact: rewritten on every batch, read only by open; the indented
-        # form goes through json's pure-Python encoder
-        atomic_write_text(
-            os.path.join(directory, names["heads"]),
-            json.dumps(heads_payload, sort_keys=True, separators=(",", ":")) + "\n",
-        )
+        atomic_write_text(os.path.join(directory, names["clusters"]), clusters_to_tsv(self.table))
+        atomic_write_text(os.path.join(directory, names["heads"]), _heads_json(self.heads))
         atomic_write_bytes(
             os.path.join(directory, names["head_index"]), serialize_index(self.head_index)
         )
@@ -205,30 +166,36 @@ class ClusterStore:
         head_index = load_index(os.path.join(directory, files["head_index"]))
         if not head_index.head_only:
             raise StoreError(f"{directory}: stored index is not marked head-only")
-        clusters_path = os.path.join(directory, files["clusters"])
-        heads_path = os.path.join(directory, files["heads"])
         try:
-            clusters = {c.cluster_id: c for c in read_clusters_tsv(clusters_path)}
-            heads = {
-                int(cid): ClusterHeadEntry(
-                    int(cid),
-                    int(spec["head"]),
-                    tuple((int(m), float(s)) for m, s in spec["augmentation"]),
-                )
-                for cid, spec in _read_json(heads_path).items()
-            }
-        except (DataError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            table = read_clusters_tsv(os.path.join(directory, files["clusters"]))
+            heads = _heads_from_json(_read_json(os.path.join(directory, files["heads"])))
+        except (DataError, AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise StoreError(f"{directory}: malformed cluster table or heads file: {exc!r}") from exc
-        return cls(
-            head_index.config,
-            embeddings,
-            clusters,
-            heads,
-            k_aug=manifest["k_aug"],
-            batch_id=manifest["batch_id"],
-            directory=directory,
-            head_index=head_index,
-        )
+        k_aug, batch_id = manifest["k_aug"], manifest["batch_id"]
+        return cls(head_index.config, embeddings, table, heads, k_aug, batch_id, directory, head_index)
+
+
+def _heads_json(heads: ClusterHeads) -> str:
+    """The heads file: compact JSON with sorted keys, as json.dumps(...,
+    sort_keys=True, separators=(",", ":")) writes it, formatted from the
+    arrays. Rewritten on every batch and read only by open."""
+    aug = list(map("[{},{!r}]".format, heads.aug_image.tolist(), heads.aug_score.tolist()))
+    bounds = heads.aug_offsets.tolist()
+    entries = {
+        str(cid): f'"{cid}":{{"augmentation":[{",".join(aug[lo:hi])}],"head":{head}}}'
+        for cid, head, lo, hi in zip(heads.cluster.tolist(), heads.head.tolist(), bounds, bounds[1:])
+    }
+    return "{" + ",".join(entries[k] for k in sorted(entries)) + "}\n"
+
+
+def _heads_from_json(payload) -> ClusterHeads:
+    specs = list(payload.values())
+    augs = [[(int(m), float(s)) for m, s in spec["augmentation"]] for spec in specs]
+    flat = [a for aug in augs for a in aug]
+    return ClusterHeads(
+        list(map(int, payload)), [int(spec["head"]) for spec in specs], list(map(len, augs)),
+        [m for m, _ in flat], [s for _, s in flat],
+    )
 
 
 def _read_json(path):
@@ -251,23 +218,19 @@ def run_nvo(
     k: int = 20,
     min_overlap: int = 2,
     combined: EmbeddingSet = None,
-):
-    """Match one batch against stored cluster heads.
-
-    Returns VerifiedMatch list, at most one per query. The head index must
-    cover exactly the current heads; anything else means the store is
-    corrupt.
+) -> HeadMatches:
+    """Match one batch against stored cluster heads, at most one match per
+    query. The head index must cover exactly the current heads; anything
+    else means the store is corrupt.
     """
-    head_by_image = store.head_entries_by_image()
-    head_ids = np.sort(np.fromiter(head_by_image, dtype=np.uint64, count=len(head_by_image)))
-    if not np.array_equal(np.sort(store.head_index.dictionary.external), head_ids):
+    if not np.array_equal(np.sort(store.head_index.dictionary.external), np.sort(store.heads.head)):
         raise StoreError("head index out of sync with cluster heads")
-    if len(new_embeddings) == 0 or not head_by_image:
-        return []
+    if len(new_embeddings) == 0 or store.heads.cluster.size == 0:
+        return HeadMatches()
     hits = batch_search(new_embeddings, store.head_index, k=k, min_overlap=min_overlap)
     if combined is None:
         combined = store.embeddings.concat(new_embeddings)
-    return select_candidates(hits, head_by_image, model, combined, threshold, k_aug=store.k_aug)
+    return select_candidates(hits, store.heads, model, combined, threshold, k_aug=store.k_aug)
 
 
 def run_nvn(
@@ -283,90 +246,82 @@ def run_nvn(
 
 def merge(
     store: ClusterStore,
-    nvo_matches,
+    nvo_matches: HeadMatches,
     nvn_clusters,
     model: MlpModel,
     combined: EmbeddingSet,
 ):
     """Fold one batch's matches and internal clusters into the clustering.
 
-    Returns (clusters, heads, assignments): updated cluster and head-entry
-    maps plus one (image_id, cluster_id, provenance) row per batch image.
-    The store itself is left untouched; callers build the next store from
-    the returned maps.
+    nvn_clusters is the batch's ClusterTable (or NearDupeCluster-like
+    objects). Returns (table, heads, assignments): the next cluster table and
+    head arrays plus one (image_id, cluster_id, provenance) row per batch
+    image. The store itself is left untouched.
 
     Provenance: "nvo" for a direct head match, "nvn_mapped" for an image
     pulled into an old cluster by a matched batch-mate, "nvn_new" for
     members of clusters entering the store. Joiners' stored scores are
     against the old cluster's head and may land below the match threshold.
     """
-    by_query = {m.query: m for m in nvo_matches}
-    clusters = dict(store.clusters)
-    heads = dict(store.heads)
+    nvn = ClusterTable.from_clusters(nvn_clusters)
+    owner = np.repeat(np.arange(len(nvn)), nvn.sizes)
+    at, matched = find_sorted(nvo_matches.query, nvn.image)
+    # each batch cluster's best match: highest score, then smallest cluster id
+    hit = np.flatnonzero(matched)
+    hit = hit[np.lexsort((nvo_matches.cluster[at[hit]], -nvo_matches.score[at[hit]], owner[hit]))]
+    hit = hit[np.unique(owner[hit], return_index=True)[1]]
+    best = np.zeros(len(nvn), dtype=np.uint64)
+    best[owner[hit]] = nvo_matches.cluster[at[hit]]
+    joins = np.zeros(len(nvn), dtype=bool)
+    joins[owner[hit]] = True
+
+    parts = [store.table.columns]
     assignments = []
+    join = np.flatnonzero(joins[owner])
+    if join.size:
+        image, direct = nvn.image[join], matched[join]
+        target = best[owner[join]]
+        target[direct] = nvo_matches.cluster[at[join][direct]]
+        heads_at, _ = find_sorted(store.heads.cluster, target)
+        rows_h = combined.rows_of(store.heads.head[heads_at])
+        scores = predict_rows(model, combined, combined.rows_of(image), rows_h)
+        # augmentation lists stay frozen: joins add table rows, never head entries
+        parts.append((image, target, np.zeros(join.size, dtype=bool), scores))
+        provenance = np.where(direct, "nvo", "nvn_mapped").tolist()
+        assignments += zip(image.tolist(), target.tolist(), provenance)
 
-    joins = []  # (image_id, old cluster id, provenance)
-    entering = []
-    for cluster in sorted(nvn_clusters, key=lambda c: c.cluster_id):
-        matched = [m for m in (by_query.get(i) for i in cluster.image_ids) if m is not None]
-        if not matched:
-            entering.append(cluster)
-            continue
-        best = max(matched, key=lambda m: (m.score, -m.cluster_id))
-        for image_id in cluster.image_ids:
-            m = by_query.get(image_id)
-            if m is not None:
-                joins.append((image_id, m.cluster_id, "nvo"))
-            else:
-                joins.append((image_id, best.cluster_id, "nvn_mapped"))
+    created = ClusterTable()
+    if not joins.all():
+        # entering clusters: members by id, the smallest id names the cluster
+        enter = ~joins[owner]
+        sizes = nvn.sizes[~joins]
+        image = nvn.image[enter][np.lexsort((nvn.image[enter], owner[enter]))]
+        group = np.repeat(np.arange(sizes.size), sizes)
+        cid = image[np.cumsum(sizes) - sizes]
+        clash = np.isin(cid, store.heads.cluster)
+        if clash.any():
+            raise StoreError(f"new cluster id {cid[clash][0]} collides with an existing cluster")
+        medoids = choose_head(image, sizes, model, combined)
+        is_head = image == medoids[group]
+        others, their_head = image[~is_head], medoids[group[~is_head]]
+        score = np.full(image.size, np.nan)
+        if others.size:
+            score[~is_head] = predict_rows(
+                model, combined, combined.rows_of(others), combined.rows_of(their_head)
+            )
+        created = ClusterTable(image, cid[group], is_head, score)
+        assignments += zip(created.image.tolist(), created.cluster.tolist(), ["nvn_new"] * image.size)
+    parts.append(created.columns)
+    table = ClusterTable(*map(np.concatenate, zip(*parts)))
+    heads = ClusterHeads.from_table(created, store.k_aug)
+    return table, ClusterHeads(*map(np.concatenate, zip(store.heads.columns, heads.columns))), assignments
 
-    if joins:
-        rows_q = combined.rows_of([j[0] for j in joins])
-        rows_h = combined.rows_of([heads[j[1]].head for j in joins])
-        head_scores = predict_rows(model, combined, rows_q, rows_h)
-        gained = {}
-        for (image_id, cid, provenance), score in zip(joins, head_scores):
-            gained.setdefault(cid, []).append((image_id, float(score)))
-            assignments.append((image_id, cid, provenance))
-        for cid, extra in gained.items():
-            old = clusters[cid]
-            clusters[cid] = NearDupeCluster(cid, old.head, list(old.members) + extra)
-        # augmentation lists stay frozen: heads[cid] is not rebuilt
 
-    creations = []  # (cluster_id, head, others)
-    pair_q, pair_h = [], []
-    for cluster in entering:
-        ids = sorted(cluster.image_ids)
-        cid = ids[0]
-        if len(ids) == 1:
-            creations.append((cid, ids[0], []))
-            continue
-        head = choose_head(ids, model, combined)
-        others = [i for i in ids if i != head]
-        creations.append((cid, head, others))
-        pair_q.extend(others)
-        pair_h.extend([head] * len(others))
-    member_scores = (
-        predict_rows(model, combined, combined.rows_of(pair_q), combined.rows_of(pair_h))
-        if pair_q
-        else np.zeros(0)
-    )
-    offset = 0
-    for cid, head, others in creations:
-        members = [
-            (image_id, float(s))
-            for image_id, s in zip(others, member_scores[offset : offset + len(others)])
-        ]
-        offset += len(others)
-        if cid in clusters:
-            raise StoreError(f"new cluster id {cid} collides with an existing cluster")
-        created = NearDupeCluster(cid, head, members)
-        clusters[cid] = created
-        heads[cid] = _head_entry(created, store.k_aug)
-        for image_id in created.image_ids:
-            assignments.append((image_id, cid, "nvn_new"))
-
-    return clusters, heads, assignments
+def _log_stage(stage: str, t0: float, detail: str = "", *args) -> float:
+    """Log one stage's seconds since t0 at -v; returns the time now."""
+    now = time.perf_counter()
+    log.info("%s %.3fs" + detail, stage, now - t0, *args)
+    return now
 
 
 def run_incremental(store_or_directory, new_embeddings: EmbeddingSet, model: MlpModel, config: PipelineConfig = None):
@@ -379,9 +334,11 @@ def run_incremental(store_or_directory, new_embeddings: EmbeddingSet, model: Mlp
     training pairs emitted when a match needed the augmentation list.
 
     The input store object is never mutated; a fresh store is returned (and
-    saved when it has a directory). An empty batch is a no-op.
+    saved when it has a directory). An empty batch is a no-op. With -v, each
+    stage (open, nvo, nvn, merge, save) logs its seconds.
     """
     config = config if config is not None else PipelineConfig()
+    t0 = time.perf_counter()
     if isinstance(store_or_directory, ClusterStore):
         store = store_or_directory
     else:
@@ -390,63 +347,38 @@ def run_incremental(store_or_directory, new_embeddings: EmbeddingSet, model: Mlp
             store = ClusterStore.open(directory)
         else:
             lsh_config = resolve_lsh_config(config, new_embeddings)
-            store = ClusterStore(
-                lsh_config,
-                _empty_embeddings(lsh_config.d),
-                {},
-                {},
-                k_aug=config.augmentation.k_aug,
-                batch_id=0,
-                directory=directory,
-            )
+            empty = (new_embeddings.subset([]), ClusterTable(), ClusterHeads())
+            store = ClusterStore(lsh_config, *empty, config.augmentation.k_aug, 0, directory)
+    t0 = _log_stage("open", t0, ": %d images in %d clusters", len(store), store.n_clusters)
     if len(new_embeddings) == 0:
         return store, [], []
 
-    assignments = []
-    fresh_ids = []
-    for image_id in new_embeddings.ids:
-        image_id = int(image_id)
-        known = store.image_to_cluster.get(image_id)
-        if known is None:
-            fresh_ids.append(image_id)
-        else:
-            assignments.append((image_id, known, "existing"))
-    if not fresh_ids:
+    by_image = np.argsort(store.table.image)
+    at, known = find_sorted(store.table.image[by_image], new_embeddings.ids)
+    existing = store.table.cluster[by_image[at[known]]]
+    assignments = list(zip(new_embeddings.ids[known].tolist(), existing.tolist(), ["existing"] * existing.size))
+    if known.all():
         log.info("batch of %d: all ids already stored, nothing to do", len(new_embeddings))
         return store, sorted(assignments), []
 
-    fresh = new_embeddings.subset(fresh_ids)
+    fresh = new_embeddings.subset(new_embeddings.ids[~known])
     combined = store.embeddings.concat(fresh)
+    threshold = config.classifier.threshold
     matches = run_nvo(
-        store,
-        fresh,
-        model,
-        config.classifier.threshold,
-        k=config.search.k,
-        min_overlap=config.search.min_overlap,
-        combined=combined,
+        store, fresh, model, threshold, k=config.search.k, min_overlap=config.search.min_overlap, combined=combined
     )
-    labels = emit_augmentation_labels(
-        matches, store.head_entries_by_image(), model, combined, config.classifier.threshold
-    )
+    labels = emit_augmentation_labels(matches, store.heads, model, combined, threshold)
+    t0 = _log_stage("nvo", t0, ": %d of %d new images match a head", len(matches), len(fresh))
     nvn = run_nvn(store, fresh, model, config)
-    log.info(
-        "batch of %d: %d head matches, %d batch clusters",
-        len(fresh), len(matches), len(nvn.clusters),
-    )
-
-    clusters, heads, batch_assignments = merge(store, matches, nvn.clusters, model, combined)
+    t0 = _log_stage("nvn", t0, ": %d batch clusters", len(nvn.clusters))
+    table, heads, batch_assignments = merge(store, matches, nvn.clusters, model, combined)
     next_store = ClusterStore(
-        store.lsh_config,
-        combined,
-        clusters,
-        heads,
-        k_aug=store.k_aug,
-        batch_id=store.batch_id + 1,
-        directory=store.directory,
+        store.lsh_config, combined, table, heads, store.k_aug, store.batch_id + 1, store.directory
     )
+    t0 = _log_stage("merge", t0, ": store now %d clusters", next_store.n_clusters)
     if next_store.directory is not None:
         next_store.save()
+        _log_stage("save", t0, ": generation %d", next_store.batch_id)
     return next_store, sorted(assignments + batch_assignments), labels
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .classifier import MlpModel, TrainConfig, load_model, train
 from .classifier import predict_rows  # noqa: F401  unused; perfbench/test_smoke.py checks this import site
-from .clustering import NearDupeCluster, clusters_to_tsv, k_cut, transitive_closure
+from .clustering import ClusterTable, clusters_to_tsv, k_cut, transitive_closure
 from .config import PipelineConfig
 from .corpus import GroundTruth, generate_labels
 from .embeddings import EmbeddingSet, LshConfig, select_bits
@@ -30,18 +30,14 @@ log = logging.getLogger("neardup")
 
 @dataclass
 class StaticRunResult:
-    clusters: list
+    clusters: ClusterTable
     lsh_config: LshConfig
     edge_count: int = 0
     candidate_pairs: int = 0
     timings: dict = field(default_factory=dict)
 
     def assignment(self) -> dict:
-        out = {}
-        for c in self.clusters:
-            for i in c.image_ids:
-                out[i] = c.cluster_id
-        return out
+        return dict(zip(self.clusters.image.tolist(), self.clusters.cluster.tolist()))
 
 
 def resolve_lsh_config(config: PipelineConfig, embeddings: EmbeddingSet) -> LshConfig:
@@ -70,7 +66,7 @@ def static_clusters(
     """Run the full static pipeline over one embedding set."""
     timings = {}
     if len(embeddings) == 0:
-        return StaticRunResult([], lsh_config, timings={})
+        return StaticRunResult(ClusterTable(), lsh_config, timings={})
 
     t0 = time.perf_counter()
     if lsh_config is None:
@@ -106,12 +102,12 @@ def static_clusters(
         seed=config.seed,
         scored=(edges_a, edges_b, edge_scores),
     )
-    clustered = np.fromiter((i for c in clusters for i in c.image_ids), dtype=np.uint64)
-    for image_id in np.setdiff1d(embeddings.ids, clustered).tolist():
-        clusters.append(NearDupeCluster(image_id, image_id, []))
-    clusters.sort(key=lambda c: c.cluster_id)
+    # images no kept edge reached are singleton clusters
+    lone = np.setdiff1d(embeddings.ids, clusters.image)
+    lone = (lone, lone, np.ones(lone.size, dtype=bool), np.full(lone.size, np.nan))
+    clusters = ClusterTable(*map(np.concatenate, zip(clusters.columns, lone)))
     timings["cut"] = time.perf_counter() - t0
-    log.info("%d clusters (%d non-singleton)", len(clusters), sum(1 for c in clusters if c.size > 1))
+    log.info("%d clusters (%d non-singleton)", len(clusters), int((clusters.sizes > 1).sum()))
 
     return StaticRunResult(
         clusters,
@@ -133,7 +129,7 @@ def run_full(embeddings: EmbeddingSet, model: MlpModel, config: PipelineConfig, 
     report = {
         "images": len(embeddings),
         "clusters": len(result.clusters),
-        "non_singleton_clusters": sum(1 for c in result.clusters if c.size > 1),
+        "non_singleton_clusters": int((result.clusters.sizes > 1).sum()),
         "candidate_pairs": result.candidate_pairs,
         "edges": result.edge_count,
         "timings": {k: round(v, 6) for k, v in result.timings.items()},
@@ -238,9 +234,7 @@ def evaluate_pipeline(
         min_overlap=config.search.min_overlap,
     )
 
-    histogram = {}
-    for c in run.clusters:
-        histogram[c.size] = histogram.get(c.size, 0) + 1
+    sizes, counts = np.unique(run.clusters.sizes, return_counts=True)
 
     return {
         "images": len(embeddings),
@@ -252,7 +246,7 @@ def evaluate_pipeline(
         "recall_at_distance": {"distance": distance_threshold, "value": r_at_d},
         "candidate_pairs": run.candidate_pairs,
         "edges": run.edge_count,
-        "cluster_size_histogram": {str(k): histogram[k] for k in sorted(histogram)},
+        "cluster_size_histogram": dict(zip(map(str, sizes.tolist()), counts.tolist())),
         "timings": {k: round(v, 6) for k, v in run.timings.items()},
         "training": training,
     }

@@ -6,48 +6,70 @@ threshold as edges for clustering. The cluster-head flavor matches queries
 against existing clusters: the head is scored first and, failing that, each
 frozen augmentation member in order; the first image at or above the
 threshold decides the match. A query matching several clusters keeps only
-the best one.
+the best one. Heads and matches are arrays: ClusterHeads and HeadMatches.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import MlpModel, predict_rows
+from .clustering import ClusterTable
 from .embeddings import EmbeddingSet
 from .errors import DataError
 from .search import SearchResultBatch
+from .util import find_sorted
 
 
-@dataclass(frozen=True)
-class ClusterHeadEntry:
-    """A cluster's head plus its frozen augmentation list.
+class ClusterHeads:
+    """Every cluster's head and frozen augmentation list, as arrays.
 
-    augmentation holds up to k_aug (member_id, score_vs_head) entries in
-    descending score order, fixed when the cluster was created; members
-    joining later never enter it.
+    cluster and head hold one entry per cluster, by cluster id; cluster i's
+    list is aug_image/aug_score[aug_offsets[i]:aug_offsets[i + 1]]: up to
+    k_aug (member, score vs head) entries by descending score, ties to the
+    smaller id, fixed when the cluster was created. Built from entries in any
+    order (aug_count: list lengths); columns repeats those arguments sorted.
     """
 
-    cluster_id: int
-    head: int
-    augmentation: tuple = ()
+    def __init__(self, cluster=(), head=(), aug_count=(), aug_image=(), aug_score=()):
+        ids = (np.asarray(a, dtype=np.uint64).reshape(-1) for a in (cluster, head, aug_image))
+        cluster, head, aug_image = ids
+        aug_count = np.asarray(aug_count, dtype=np.int64).reshape(-1)
+        aug_score = np.asarray(aug_score, dtype=np.float64).reshape(-1)
+        owner = np.repeat(np.arange(cluster.size), aug_count)
+        inside = np.flatnonzero(aug_image == head[owner])
+        if inside.size:
+            raise DataError(f"cluster {cluster[owner[inside[0]]]}: head appears in its own augmentation list")
+        order, rows = np.argsort(cluster, kind="stable"), np.argsort(cluster[owner], kind="stable")
+        self.columns = (cluster[order], head[order], aug_count[order], aug_image[rows], aug_score[rows])
+        self.cluster, self.head, _, self.aug_image, self.aug_score = self.columns
+        if np.any(self.cluster[1:] == self.cluster[:-1]):
+            raise DataError("duplicate cluster id in head entries")
+        self.aug_offsets = np.concatenate(([0], np.cumsum(aug_count[order])))
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "augmentation",
-            tuple((int(m), float(s)) for m, s in self.augmentation),
-        )
-        if any(m == self.head for m, _ in self.augmentation):
-            raise DataError(f"cluster {self.cluster_id}: head appears in its own augmentation list")
+    @classmethod
+    def from_table(cls, table: ClusterTable, k_aug: int) -> "ClusterHeads":
+        """Heads of a cluster table; each augmentation list is the top k_aug
+        members by (score desc, id asc)."""
+        member = ~table.head
+        owner = np.repeat(np.arange(len(table)), table.sizes)[member]
+        order = np.lexsort((table.image[member], -table.score[member], owner))
+        owner, image, score = owner[order], table.image[member][order], table.score[member][order]
+        keep = np.arange(owner.size) - np.searchsorted(owner, owner) < k_aug
+        counts = np.bincount(owner[keep], minlength=len(table))
+        return cls(table.cluster_ids, table.heads, counts, image[keep], score[keep])
 
 
-@dataclass(frozen=True)
-class VerifiedMatch:
-    query: int
-    cluster_id: int
-    matched_via: int  # head or augmentation member that cleared the threshold
-    score: float
+class HeadMatches:
+    """Verified head matches as aligned arrays, one entry per matched query,
+    sorted by query id: the cluster matched, the head or augmentation member
+    that cleared the threshold (via) and its score."""
+
+    def __init__(self, query=(), cluster=(), via=(), score=()):
+        ids = (np.asarray(a, dtype=np.uint64).reshape(-1) for a in (query, cluster, via))
+        self.query, self.cluster, self.via = ids
+        self.score = np.asarray(score, dtype=np.float64).reshape(-1)
+
+    def __len__(self) -> int:
+        return self.query.size
 
 
 def select_edges(a, b, model: MlpModel, embeddings: EmbeddingSet, threshold: float):
@@ -64,84 +86,61 @@ def select_edges(a, b, model: MlpModel, embeddings: EmbeddingSet, threshold: flo
 
 def select_candidates(
     hits: SearchResultBatch,
-    heads: dict,
+    heads: ClusterHeads,
     model: MlpModel,
     embeddings: EmbeddingSet,
     threshold: float,
     k_aug: int = 3,
-) -> list:
+) -> HeadMatches:
     """Match queries against candidate cluster heads.
 
-    heads maps head ImageId -> ClusterHeadEntry; every hit must name a known
-    head. Per (query, cluster) the head is tried first, then up to k_aug
-    augmentation members in frozen order; the first score >= threshold wins.
-    Per query only the best-scoring cluster survives (ties: smaller cluster
-    id). Returns VerifiedMatch list sorted by query id.
+    Every hit must name a head in heads. Per (query, cluster) the head is
+    tried first, then up to k_aug augmentation members in frozen order; the
+    first score >= threshold wins. Per query only the best-scoring cluster
+    survives (ties: smaller cluster id).
     """
     _check_threshold(threshold)
     if k_aug < 0:
         raise DataError(f"k_aug must be >= 0, got {k_aug}")
 
-    candidates = []  # (query, entry)
-    seen = set()
-    # the hit arrays run by query id, each query's hits in rank order
-    for q, h in zip(hits.query.tolist(), hits.hit.tolist()):
-        entry = heads.get(h)
-        if entry is None:
-            raise DataError(f"hit {h} is not a known cluster head")
-        key = (q, entry.cluster_id)
-        if key in seen:
-            continue
-        seen.add(key)
-        candidates.append((q, entry))
-    if not candidates:
-        return []
+    by_head = np.argsort(heads.head, kind="stable")
+    pos, found = find_sorted(heads.head[by_head], hits.hit)
+    if not found.all():
+        raise DataError(f"hit {hits.hit[~found][0]} is not a known cluster head")
+    # (query, cluster) candidates in hit order, the first of any repeat kept
+    query, cand = hits.query, by_head[pos]
+    _, first = np.unique(np.column_stack((query, cand.astype(np.uint64))), axis=0, return_index=True)
+    first.sort()
+    query, cand = query[first], cand[first]
+    n_aug = np.minimum(np.diff(heads.aug_offsets)[cand], k_aug)
 
-    # round 0 scores heads; round r scores augmentation member r-1 for
+    # round 0 scores heads; round r scores augmentation member r-1 of the
     # candidates still unresolved, so batching never changes semantics
-    resolved = {}
-    pending = list(range(len(candidates)))
-    for rank in range(0, k_aug + 1):
-        if not pending:
+    via = np.zeros(query.size, dtype=np.uint64)
+    score = np.full(query.size, -np.inf)
+    pending = np.arange(query.size)
+    for rank in range(k_aug + 1):
+        if not pending.size:
             break
-        rows_q, rows_m, idxs = [], [], []
-        for ci in pending:
-            q, entry = candidates[ci]
-            if rank == 0:
-                target = entry.head
-            else:
-                if len(entry.augmentation) < rank:
-                    continue
-                target = entry.augmentation[rank - 1][0]
-            rows_q.append(embeddings.row_of(q))
-            rows_m.append(embeddings.row_of(target))
-            idxs.append((ci, target))
-        if not idxs:
-            break
-        scores = predict_rows(model, embeddings, np.array(rows_q), np.array(rows_m))
-        still = []
-        scored = {ci: (tgt, sc) for (ci, tgt), sc in zip(idxs, scores)}
-        for ci in pending:
-            if ci in scored:
-                target, score = scored[ci]
-                if score >= threshold:
-                    resolved[ci] = (target, float(score))
-                    continue
-            if rank < k_aug and len(candidates[ci][1].augmentation) > rank:
-                still.append(ci)
-        pending = still
+        c = cand[pending]
+        target = heads.head[c] if rank == 0 else heads.aug_image[heads.aug_offsets[c] + rank - 1]
+        rows_q, rows_t = embeddings.rows_of(query[pending]), embeddings.rows_of(target)
+        scores = predict_rows(model, embeddings, rows_q, rows_t)
+        won = scores >= threshold
+        via[pending[won]], score[pending[won]] = target[won], scores[won]
+        pending = pending[~won & (n_aug[pending] > rank)]
 
-    best = {}
-    for ci, (target, score) in resolved.items():
-        q, entry = candidates[ci]
-        match = VerifiedMatch(q, entry.cluster_id, target, score)
-        cur = best.get(q)
-        if cur is None or (match.score, -match.cluster_id) > (cur.score, -cur.cluster_id):
-            best[q] = match
-    return [best[q] for q in sorted(best)]
+    # best per query: highest score, then smallest cluster id
+    cluster = heads.cluster[cand]
+    order = np.lexsort((cluster, -score, query))
+    order = order[np.isfinite(score[order])]
+    order = order[np.unique(query[order], return_index=True)[1]]
+    return HeadMatches(query[order], cluster[order], via[order], score[order])
 
 
-def emit_augmentation_labels(matches, heads: dict, model: MlpModel, embeddings: EmbeddingSet, threshold: float) -> list:
+def emit_augmentation_labels(
+    matches: HeadMatches, heads: ClusterHeads, model: MlpModel, embeddings: EmbeddingSet, threshold: float
+) -> list:
     """Positive (query, head, 1) labels for matches won by an augmentation member.
 
     These are exactly the adversarial pairs the classifier got wrong at the
@@ -149,24 +148,17 @@ def emit_augmentation_labels(matches, heads: dict, model: MlpModel, embeddings: 
     the cluster. Matches via the head emit nothing.
     """
     _check_threshold(threshold)
-    by_cluster = {e.cluster_id: e for e in heads.values()}
-    out = []
-    aug_matches = []
-    for m in matches:
-        entry = by_cluster.get(m.cluster_id)
-        if entry is None:
-            raise DataError(f"match names unknown cluster {m.cluster_id}")
-        if m.matched_via != entry.head:
-            aug_matches.append((m, entry))
-    if not aug_matches:
-        return out
-    rows_q = embeddings.rows_of([m.query for m, _ in aug_matches])
-    rows_h = embeddings.rows_of([e.head for _, e in aug_matches])
-    head_scores = predict_rows(model, embeddings, rows_q, rows_h)
-    for (m, entry), s in zip(aug_matches, head_scores):
-        if s < threshold:
-            out.append((m.query, entry.head, 1))
-    return out
+    pos, found = find_sorted(heads.cluster, matches.cluster)
+    if not found.all():
+        raise DataError(f"match names unknown cluster {matches.cluster[~found][0]}")
+    head = heads.head[pos]
+    aug = matches.via != head
+    if not aug.any():
+        return []
+    query, head = matches.query[aug], head[aug]
+    head_scores = predict_rows(model, embeddings, embeddings.rows_of(query), embeddings.rows_of(head))
+    missed = head_scores < threshold
+    return [(q, h, 1) for q, h in zip(query[missed].tolist(), head[missed].tolist())]
 
 
 def _check_threshold(threshold: float) -> None:

@@ -1,4 +1,5 @@
-"""Atomic file writes and a bounds-checked reader for binary files."""
+"""Atomic file writes, a bounds-checked reader for binary files, and lookups
+in sorted arrays."""
 
 import json
 import os
@@ -67,3 +68,21 @@ def atomic_write_text(path, text: str) -> None:
 
 def atomic_write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def find_sorted(keys: np.ndarray, wanted) -> tuple:
+    """Position of each wanted value in the sorted array keys, and a mask of
+    the ones that are there."""
+    wanted = np.asarray(wanted, dtype=keys.dtype).reshape(-1)
+    pos = np.searchsorted(keys, wanted)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == wanted[found]
+    return pos, found
+
+
+def first_repeat(values: np.ndarray) -> list:
+    """[row, earlier row] of the first value equal to an earlier one, or []."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    repeats = np.flatnonzero(first[inverse] != np.arange(values.size))
+    return [int(repeats[0]), int(first[inverse[repeats[0]]])] if repeats.size else []

@@ -279,7 +279,7 @@ def test_c07_kcut_partitions_and_members_clear_threshold():
             if not c.members:
                 continue
             rows = emb.rows_of([m for m, _ in c.members])
-            scores = predict_rows(model, emb, rows, [emb.row_of(c.head)] * rows.size)
+            scores = predict_rows(model, emb, rows, emb.rows_of([c.head] * rows.size))
             assert (scores >= 0.9).all()
             stored = np.array([s for _, s in c.members])
             assert scores == pytest.approx(stored, abs=1e-9)
@@ -337,13 +337,12 @@ def test_c08_augmentation_is_superset_and_lifts_recall():
     assert member_pivots >= 1  # otherwise nothing is at stake
 
     store = ClusterStore.initialize(run.clusters, full.subset(store_ids), lshc, k_aug=3)
-    heads = store.head_entries_by_image()
     hits = batch_search(full.subset(probe_ids), store.head_index, k=20, min_overlap=2)
-    plain = select_candidates(hits, heads, model, full, 0.9, k_aug=0)
-    augmented = select_candidates(hits, heads, model, full, 0.9, k_aug=3)
+    plain = select_candidates(hits, store.heads, model, full, 0.9, k_aug=0)
+    augmented = select_candidates(hits, store.heads, model, full, 0.9, k_aug=3)
 
-    map_plain = {m.query: m.cluster_id for m in plain}
-    map_aug = {m.query: m.cluster_id for m in augmented}
+    map_plain = dict(zip(plain.query.tolist(), plain.cluster.tolist()))
+    map_aug = dict(zip(augmented.query.tolist(), augmented.cluster.tolist()))
     superset = all(map_aug.get(q) == c for q, c in map_plain.items())
     correct = all(map_aug.get(q) == truth_map[q] for q in probe_ids)
 

@@ -363,6 +363,19 @@ def test_train_labels_with_non_numeric_field_exit_one(workspace, tmp_path, capsy
                      "id_a,id_b,label\n1,2,yes\n")
 
 
+def test_select_clusters_with_an_image_on_two_rows_exit_one(workspace, tmp_path, capsys):
+    (tmp_path / "hits.tsv").write_text("")
+    clusters = tmp_path / "clusters.tsv"
+    clusters.write_text("1\t1\thead\t\n5\t1\tmember\t0.9\n5\t5\thead\t\n")
+    argv = ["select", "--hits", str(tmp_path / "hits.tsv"), "--model", str(workspace / "model.ndml"),
+            "--embeddings", emb_path(workspace), "--clusters", str(clusters), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error in select: {clusters}:3: image 5 already in cluster 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_truncated_model_exits_one_without_traceback(workspace, tmp_path, capsys):
     blob = (workspace / "model.ndml").read_bytes()
     cut = tmp_path / "cut.ndml"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from neardup import (
+    ClusterTable,
     DataError,
     NearDupeCluster,
     choose_head,
@@ -13,7 +14,7 @@ from neardup import (
     transitive_closure,
 )
 from neardup import clustering
-from neardup.clustering import clusters_to_tsv
+from neardup.clustering import ClusterIndex, clusters_to_tsv
 from neardup.classifier import predict_rows
 from neardup.search import row_pair_keys
 from neardup.selection import select_edges
@@ -122,7 +123,7 @@ def test_k_cut_members_clear_threshold():
     for c in clusters:
         assert c.cluster_id == min(c.image_ids)
         for m, s in c.members:
-            (recomputed,) = predict_rows(model, emb, [emb.row_of(c.head)], [emb.row_of(m)])
+            (recomputed,) = predict_rows(model, emb, emb.rows_of([c.head]), emb.rows_of([m]))
             assert s == recomputed
             assert s >= 0.5
 
@@ -210,8 +211,7 @@ def test_k_cut_singletons_bypass():
     emb = star_set(D, 41, [(5, []), (9, [0])])
     model = popcount_model(D, 5.5)
     clusters = k_cut([np.array([5], dtype=np.uint64)], model, emb, 0.5)
-    assert len(clusters) == 1
-    assert (clusters[0].cluster_id, clusters[0].head, clusters[0].members) == (5, 5, [])
+    assert [(c.cluster_id, c.head, c.members) for c in clusters] == [(5, 5, [])]
 
 
 def test_k_cut_residual_singleton():
@@ -234,7 +234,7 @@ def choose_head_oracle(ids, model, emb):
     best = None
     for h in sorted(ids):
         total = sum(
-            float(predict_rows(model, emb, [emb.row_of(h)], [emb.row_of(o)])[0])
+            float(predict_rows(model, emb, emb.rows_of([h]), emb.rows_of([o]))[0])
             for o in ids
             if o != h
         )
@@ -253,26 +253,46 @@ def test_choose_head_is_score_medoid(rng):
         ]
         emb = star_set(D, 100 + trial, members)
         ids = [i for i, _ in members]
-        assert choose_head(ids, model, emb) == choose_head_oracle(ids, model, emb)
+        assert choose_head(ids, [n], model, emb).tolist() == [choose_head_oracle(ids, model, emb)]
+
+
+def test_choose_head_batches_groups_like_one_call_each(rng):
+    # several groups of mixed sizes, singletons included, in one call
+    members = [(i, sorted(rng.choice(D, size=rng.integers(0, 10), replace=False))) for i in range(40)]
+    emb = star_set(D, 59, members)
+    model = popcount_model(D, 9.5)
+    sizes = [1, 5, 2, 9, 1, 7, 3, 12]
+    ids = rng.permutation(40)
+    groups = np.split(ids, np.cumsum(sizes)[:-1])
+    got = choose_head(ids, sizes, model, emb).tolist()
+    assert got == [choose_head_oracle(g.tolist(), model, emb) for g in groups]
 
 
 def test_choose_head_ties_and_errors():
     model = popcount_model(D, 9.5)
     # 1 and 2 are symmetric around 0: equal sums, smaller id wins
     emb = star_set(D, 53, [(0, []), (1, [0]), (2, [1])])
-    assert choose_head([2, 1, 0], model, emb) == 0
-    assert choose_head([7], model, star_set(D, 53, [(7, [])])) == 7
+    assert choose_head([2, 1, 0], [3], model, emb).tolist() == [0]
+    assert choose_head([7], [1], model, star_set(D, 53, [(7, [])])).tolist() == [7]
     with pytest.raises(DataError):
-        choose_head([], model, emb)
+        choose_head([], [], model, emb)
     with pytest.raises(DataError):
-        choose_head([1, 1], model, emb)
+        choose_head([1, 2], [2, 0], model, emb)
+    with pytest.raises(DataError):
+        choose_head([1, 1], [2], model, emb)
 
 
 def test_cluster_member_validation():
+    # an image listed twice, as its own cluster's member or twice as a member
     with pytest.raises(DataError):
-        NearDupeCluster(1, 5, [(5, 0.9)])
+        ClusterTable.from_clusters([NearDupeCluster(1, 5, [(5, 0.9)])])
     with pytest.raises(DataError):
-        NearDupeCluster(1, 5, [(6, 0.9), (6, 0.8)])
+        clusters_to_tsv([NearDupeCluster(1, 5, [(6, 0.9), (6, 0.8)])])
+    # a cluster needs exactly one head row
+    with pytest.raises(DataError):
+        ClusterTable([1, 2], [1, 1], [True, True], [np.nan, np.nan])
+    with pytest.raises(DataError):
+        ClusterTable([1], [1], [False], [0.9])
 
 
 def test_clusters_tsv_round_trip(tmp_path):
@@ -310,3 +330,36 @@ def test_clusters_tsv_rejects_malformed(tmp_path):
         p.write_text(content)
         with pytest.raises(DataError):
             read_clusters_tsv(p)
+
+
+def test_clusters_tsv_rejects_an_image_on_two_rows(tmp_path):
+    p = tmp_path / "twice.tsv"
+    p.write_text("1\t1\thead\t\n5\t1\tmember\t0.9\n5\t5\thead\t\n")
+    with pytest.raises(DataError, match=f"^{p}:3: image 5 already in cluster 1$"):
+        read_clusters_tsv(p)
+    # a head repeated among its own members
+    p.write_text("1\t1\thead\t\n\n1\t1\tmember\t0.9\n")
+    with pytest.raises(DataError, match=f"^{p}:3: image 1 already in cluster 1$"):
+        read_clusters_tsv(p)
+
+
+def test_cluster_table_views_and_id_map():
+    table = ClusterTable.from_clusters(
+        [NearDupeCluster(4, 9, [(12, 0.75), (4, 0.971234)]), NearDupeCluster(1, 1, [])]
+    )
+    # rows in cluster-file order: by cluster id, head first, members by id
+    assert table.image.tolist() == [1, 9, 4, 12]
+    assert table.cluster.tolist() == [1, 4, 4, 4]
+    assert table.head.tolist() == [True, True, False, False]
+    assert np.isnan(table.score[:2]).all() and table.score[2:].tolist() == [0.971234, 0.75]
+    assert not table.image.flags.writeable
+    assert len(table) == 2 and table.sizes.tolist() == [1, 3]
+    assert table.cluster_ids.tolist() == [1, 4] and table.heads.tolist() == [1, 9]
+    by_id = ClusterIndex(table)
+    assert list(by_id) == [1, 4] and len(by_id) == 2
+    assert by_id[4] == (4, 9, [(4, 0.971234), (12, 0.75)])
+    assert by_id[4].image_ids == [9, 4, 12] and by_id[4].size == 3
+    assert list(by_id.values()) == list(table)
+    for missing in (2, -1, 2**64, "4"):
+        assert missing not in by_id
+    assert len(ClusterTable()) == 0 and clusters_to_tsv(ClusterTable()) == ""

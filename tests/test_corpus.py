@@ -19,8 +19,8 @@ from neardup import (
 
 
 def hamming(emb, a, b):
-    xa = emb.bits_matrix()[emb.row_of(a)]
-    xb = emb.bits_matrix()[emb.row_of(b)]
+    xa = emb.bits_matrix()[emb.rows_of([a])[0]]
+    xb = emb.bits_matrix()[emb.rows_of([b])[0]]
     return int(np.sum(xa != xb))
 
 

@@ -225,8 +225,7 @@ def test_embedding_set_basics(rng):
     ids = np.array([3, 9, 4, 100, 7], dtype=np.uint64)
     es = EmbeddingSet.from_bits(ids, bits)
     assert len(es) == 5
-    assert es.row_of(100) == 3
-    assert 100 in es and 101 not in es
+    assert es.rows_of([100]).tolist() == [3]
     assert es.get(9).bits.tolist() == bits[1].tolist()
     np.testing.assert_array_equal(es.bits_matrix(), bits)
     sub = es.subset([7, 3])
@@ -234,10 +233,11 @@ def test_embedding_set_basics(rng):
     both = sub.concat(es.subset([9]))
     assert both.ids.tolist() == [7, 3, 9]
     with pytest.raises(DataError):
-        es.row_of(12345)
-    # rows_of: the sorted lookup agrees with row_of on any order, repeats included
+        es.get(12345)
+    # rows_of: the sorted lookup agrees with a dict of rows on any order, repeats included
+    row_of = {int(v): i for i, v in enumerate(es.ids)}
     want = [3, 100, 3, 7, 4, 9]
-    assert es.rows_of(want).tolist() == [es.row_of(i) for i in want]
+    assert es.rows_of(want).tolist() == [row_of[i] for i in want]
     assert es.rows_of(np.array(want, dtype=np.uint64)).dtype == np.intp
     assert es.rows_of([]).tolist() == []
     for bad in ([3, 12345], [2**64 - 1], [-1], [101]):

@@ -27,6 +27,13 @@ from neardup.index import load_index, serialize_index
 RUN_FULL_SHA256 = "db8024457abf4a690b5a5f9cd801769d9e7a90206d71f4b5958bc47d5567182d"
 INGEST_SHA256 = "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda"
 HEAD_INDEX_SHA256 = "24123629982fd336fe15b93cf7a32a3510a63ea3f1a7bf3a953e9b848b840267"
+# every other file of the same store, byte for byte
+STORE_FILE_SHA256 = {
+    "clusters-3.tsv": "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda",
+    "heads-3.json": "3e36374d4d5d15ffce0f46a6da51a321b23fd3e89d9e5f0d6d39eaa81d6d0092",
+    "embeddings-3.ndem": "86ab212dc10ad9859cff013a4b79fba4103f389ecf8e0e449ebb73967e077b74",
+    "manifest.json": "897abb7f913ee1435a1373d8e01525a9b2b7418920afc1d892bd4f31e9ba77c1",
+}
 # the same run with top-K binding: (k, candidate pairs, edges, non-singleton clusters, sha256)
 RUN_FULL_SMALL_K = (
     (2, 943, 644, 216, "c650bc625d72f40942a5fa425af8c2ca53b5408a17020def968e11b81da8ced1"),
@@ -89,3 +96,10 @@ def test_head_index_file_digest(ingested):
     blob = path.read_bytes()
     assert hashlib.sha256(blob).hexdigest() == HEAD_INDEX_SHA256
     assert serialize_index(load_index(path)) == blob
+
+
+@pytest.mark.parametrize("name", sorted(STORE_FILE_SHA256))
+def test_store_file_digest(ingested, name):
+    _, directory = ingested
+    blob = (directory / name).read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == STORE_FILE_SHA256[name]

@@ -6,17 +6,21 @@ model gives exact, predictable scores everywhere.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from neardup import (
+    ClusterHeads,
     ClusterStore,
+    ClusterTable,
+    DataError,
+    HeadMatches,
     LshConfig,
     NearDupeCluster,
     PipelineConfig,
     StoreError,
-    VerifiedMatch,
     assignments_to_tsv,
     merge,
     rand_index,
@@ -25,7 +29,7 @@ from neardup import (
     run_nvo,
     static_clusters,
 )
-from neardup.clustering import clusters_to_tsv
+from neardup.clustering import ClusterIndex, clusters_to_tsv
 from neardup.index import build_index, serialize_index
 
 from conftest import popcount_model, star_set
@@ -81,13 +85,36 @@ def batch(members):
     return star_set(D, SEED, members)
 
 
+def head_rows(heads):
+    """(cluster, head, augmentation list) per head entry, by cluster id."""
+    bounds = heads.aug_offsets.tolist()
+    aug = list(zip(heads.aug_image.tolist(), heads.aug_score.tolist()))
+    return [
+        (c, h, aug[lo:hi])
+        for c, h, lo, hi in zip(heads.cluster.tolist(), heads.head.tolist(), bounds, bounds[1:])
+    ]
+
+
+def augmentation(heads, cluster_id):
+    (aug,) = [a for c, _, a in head_rows(heads) if c == cluster_id]
+    return aug
+
+
+def matches(*rows):
+    """HeadMatches from (query, cluster, via, score) rows."""
+    return HeadMatches(*zip(*rows)) if rows else HeadMatches()
+
+
+def match_rows(found):
+    return list(zip(found.query.tolist(), found.cluster.tolist(), found.via.tolist(), found.score.tolist()))
+
+
 def test_initialize_freezes_top_k_augmentation():
     emb = star_set(D, SEED, [(1, []), (5, [0]), (6, [1]), (7, [2]), (8, [3])])
     cluster = NearDupeCluster(1, 1, [(5, 0.7), (6, 0.99), (7, 0.99), (8, 0.2)])
     store = ClusterStore.initialize([cluster], emb, lshc(), k_aug=2)
     # top two by score, tie broken toward the smaller id
-    assert store.heads[1].augmentation == ((6, 0.99), (7, 0.99))
-    assert store.head_entries_by_image() == {1: store.heads[1]}
+    assert head_rows(store.heads) == [(1, 1, [(6, 0.99), (7, 0.99)])]
 
 
 def test_store_consistency_checks():
@@ -95,17 +122,23 @@ def test_store_consistency_checks():
     c1 = NearDupeCluster(1, 1, [(2, 0.9)])
     # heads/clusters id sets must agree
     with pytest.raises(StoreError):
-        ClusterStore(lshc(), emb, {1: c1}, {})
+        ClusterStore(lshc(), emb, ClusterTable.from_clusters([c1]), ClusterHeads())
+    # and so must the heads themselves
+    with pytest.raises(StoreError):
+        ClusterStore(lshc(), emb, ClusterTable.from_clusters([c1]), ClusterHeads([1], [2], [0]))
     # every clustered image needs an embedding
     with pytest.raises(StoreError):
         ClusterStore.initialize([NearDupeCluster(1, 1, [(9, 0.5)])], emb, lshc())
     # no unclustered embeddings allowed
     with pytest.raises(StoreError):
         ClusterStore.initialize([c1], emb, lshc())
-    # the same image cannot sit in two clusters
-    both = [NearDupeCluster(1, 1, [(3, 0.9)]), NearDupeCluster(2, 2, [(3, 0.8)])]
+    # the same image cannot sit in two clusters: as a table the store
+    # refuses it, as cluster objects already the conversion to a table does
+    both = ClusterTable([1, 3, 2, 3], [1, 1, 2, 2], [True, False, True, False], [np.nan, 0.9, np.nan, 0.8])
     with pytest.raises(StoreError):
-        ClusterStore.initialize(both, emb, lshc())
+        ClusterStore(lshc(), emb, both, ClusterHeads.from_table(both, 3))
+    with pytest.raises(DataError):
+        ClusterStore.initialize(list(both), emb, lshc())
 
 
 def test_store_save_open_round_trip(tmp_path):
@@ -115,7 +148,7 @@ def test_store_save_open_round_trip(tmp_path):
     assert again.k_aug == 3
     assert again.lsh_config == store.lsh_config
     assert clusters_to_tsv(again.clusters.values()) == clusters_to_tsv(store.clusters.values())
-    assert again.heads == store.heads
+    assert head_rows(again.heads) == head_rows(store.heads)
     assert np.array_equal(again.embeddings.ids, store.embeddings.ids)
     assert np.array_equal(again.embeddings.bits_matrix(), store.embeddings.bits_matrix())
     assert serialize_index(again.head_index) == serialize_index(store.head_index)
@@ -130,7 +163,7 @@ def test_heads_file_is_compact_json_and_round_trips(tmp_path):
     assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     assert payload["1"] == {"augmentation": [[2, s(1)]], "head": 1}
     again = ClusterStore.open(tmp_path / "store")
-    assert again.heads == store.heads
+    assert head_rows(again.heads) == head_rows(store.heads)
     # a reopened store writes the same bytes again
     again.save(tmp_path / "copy")
     assert (tmp_path / "copy" / "heads-0.json").read_text(encoding="utf-8") == text
@@ -182,19 +215,19 @@ def test_store_open_rejects_malformed_manifest_and_heads(tmp_path):
 
 def test_nvo_matches_a_duplicate_of_the_head(model):
     store = make_store()
-    matches = run_nvo(store, batch([(100, [])]), model, threshold=0.5)
-    assert matches == [VerifiedMatch(100, 1, 1, pytest.approx(s(0)))]
-    assert run_nvo(store, batch([]), model, 0.5) == []
+    found = run_nvo(store, batch([(100, [])]), model, threshold=0.5)
+    assert match_rows(found) == [(100, 1, 1, pytest.approx(s(0)))]
+    assert len(run_nvo(store, batch([]), model, 0.5)) == 0
 
 
 def test_nvo_uses_the_augmentation_list(model):
     # probe 200 is 12 bits from head 1 but only 6 from stored member 2
     emb = star_set(D, SEED, [(1, []), (2, list(range(6)))])
     store = ClusterStore.initialize([NearDupeCluster(1, 1, [(2, s(6))])], emb, lshc())
-    (m,) = run_nvo(store, batch([(200, list(range(12)))]), model, threshold=0.5)
-    assert m.cluster_id == 1
-    assert m.matched_via == 2
-    assert m.score == pytest.approx(s(6))
+    ((_, cluster, via, score),) = match_rows(run_nvo(store, batch([(200, list(range(12)))]), model, threshold=0.5))
+    assert cluster == 1
+    assert via == 2
+    assert score == pytest.approx(s(6))
 
 
 def test_nvo_detects_out_of_sync_head_index(model):
@@ -205,7 +238,7 @@ def test_nvo_detects_out_of_sync_head_index(model):
             run_nvo(store, batch([(100, [])]), model, 0.5)
     # the same heads in another dense order are in sync
     store.head_index = build_index(store.embeddings.subset([10, 1]), lshc(), head_only=True)
-    assert [m.cluster_id for m in run_nvo(store, batch([(100, [])]), model, 0.5)] == [1]
+    assert run_nvo(store, batch([(100, [])]), model, 0.5).cluster.tolist() == [1]
 
 
 def test_nvn_is_the_static_pipeline(model):
@@ -220,16 +253,16 @@ def test_merge_nvo_join_keeps_augmentation_frozen(model):
     store = make_store()
     emb = batch([(100, [1])])  # 2 bits from head 1
     combined = store.embeddings.concat(emb)
-    matches = [VerifiedMatch(100, 1, 1, s(2))]
     nvn = [NearDupeCluster(100, 100, [])]
-    before = store.heads[1]
+    before = head_rows(store.heads)
 
-    clusters, heads, assignments = merge(store, matches, nvn, model, combined)
+    table, heads, assignments = merge(store, matches((100, 1, 1, s(2))), nvn, model, combined)
+    clusters = ClusterIndex(table)
     assert assignments == [(100, 1, "nvo")]
     joined = dict(clusters[1].members)
     assert joined[100] == pytest.approx(s(2))  # scored against the old head
-    assert heads[1] == before  # join does not reopen the frozen list
-    assert heads[1].augmentation == ((2, s(1)),)
+    assert head_rows(heads) == before  # join does not reopen the frozen list
+    assert augmentation(heads, 1) == [(2, s(1))]
     # the input store was not touched
     assert 100 not in dict(store.clusters[1].members)
     assert clusters[10] == store.clusters[10]
@@ -240,12 +273,10 @@ def test_merge_unmatched_members_follow_best_match(model):
     # one batch cluster; 100 matched cluster 10 weakly, 102 matched 1 strongly
     emb = batch([(100, list(range(22, 36))), (101, [50]), (102, [1])])
     combined = store.embeddings.concat(emb)
-    matches = [
-        VerifiedMatch(100, 10, 10, s(2)),
-        VerifiedMatch(102, 1, 1, s(1)),
-    ]
+    found = matches((100, 10, 10, s(2)), (102, 1, 1, s(1)))
     nvn = [NearDupeCluster(100, 100, [(101, 0.9), (102, 0.9)])]
-    clusters, heads, assignments = merge(store, matches, nvn, model, combined)
+    table, heads, assignments = merge(store, found, nvn, model, combined)
+    clusters = ClusterIndex(table)
     assert sorted(assignments) == [
         (100, 10, "nvo"),
         (101, 1, "nvn_mapped"),  # follows 102, the best-scoring match
@@ -260,12 +291,9 @@ def test_merge_equal_scores_prefer_smaller_cluster(model):
     emb = batch([(100, list(range(22, 36))), (101, [50]), (102, [1, 2])])
     combined = store.embeddings.concat(emb)
     # identical scores: the tie goes to cluster 1
-    matches = [
-        VerifiedMatch(100, 10, 10, s(2)),
-        VerifiedMatch(102, 1, 1, s(2)),
-    ]
+    found = matches((100, 10, 10, s(2)), (102, 1, 1, s(2)))
     nvn = [NearDupeCluster(100, 100, [(101, 0.9), (102, 0.9)])]
-    _, _, assignments = merge(store, matches, nvn, model, combined)
+    _, _, assignments = merge(store, found, nvn, model, combined)
     assert (101, 1, "nvn_mapped") in assignments
 
 
@@ -280,24 +308,53 @@ def test_merge_entering_cluster_repicks_head_and_rescores():
     combined = store.embeddings.concat(emb)
     # incoming head/scores are deliberately wrong; merge must fix both
     nvn = [NearDupeCluster(200, 202, [(200, 0.123), (201, 0.123)])]
-    clusters, heads, assignments = merge(store, [], nvn, gentle, combined)
+    table, heads, assignments = merge(store, matches(), nvn, gentle, combined)
 
-    created = clusters[200]
+    created = ClusterIndex(table)[200]
     assert created.cluster_id == 200  # smallest member id
     assert created.head == 201
     assert dict(created.members) == {
         200: pytest.approx(g(1)),
         202: pytest.approx(g(1)),
     }
-    assert heads[200].augmentation == (
+    assert augmentation(heads, 200) == [
         (200, pytest.approx(g(1))),
         (202, pytest.approx(g(1))),
-    )
+    ]
     assert sorted(assignments) == [
         (200, 200, "nvn_new"),
         (201, 200, "nvn_new"),
         (202, 200, "nvn_new"),
     ]
+
+
+def test_merge_picks_all_entering_heads_in_one_call(monkeypatch):
+    from neardup import incremental
+
+    gentle = popcount_model(D, THETA, alpha=1.0)  # hamming 1 outscores hamming 2
+    store = make_store()
+    emb = batch([(200, list(range(10, 20))), (201, list(range(10, 21))), (300, list(range(40, 50))),
+                 (301, list(range(40, 51))), (302, list(range(40, 52))), (400, [60, 61, 62])])
+    combined = store.embeddings.concat(emb)
+    nvn = [
+        NearDupeCluster(200, 200, [(201, 0.9)]),
+        NearDupeCluster(300, 301, [(300, 0.9), (302, 0.9)]),
+        NearDupeCluster(400, 400, []),
+    ]
+    calls = []
+    real = incremental.choose_head
+
+    def counting(ids, sizes, *args):
+        calls.append(list(sizes))
+        return real(ids, sizes, *args)
+
+    monkeypatch.setattr(incremental, "choose_head", counting)
+    table, heads, assignments = merge(store, matches(), nvn, gentle, combined)
+    assert calls == [[2, 3, 1]]
+    # 301 is the medoid of 300..302, ties between 200 and 201 go to 200
+    assert heads.head.tolist() == [1, 10, 200, 301, 400]
+    assert sorted(p for _, _, p in assignments) == ["nvn_new"] * 6
+    assert len(table) == 5
 
 
 def test_merge_rejects_cluster_id_collision(model):
@@ -308,7 +365,7 @@ def test_merge_rejects_cluster_id_collision(model):
     # existing cluster id 1, which must be refused
     nvn = [NearDupeCluster(1, 300, [(1, 0.9)])]
     with pytest.raises(StoreError):
-        merge(store, [], nvn, model, combined)
+        merge(store, matches(), nvn, model, combined)
 
 
 def corpus_members():
@@ -379,11 +436,11 @@ def test_run_incremental_is_idempotent(model, tmp_path):
 def test_run_incremental_leaves_input_store_untouched(model):
     store = make_store()
     snapshot = clusters_to_tsv(store.clusters.values())
-    heads_before = dict(store.heads)
+    heads_before = head_rows(store.heads)
     next_store, _, _ = run_incremental(store, batch([(100, [1])]), model, cfg())
     assert next_store is not store
     assert clusters_to_tsv(store.clusters.values()) == snapshot
-    assert store.heads == heads_before
+    assert head_rows(store.heads) == heads_before
     assert len(store) == 4 and len(next_store) == 5
 
 
@@ -392,6 +449,15 @@ def test_run_incremental_empty_batch_is_a_noop(model):
     out, assignments, labels = run_incremental(store, batch([]), model, cfg())
     assert out is store
     assert assignments == [] and labels == []
+
+
+def test_run_incremental_logs_each_stage(model, tmp_path, caplog):
+    make_store(directory=tmp_path / "store")
+    with caplog.at_level("INFO", logger="neardup"):
+        run_incremental(tmp_path / "store", batch([(100, [1]), (500, list(range(40, 60)))]), model, cfg())
+    timed = [re.match(r"(\w+) \d+\.\d{3}s: ", r.getMessage()) for r in caplog.records]
+    stages = [m.group(1) for m in timed if m]
+    assert stages == ["open", "nvo", "nvn", "merge", "save"]
 
 
 def test_assignments_to_tsv_format():

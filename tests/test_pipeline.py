@@ -55,7 +55,7 @@ def test_empty_input_is_a_successful_run(tmp_path):
     )
     model = popcount_model(D, 9.5)
     result, report = run_full(emb, model, toy_config(), tmp_path / "c.tsv")
-    assert result.clusters == []
+    assert len(result.clusters) == 0
     assert (tmp_path / "c.tsv").read_text() == ""
     assert report["images"] == 0 and report["clusters"] == 0
 
@@ -67,7 +67,7 @@ def test_exact_duplicates_form_one_cluster():
     )
     result = static_clusters(emb, popcount_model(D, 9.5), toy_config())
     assert len(result.clusters) == 1
-    c = result.clusters[0]
+    (c,) = result.clusters
     assert c.cluster_id == 4
     assert sorted(c.image_ids) == [4, 9]
     assert result.edge_count == 1

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from neardup import (
-    ClusterHeadEntry,
+    ClusterHeads,
+    ClusterTable,
+    NearDupeCluster,
     DataError,
+    HeadMatches,
     SearchHit,
     SearchResultBatch,
     emit_augmentation_labels,
@@ -29,6 +32,29 @@ def score_at(h):
 
 def hit(q, *head_ids):
     return (q, [SearchHit(h, 6, 0.5) for h in head_ids])
+
+
+def heads_of(*entries):
+    """ClusterHeads from (cluster_id, head, augmentation list) entries."""
+    aug = [a for _, _, augmentation in entries for a in augmentation]
+    return ClusterHeads(
+        [c for c, _, _ in entries],
+        [h for _, h, _ in entries],
+        [len(a) for _, _, a in entries],
+        [m for m, _ in aug],
+        [sc for _, sc in aug],
+    )
+
+
+def rows(matches):
+    """(query, cluster, via, score) per match, in order."""
+    return list(
+        zip(matches.query.tolist(), matches.cluster.tolist(), matches.via.tolist(), matches.score.tolist())
+    )
+
+
+def queries(matches):
+    return matches.query.tolist()
 
 
 @pytest.fixture
@@ -53,49 +79,45 @@ def store():
             (201, [0, 1]),
         ],
     )
-    heads = {
-        100: ClusterHeadEntry(
-            1, 100, [(103, score_at(4)), (101, score_at(6)), (102, score_at(6))]
-        )
-    }
+    heads = heads_of((1, 100, [(103, score_at(4)), (101, score_at(6)), (102, score_at(6))]))
     return emb, heads
 
 
 def test_match_via_augmentation_member(store, model):
     emb, heads = store
     hits = SearchResultBatch([hit(200, 100)])
-    (m,) = select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3)
-    assert m.query == 200
-    assert m.cluster_id == 1
-    assert m.matched_via == 101  # head failed (12), aug member D failed (16), B passed (6)
-    assert m.score == pytest.approx(score_at(6))
+    ((query, cluster, via, score),) = rows(select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3))
+    assert query == 200
+    assert cluster == 1
+    assert via == 101  # head failed (12), aug member D failed (16), B passed (6)
+    assert score == pytest.approx(score_at(6))
 
 
 def test_match_via_head_short_circuits(store, model):
     emb, heads = store
     hits = SearchResultBatch([hit(201, 100)])
-    (m,) = select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3)
-    assert m.matched_via == 100
-    assert m.score == pytest.approx(score_at(2))
+    ((_, _, via, score),) = rows(select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3))
+    assert via == 100
+    assert score == pytest.approx(score_at(2))
 
 
 def test_k_aug_zero_is_heads_only(store, model):
     emb, heads = store
     hits = SearchResultBatch([hit(200, 100), hit(201, 100)])
     plain = select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=0)
-    assert [m.query for m in plain] == [201]
+    assert queries(plain) == [201]
     augmented = select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3)
-    assert [m.query for m in augmented] == [200, 201]
+    assert queries(augmented) == [200, 201]
     # k_aug=1 tries only the first member (dist 4 from head, 16 from query)
     one = select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=1)
-    assert [m.query for m in one] == [201]
+    assert queries(one) == [201]
 
 
 def test_augmentation_matches_are_a_superset(store, model):
     emb, heads = store
     hits = SearchResultBatch([hit(200, 100), hit(201, 100)])
-    plain = {m.query for m in select_candidates(hits, heads, model, emb, 0.5, k_aug=0)}
-    aug = {m.query for m in select_candidates(hits, heads, model, emb, 0.5, k_aug=3)}
+    plain = set(queries(select_candidates(hits, heads, model, emb, 0.5, k_aug=0)))
+    aug = set(queries(select_candidates(hits, heads, model, emb, 0.5, k_aug=3)))
     assert plain < aug
 
 
@@ -103,35 +125,36 @@ def test_raising_threshold_only_loses_matches(store, model):
     emb, heads = store
     hits = SearchResultBatch([hit(200, 100), hit(201, 100)])
     for lo, hi in [(0.3, 0.6), (0.5, 0.99), (0.1, 0.9)]:
-        at_lo = {m.query for m in select_candidates(hits, heads, model, emb, lo, 3)}
-        at_hi = {m.query for m in select_candidates(hits, heads, model, emb, hi, 3)}
+        at_lo = set(queries(select_candidates(hits, heads, model, emb, lo, 3)))
+        at_hi = set(queries(select_candidates(hits, heads, model, emb, hi, 3)))
         assert at_hi <= at_lo
 
 
 def test_best_cluster_wins(model):
     # query 200 is 6 bits from head 100 and 2 bits from head 110
     emb = star_set(D, 19, [(100, []), (110, list(range(8))), (200, list(range(6)))])
-    heads = {100: ClusterHeadEntry(1, 100), 110: ClusterHeadEntry(2, 110)}
+    heads = heads_of((1, 100, []), (2, 110, []))
     hits = SearchResultBatch([hit(200, 100, 110)])
-    (m,) = select_candidates(hits, heads, model, emb, threshold=0.5)
-    assert m.cluster_id == 2
-    assert m.score == pytest.approx(score_at(2))
+    ((_, cluster, _, score),) = rows(select_candidates(hits, heads, model, emb, threshold=0.5))
+    assert cluster == 2
+    assert score == pytest.approx(score_at(2))
 
 
 def test_equal_scores_prefer_smaller_cluster_id(model):
     # both heads are exactly 2 bits from the query: identical scores
     emb = star_set(D, 23, [(100, []), (110, [0, 1, 2, 3]), (200, [0, 1])])
-    heads = {100: ClusterHeadEntry(5, 100), 110: ClusterHeadEntry(2, 110)}
+    heads = heads_of((5, 100, []), (2, 110, []))
     hits = SearchResultBatch([hit(200, 100, 110)])
-    (m,) = select_candidates(hits, heads, model, emb, threshold=0.5)
-    assert m.cluster_id == 2
+    ((_, cluster, _, _),) = rows(select_candidates(hits, heads, model, emb, threshold=0.5))
+    assert cluster == 2
 
 
 def test_results_sorted_by_query(store, model):
     emb, heads = store
     hits = SearchResultBatch([hit(201, 100), hit(200, 100)])
     out = select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3)
-    assert [m.query for m in out] == [200, 201]
+    assert queries(out) == [200, 201]
+    assert len(out) == 2
 
 
 def test_unknown_head_rejected(store, model):
@@ -149,7 +172,7 @@ def test_parameter_validation(store, model):
     with pytest.raises(DataError):
         select_candidates(hits, heads, model, emb, 0.5, k_aug=-1)
     with pytest.raises(DataError):
-        ClusterHeadEntry(1, 100, [(100, 0.9)])  # head inside its own list
+        heads_of((1, 100, [(100, 0.9)]))  # head inside its own list
 
 
 def test_augmentation_match_emits_head_label(store, model):
@@ -160,7 +183,7 @@ def test_augmentation_match_emits_head_label(store, model):
     # only the aug-won match produces a label, and it points at the head
     assert labels == [(200, 100, 1)]
     with pytest.raises(DataError):
-        emit_augmentation_labels(matches, {}, model, emb, 0.5)
+        emit_augmentation_labels(matches, ClusterHeads(), model, emb, 0.5)
 
 
 def test_no_labels_when_heads_match(store, model):
@@ -168,7 +191,31 @@ def test_no_labels_when_heads_match(store, model):
     hits = SearchResultBatch([hit(201, 100)])
     matches = select_candidates(hits, heads, model, emb, threshold=0.5)
     assert emit_augmentation_labels(matches, heads, model, emb, 0.5) == []
-    assert emit_augmentation_labels([], heads, model, emb, 0.5) == []
+    assert emit_augmentation_labels(HeadMatches(), heads, model, emb, 0.5) == []
+
+
+def test_heads_from_table_keep_top_k_by_score_then_id(rng):
+    # the per-cluster sort each head entry used to be built with, as oracle
+    clusters = []
+    pool = iter(rng.permutation(10_000).tolist())
+    for cid in range(30):
+        head = next(pool)
+        scores = rng.choice([0.5, 0.75, 0.9], size=int(rng.integers(0, 7)))
+        clusters.append(NearDupeCluster(cid, head, [(next(pool), float(sc)) for sc in scores]))
+    table = ClusterTable.from_clusters(clusters)
+    for k_aug in (0, 1, 3, 10):
+        want = [
+            (c.cluster_id, c.head, sorted(c.members, key=lambda ms: (-ms[1], ms[0]))[:k_aug])
+            for c in clusters
+        ]
+        heads = ClusterHeads.from_table(table, k_aug)
+        bounds = heads.aug_offsets.tolist()
+        aug = list(zip(heads.aug_image.tolist(), heads.aug_score.tolist()))
+        got = [
+            (c, h, aug[lo:hi])
+            for c, h, lo, hi in zip(heads.cluster.tolist(), heads.head.tolist(), bounds, bounds[1:])
+        ]
+        assert got == want
 
 
 def test_select_edges_filters_at_threshold(model):
