@@ -267,6 +267,8 @@ def cmd_incremental(args) -> int:
     store, assignments, labels = run_incremental(args.store, new_embeddings, model, config)
     if args.assignments:
         atomic_write_text(args.assignments, assignments_to_tsv(assignments))
+    if args.clusters_out:
+        atomic_write_text(args.clusters_out, clusters_to_tsv(store.table))
     if args.labels_out:
         atomic_write_text(
             args.labels_out,
@@ -389,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--assignments", help="TSV: image, cluster, provenance")
     p.add_argument("--labels-out", help="CSV for augmentation-recovered positive labels")
+    p.add_argument("--clusters-out", help="clusters TSV of the whole store after the batch")
     p.set_defaults(func=cmd_incremental)
 
     p = sub.add_parser("evaluate", help="cluster a labelled corpus and score it")

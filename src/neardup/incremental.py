@@ -11,34 +11,70 @@ follows the best-matched member, and only batch clusters with no matched
 member at all enter the store as new clusters (heads re-picked as medoids in
 one batched call, members rescored against them). Merge appends table rows.
 
-On disk a store is a directory. Data files carry the generation number in
-their name and are never rewritten; manifest.json names the current
-generation and is replaced atomically, so a crash mid-save leaves the
-previous generation readable.
+On disk a store is a directory of append-only segment files listed by
+manifest.json, which also holds the LSH config, k_aug and the batch id. A
+segment holds everything about the images first stored in it: their
+embeddings, their cluster-table rows, the head entries of the clusters they
+created (heads and augmentation lists are frozen, and a new cluster's head
+is always a new image) and those heads' postings, as raw little-endian
+columns under a CRC32. Stored rows, and the head index's dense ids, follow
+segment order. A save writes one segment for the images past the persisted
+prefix and then replaces the manifest; no segment file is ever rewritten.
+While the newest segment holds at least half as many images as the one
+before it, the two are compacted into a new file, so a store of n batches
+has O(log n) segments. A segment file is deleted once neither the manifest nor
+the one it replaced names it, so a reader of the previous generation never
+loses its files. Every file is fsynced before its rename and its directory
+after, so a crash at any point leaves the last manifest and all it names
+readable. run_incremental on a directory holds an flock on <store>/lock
+from open through save: a second writer gets a StoreError, and the kernel
+drops the lock of a process that dies.
 """
 
+import contextlib
+import fcntl
 import json
 import logging
 import os
+import struct
 import time
+import zlib
+from typing import NamedTuple
 
 import numpy as np
 
 from .classifier import MlpModel, predict_rows
-from .clustering import ClusterIndex, ClusterTable, choose_head, clusters_to_tsv, read_clusters_tsv
+from .clustering import ClusterIndex, ClusterTable, choose_head
 from .config import PipelineConfig
 from .embeddings import EmbeddingSet, LshConfig
-from .errors import DataError, StoreError
-from .index import build_index, load_index, serialize_index
+from .errors import NearDupError, StoreError
+from .index import IdDictionary, PostingIndex, build_index, check_postings, index_tail, merge_indexes
 from .pipeline import resolve_lsh_config, static_clusters
 from .search import batch_search
 from .selection import ClusterHeads, HeadMatches, emit_augmentation_labels, select_candidates
-from .util import atomic_write_bytes, atomic_write_json, atomic_write_text, find_sorted, first_repeat
+from .util import TEMP_PREFIX, atomic_write_bytes, atomic_write_json, find_sorted, first_repeat
 
 log = logging.getLogger("neardup")
 
 MANIFEST_NAME = "manifest.json"
-STORE_VERSION = 1
+LOCK_NAME = "lock"
+STORE_VERSION = 2
+SEGMENT_MAGIC = b"NDSG"
+SEGMENT_VERSION = 1
+
+
+class SegmentRef(NamedTuple):
+    """A manifest entry: the batches a segment covers, its image count and
+    the CRC32 its file ends with."""
+
+    first_batch: int
+    last_batch: int
+    images: int
+    crc32: int
+
+    @property
+    def name(self) -> str:
+        return f"segment-{self.first_batch}-{self.last_batch}.ndsg"
 
 
 class ClusterStore:
@@ -46,6 +82,8 @@ class ClusterStore:
 
     table is the ClusterTable, heads the ClusterHeads; clusters is a
     read-only map of cluster id -> NearDupeCluster view over the table.
+    segments lists the segments of directory that hold the first stored
+    images, in row order; save writes the rest.
     """
 
     def __init__(
@@ -58,6 +96,7 @@ class ClusterStore:
         batch_id: int = 0,
         directory=None,
         head_index=None,
+        segments=(),
     ):
         self.lsh_config = lsh_config
         self.embeddings = embeddings
@@ -66,6 +105,7 @@ class ClusterStore:
         self.k_aug = int(k_aug)
         self.batch_id = int(batch_id)
         self.directory = directory
+        self.segments = tuple(segments)
 
         if not np.array_equal(table.cluster_ids, heads.cluster):
             raise StoreError("cluster table and head entries disagree on cluster ids")
@@ -82,7 +122,8 @@ class ClusterStore:
             raise StoreError(f"{len(embeddings)} stored embeddings but {table.image.size} clustered images")
         self.clusters = ClusterIndex(table)
         if head_index is None:
-            head_index = build_index(embeddings.subset(np.sort(heads.head)), lsh_config, head_only=True)
+            # dense ids follow row order, as in a store read back from segments
+            head_index = build_index(_rows_holding(embeddings, heads.head), lsh_config, head_only=True)
         self.head_index = head_index
 
     def __len__(self) -> int:
@@ -115,95 +156,302 @@ class ClusterStore:
         return store
 
     def save(self, directory=None) -> None:
-        """Write one generation of data files, then swap the manifest."""
-        directory = directory if directory is not None else self.directory
+        """Append a segment of the images past the persisted prefix (if any),
+        compact, swap the manifest, then delete unreferenced segments.
+
+        Saving into another directory than the store's writes every image.
+        """
+        directory = self.directory if directory is None else directory
         if directory is None:
             raise StoreError("store has no directory to save into")
+        directory = os.fspath(directory)
+        same = self.directory is not None and os.path.abspath(directory) == os.path.abspath(self.directory)
+        segments = list(self.segments) if same else []
+        persisted = sum(ref.images for ref in segments)
+        if persisted > len(self):
+            raise StoreError(f"{directory}: segments hold {persisted} images, the store {len(self)}")
         os.makedirs(directory, exist_ok=True)
-        tag = self.batch_id
-        names = {
-            "clusters": f"clusters-{tag}.tsv",
-            "heads": f"heads-{tag}.json",
-            "head_index": f"heads-{tag}.ndix",
-            "embeddings": f"embeddings-{tag}.ndem",
-        }
-        atomic_write_text(os.path.join(directory, names["clusters"]), clusters_to_tsv(self.table))
-        atomic_write_text(os.path.join(directory, names["heads"]), _heads_json(self.heads))
-        atomic_write_bytes(
-            os.path.join(directory, names["head_index"]), serialize_index(self.head_index)
-        )
-        self.embeddings.save(os.path.join(directory, names["embeddings"]))
+        if persisted < len(self):
+            if segments and segments[-1].last_batch >= self.batch_id:
+                raise StoreError(f"{directory}: batch {self.batch_id} is already stored")
+            segments.append(SegmentRef(self.batch_id, self.batch_id, len(self) - persisted, 0))
+            while len(segments) > 1 and 2 * segments[-1].images >= segments[-2].images:
+                newer, older = segments.pop(), segments.pop()
+                segments.append(SegmentRef(older.first_batch, newer.last_batch, older.images + newer.images, 0))
+            blob = _encode_segment(self.embeddings.d, self._segment_columns(len(self) - segments[-1].images))
+            segments[-1] = segments[-1]._replace(crc32=_stored_crc(blob))
+            atomic_write_bytes(os.path.join(directory, segments[-1].name), blob)
+        replaced = _named_segments(directory)
         manifest = {
             "version": STORE_VERSION,
             "batch_id": self.batch_id,
             "k_aug": self.k_aug,
-            "files": names,
+            "lsh": {
+                "d": self.lsh_config.d,
+                "selected_bits": list(self.lsh_config.selected_bits),
+                "term_bits": self.lsh_config.term_bits,
+            },
+            "segments": [ref._asdict() for ref in segments],
         }
         atomic_write_json(os.path.join(directory, MANIFEST_NAME), manifest)
-        self.directory = directory
+        self.directory, self.segments = directory, tuple(segments)
+        if replaced is not None:
+            _collect_garbage(directory, replaced | {ref.name for ref in segments})
+
+    def _segment_columns(self, start: int) -> dict:
+        """The segment columns of the images at rows start and later."""
+        ids = self.embeddings.ids[start:]
+        rows = _is_in(self.table.image, ids)
+        mine = _is_in(self.heads.head, ids)
+        counts = np.diff(self.heads.aug_offsets)
+        aug = np.repeat(mine, counts)
+        postings = index_tail(self.head_index, len(self.head_index) - int(mine.sum()))
+        if not np.array_equal(postings.dictionary.external, ids[_is_in(ids, self.heads.head[mine])]):
+            raise StoreError("head index dense ids do not follow store row order")
+        return {
+            "ids": ids,
+            "image": self.table.image[rows],
+            "cluster": self.table.cluster[rows],
+            "score": self.table.score[rows],
+            "head_cluster": self.heads.cluster[mine],
+            "head_image": self.heads.head[mine],
+            "aug_image": self.heads.aug_image[aug],
+            "aug_score": self.heads.aug_score[aug],
+            "aug_count": counts[mine],
+            "terms": postings.terms,
+            "term_count": np.diff(postings.offsets),
+            "postings": postings.ids,
+            "is_head": self.table.head[rows],
+            "packed": self.embeddings.packed[start:],
+        }
 
     @classmethod
     def open(cls, directory) -> "ClusterStore":
-        """Load the generation the manifest names. A malformed manifest, heads
-        file or cluster table is a StoreError; a malformed embedding or index
-        file is a FormatError."""
-        path = os.path.join(directory, MANIFEST_NAME)
-        if not os.path.exists(path):
-            raise StoreError(f"{directory}: not a cluster store (no {MANIFEST_NAME})")
-        manifest = _read_json(path)
-        if not isinstance(manifest, dict):
-            raise StoreError(f"{path}: manifest must be a JSON object")
-        if manifest.get("version") != STORE_VERSION:
-            raise StoreError(f"{directory}: unsupported store version {manifest.get('version')}")
-        files = manifest.get("files")
-        if not isinstance(files, dict) or not all(
-            isinstance(files.get(k), str) for k in ("embeddings", "head_index", "clusters", "heads")
-        ):
-            raise StoreError(f"{path}: 'files' must name embeddings, head_index, clusters and heads")
-        if not all(_is_count(manifest.get(k)) for k in ("k_aug", "batch_id")):
-            raise StoreError(f"{path}: k_aug and batch_id must be non-negative integers")
-        embeddings = EmbeddingSet.load(os.path.join(directory, files["embeddings"]))
-        head_index = load_index(os.path.join(directory, files["head_index"]))
-        if not head_index.head_only:
-            raise StoreError(f"{directory}: stored index is not marked head-only")
+        """Load the generation the manifest names. Any missing, truncated,
+        corrupt or inconsistent file is a StoreError."""
+        directory = os.fspath(directory)
+        manifest, config, refs = _read_manifest(directory)
+        segments = [_read_segment(directory, ref, config) for ref in refs]
         try:
-            table = read_clusters_tsv(os.path.join(directory, files["clusters"]))
-            heads = _heads_from_json(_read_json(os.path.join(directory, files["heads"])))
-        except (DataError, AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise StoreError(f"{directory}: malformed cluster table or heads file: {exc!r}") from exc
-        k_aug, batch_id = manifest["k_aug"], manifest["batch_id"]
-        return cls(head_index.config, embeddings, table, heads, k_aug, batch_id, directory, head_index)
+            embeddings = EmbeddingSet(
+                config.d, _concat(segments, "ids"), _concat(segments, "packed").reshape(-1, config.d // 8)
+            )
+            table = ClusterTable(*(_concat(segments, k) for k in ("image", "cluster", "is_head", "score")))
+            heads = ClusterHeads(
+                *(_concat(segments, k) for k in ("head_cluster", "head_image", "aug_count", "aug_image", "aug_score"))
+            )
+            head_index = merge_indexes(config, [seg["index"] for seg in segments])
+            k_aug, batch_id = manifest["k_aug"], manifest["batch_id"]
+            return cls(config, embeddings, table, heads, k_aug, batch_id, directory, head_index, refs)
+        except StoreError:
+            raise
+        except NearDupError as exc:
+            raise StoreError(f"{directory}: inconsistent segments: {exc}") from exc
 
 
-def _heads_json(heads: ClusterHeads) -> str:
-    """The heads file: compact JSON with sorted keys, as json.dumps(...,
-    sort_keys=True, separators=(",", ":")) writes it, formatted from the
-    arrays. Rewritten on every batch and read only by open."""
-    aug = list(map("[{},{!r}]".format, heads.aug_image.tolist(), heads.aug_score.tolist()))
-    bounds = heads.aug_offsets.tolist()
-    entries = {
-        str(cid): f'"{cid}":{{"augmentation":[{",".join(aug[lo:hi])}],"head":{head}}}'
-        for cid, head, lo, hi in zip(heads.cluster.tolist(), heads.head.tolist(), bounds, bounds[1:])
-    }
-    return "{" + ",".join(entries[k] for k in sorted(entries)) + "}\n"
+def _is_in(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Mask of the values that occur in wanted."""
+    return find_sorted(np.sort(wanted), values)[1]
 
 
-def _heads_from_json(payload) -> ClusterHeads:
-    specs = list(payload.values())
-    augs = [[(int(m), float(s)) for m, s in spec["augmentation"]] for spec in specs]
-    flat = [a for aug in augs for a in aug]
-    return ClusterHeads(
-        list(map(int, payload)), [int(spec["head"]) for spec in specs], list(map(len, augs)),
-        [m for m, _ in flat], [s for _, s in flat],
-    )
+def _rows_holding(embeddings: EmbeddingSet, ids) -> EmbeddingSet:
+    """The rows of embeddings whose ids are in ids, in row order."""
+    rows = _is_in(embeddings.ids, ids)
+    return EmbeddingSet(embeddings.d, embeddings.ids[rows], embeddings.packed[rows])
+
+
+def _concat(segments, name) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=_DTYPES[name])] + [seg[name] for seg in segments])
+
+
+# -- segment file -----------------------------------------------------------
+#
+# magic "NDSG" | version u16 | d u16 | counts u64 x 6: images, rows,
+# clusters, aug (augmentation entries), terms, postings
+# then the columns below, each count items long (bytes: images * d/8),
+# widest first so every column starts aligned; then a CRC32 (u32) of all
+# bytes before it. All little-endian. Posting dense ids number the
+# segment's heads in row order.
+
+_HEADER = struct.Struct("<4sHH6Q")
+_COUNTS = ("images", "rows", "clusters", "aug", "terms", "postings")
+_COLUMNS = (
+    ("ids", "<u8", "images"),
+    ("image", "<u8", "rows"),
+    ("cluster", "<u8", "rows"),
+    ("score", "<f8", "rows"),
+    ("head_cluster", "<u8", "clusters"),
+    ("head_image", "<u8", "clusters"),
+    ("aug_image", "<u8", "aug"),
+    ("aug_score", "<f8", "aug"),
+    ("aug_count", "<u4", "clusters"),
+    ("terms", "<u4", "terms"),
+    ("term_count", "<u4", "terms"),
+    ("postings", "<u4", "postings"),
+    ("is_head", "u1", "rows"),
+    ("packed", "u1", "bytes"),
+)
+_DTYPES = {name: np.dtype(dtype) for name, dtype, _ in _COLUMNS}
+
+
+def _encode_segment(d: int, columns: dict) -> bytes:
+    counts = [columns[name].size for name in ("ids", "image", "head_cluster", "aug_image", "terms", "postings")]
+    parts = [_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, d, *counts)]
+    parts += [np.ascontiguousarray(columns[name], dtype=dtype).tobytes() for name, dtype, _ in _COLUMNS]
+    body = b"".join(parts)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _stored_crc(blob: bytes) -> int:
+    return struct.unpack_from("<I", blob, len(blob) - 4)[0]
+
+
+def _decode_segment(blob: bytes, path) -> tuple:
+    """(d, column name -> read-only array) of a segment file's bytes; any
+    truncation, checksum mismatch or bad header is a StoreError."""
+    if len(blob) < _HEADER.size + 4:
+        raise StoreError(f"{path}: truncated segment of {len(blob)} bytes")
+    if zlib.crc32(memoryview(blob)[:-4]) != _stored_crc(blob):
+        raise StoreError(f"{path}: segment checksum mismatch")
+    magic, version, d, *counts = _HEADER.unpack_from(blob)
+    if magic != SEGMENT_MAGIC or version != SEGMENT_VERSION:
+        raise StoreError(f"{path}: not a version {SEGMENT_VERSION} segment file")
+    if d == 0 or d % 8:
+        raise StoreError(f"{path}: invalid d={d}")
+    count = dict(zip(_COUNTS, counts), bytes=counts[0] * (d // 8))
+    size = _HEADER.size + sum(count[key] * np.dtype(dtype).itemsize for _, dtype, key in _COLUMNS) + 4
+    if size != len(blob):
+        raise StoreError(f"{path}: header describes {size} bytes, file holds {len(blob)}")
+    columns, offset = {}, _HEADER.size
+    for name, dtype, key in _COLUMNS:
+        columns[name] = np.frombuffer(blob, dtype=dtype, count=count[key], offset=offset)
+        offset += columns[name].nbytes
+    return d, columns
+
+
+def _read_segment(directory, ref: SegmentRef, config: LshConfig) -> dict:
+    """One segment's columns plus its head postings as a PostingIndex
+    ("index"), checked against its manifest entry."""
+    path = os.path.join(directory, ref.name)
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise StoreError(f"{path}: cannot read segment: {exc}") from exc
+    d, seg = _decode_segment(blob, path)
+    if _stored_crc(blob) != ref.crc32 or seg["ids"].size != ref.images:
+        raise StoreError(f"{path}: not the segment the manifest names")
+    if d != config.d:
+        raise StoreError(f"{path}: segment d={d}, store d={config.d}")
+    if int(seg["aug_count"].sum(dtype=np.int64)) != seg["aug_image"].size:
+        raise StoreError(f"{path}: augmentation counts do not add up to the entries stored")
+    if int(seg["term_count"].sum(dtype=np.int64)) != seg["postings"].size:
+        raise StoreError(f"{path}: posting counts do not add up to the postings stored")
+    dictionary = seg["ids"][_is_in(seg["ids"], seg["head_image"])]
+    if dictionary.size != seg["head_image"].size:
+        raise StoreError(f"{path}: every head must be a distinct image of its own segment")
+    offsets = np.concatenate(([0], np.cumsum(seg["term_count"], dtype=np.int64)))
+    try:
+        check_postings(seg["terms"], offsets, seg["postings"], dictionary.size)
+        seg["index"] = PostingIndex(config, IdDictionary(dictionary), seg["terms"], offsets, seg["postings"], True)
+    except NearDupError as exc:
+        raise StoreError(f"{path}: bad head postings: {exc}") from exc
+    if np.any(np.bincount(seg["postings"], minlength=dictionary.size) != config.term_count):
+        raise StoreError(f"{path}: every head needs exactly {config.term_count} postings")
+    return seg
+
+
+def _read_manifest(directory) -> tuple:
+    """(manifest, LshConfig, [SegmentRef]) of a store directory."""
+    path = os.path.join(directory, MANIFEST_NAME)
+    if not os.path.exists(path):
+        raise StoreError(f"{directory}: not a cluster store (no {MANIFEST_NAME})")
+    manifest = _read_json(path)
+    if not isinstance(manifest, dict):
+        raise StoreError(f"{path}: manifest must be a JSON object")
+    version = manifest.get("version")
+    if version == 1:
+        raise StoreError(
+            f"{directory}: store version 1 (whole-generation files) is not supported; "
+            f"this release reads version {STORE_VERSION} segment stores only"
+        )
+    if version != STORE_VERSION:
+        raise StoreError(f"{directory}: unsupported store version {version}")
+    if not all(_is_count(manifest.get(k)) for k in ("k_aug", "batch_id")):
+        raise StoreError(f"{path}: k_aug and batch_id must be non-negative integers")
+    lsh = manifest.get("lsh")
+    if not (
+        isinstance(lsh, dict)
+        and _is_count(lsh.get("d"))
+        and lsh["d"] < 2**16  # a segment header holds d as a u16
+        and _is_count(lsh.get("term_bits"))
+        and isinstance(lsh.get("selected_bits"), list)
+        and all(map(_is_count, lsh["selected_bits"]))
+    ):
+        raise StoreError(f"{path}: 'lsh' must hold integer d, term_bits and selected_bits")
+    try:
+        config = LshConfig(lsh["d"], tuple(lsh["selected_bits"]), lsh["term_bits"])
+    except NearDupError as exc:
+        raise StoreError(f"{path}: bad LSH config: {exc}") from exc
+    entries = manifest.get("segments")
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and set(e) == set(SegmentRef._fields) and all(map(_is_count, e.values()))
+        for e in entries
+    ):
+        raise StoreError(f"{path}: 'segments' must list objects of {', '.join(SegmentRef._fields)}")
+    refs = [SegmentRef(**entry) for entry in entries]
+    bounds = [b for ref in refs for b in (ref.first_batch, ref.last_batch)] + [manifest["batch_id"]]
+    if bounds != sorted(bounds) or any(a.first_batch <= b.last_batch for a, b in zip(refs[1:], refs)):
+        raise StoreError(f"{path}: segments must cover increasing, disjoint batch ranges")
+    return manifest, config, refs
+
+
+def _named_segments(directory):
+    """Names of the segments the current manifest lists, or None when there
+    is no readable manifest."""
+    try:
+        return {ref.name for ref in _read_manifest(directory)[2]}
+    except StoreError:
+        return None
+
+
+def _collect_garbage(directory, keep: set) -> None:
+    """Delete segment and temp files not in keep. Only a writer holding the
+    store lock may call this: any temp file is then left from a crash."""
+    for name in os.listdir(directory):
+        is_segment = name.startswith("segment-") and name.endswith(".ndsg")
+        if (is_segment or name.startswith(TEMP_PREFIX)) and name not in keep:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(directory, name))
+
+
+@contextlib.contextmanager
+def _writer_lock(directory):
+    """Hold an exclusive flock on <directory>/lock; StoreError if another
+    writer holds it. No directory, no lock."""
+    if directory is None:
+        yield
+        return
+    os.makedirs(directory, exist_ok=True)
+    fd = os.open(os.path.join(directory, LOCK_NAME), os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StoreError(f"{directory}: another writer holds the store lock") from None
+        yield
+    finally:
+        os.close(fd)  # closing the descriptor releases the lock
 
 
 def _read_json(path):
-    with open(path, "rb") as fh:
-        try:
+    try:
+        with open(path, "rb") as fh:
             return json.loads(fh.read())
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise StoreError(f"{path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise StoreError(f"{path}: cannot read: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise StoreError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _is_count(value) -> bool:
@@ -335,20 +583,28 @@ def run_incremental(store_or_directory, new_embeddings: EmbeddingSet, model: Mlp
 
     The input store object is never mutated; a fresh store is returned (and
     saved when it has a directory). An empty batch is a no-op. With -v, each
-    stage (open, nvo, nvn, merge, save) logs its seconds.
+    stage (open, nvo, nvn, merge, save) logs its seconds. A store directory
+    is locked against other writers from open through save.
     """
     config = config if config is not None else PipelineConfig()
+    if isinstance(store_or_directory, ClusterStore):
+        directory = store_or_directory.directory
+    else:
+        directory = os.fspath(store_or_directory)
+    with _writer_lock(directory):
+        return _ingest(store_or_directory, directory, new_embeddings, model, config)
+
+
+def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: MlpModel, config: PipelineConfig):
     t0 = time.perf_counter()
     if isinstance(store_or_directory, ClusterStore):
         store = store_or_directory
+    elif os.path.exists(os.path.join(directory, MANIFEST_NAME)):
+        store = ClusterStore.open(directory)
     else:
-        directory = os.fspath(store_or_directory)
-        if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
-            store = ClusterStore.open(directory)
-        else:
-            lsh_config = resolve_lsh_config(config, new_embeddings)
-            empty = (new_embeddings.subset([]), ClusterTable(), ClusterHeads())
-            store = ClusterStore(lsh_config, *empty, config.augmentation.k_aug, 0, directory)
+        lsh_config = resolve_lsh_config(config, new_embeddings)
+        empty = (new_embeddings.subset([]), ClusterTable(), ClusterHeads())
+        store = ClusterStore(lsh_config, *empty, config.augmentation.k_aug, 0, directory)
     t0 = _log_stage("open", t0, ": %d images in %d clusters", len(store), store.n_clusters)
     if len(new_embeddings) == 0:
         return store, [], []
@@ -372,8 +628,12 @@ def run_incremental(store_or_directory, new_embeddings: EmbeddingSet, model: Mlp
     nvn = run_nvn(store, fresh, model, config)
     t0 = _log_stage("nvn", t0, ": %d batch clusters", len(nvn.clusters))
     table, heads, batch_assignments = merge(store, matches, nvn.clusters, model, combined)
+    # entering heads are batch images; their postings append to the head index
+    entering = build_index(_rows_holding(fresh, heads.head), store.lsh_config, head_only=True)
+    head_index = merge_indexes(store.lsh_config, [store.head_index, entering])
     next_store = ClusterStore(
-        store.lsh_config, combined, table, heads, store.k_aug, store.batch_id + 1, store.directory
+        store.lsh_config, combined, table, heads, store.k_aug, store.batch_id + 1, store.directory, head_index,
+        store.segments,
     )
     t0 = _log_stage("merge", t0, ": store now %d clusters", next_store.n_clusters)
     if next_store.directory is not None:

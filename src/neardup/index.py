@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .embeddings import EmbeddingSet, LshConfig
-from .errors import DimensionError, EncodingError, FormatError, IndexBuildError
+from .errors import ConfigMismatchError, DimensionError, EncodingError, FormatError, IndexBuildError
 from .util import ByteReader
 
 INDEX_MAGIC = b"NDIX"
@@ -348,10 +348,6 @@ def _decode_postings(blob: bytes, start: int, n_terms: int, n_images: int):
     terms = entries["term"].astype(np.int64)
     counts = entries["count"].astype(np.int64)
     term_nbytes = entries["nbytes"].astype(np.int64)
-    bad = np.flatnonzero(terms[1:] <= terms[:-1])
-    if bad.size:
-        i = bad[0] + 1
-        raise FormatError(f"term {terms[i]} follows {terms[i - 1]}; terms must be strictly increasing")
 
     payload = body[~is_entry]
     value_ends = (payload & 0x80) == 0
@@ -378,9 +374,48 @@ def _decode_postings(blob: bytes, start: int, n_terms: int, n_images: int):
     if ids.size and ids.max() > np.uint64(2**32 - 1):
         raise EncodingError("decoded posting id overflows 32 bits")
     ids = ids.astype(np.int64)
+    check_postings(terms, offsets, ids, n_images)
+    return terms, offsets, ids
+
+
+def check_postings(terms: np.ndarray, offsets: np.ndarray, ids: np.ndarray, n_ids: int) -> None:
+    """FormatError unless terms strictly increase and every list holds
+    strictly increasing dense ids below n_ids."""
+    bad = np.flatnonzero(terms[1:] <= terms[:-1])
+    if bad.size:
+        i = bad[0] + 1
+        raise FormatError(f"term {terms[i]} follows {terms[i - 1]}; terms must be strictly increasing")
     bad = np.flatnonzero(~_list_heads(offsets)[1:] & (ids[1:] <= ids[:-1]))
     if bad.size:
-        raise EncodingError(f"decoded posting ids are not strictly increasing at posting {bad[0] + 1}")
-    if ids.size and ids.max() >= n_images:
-        raise FormatError(f"a posting list holds dense id {ids.max()}, dictionary holds {n_images}")
-    return terms, offsets, ids
+        raise FormatError(f"posting ids are not strictly increasing at posting {bad[0] + 1}")
+    if ids.size and ids.max() >= n_ids:
+        raise FormatError(f"a posting list holds dense id {ids.max()}, dictionary holds {n_ids}")
+
+
+def merge_indexes(config: LshConfig, indexes) -> PostingIndex:
+    """Append indexes built under config into one.
+
+    The dense ids of each index follow those of all earlier ones, so one
+    stable sort over the concatenated terms keeps every list increasing.
+    """
+    if any(index.config != config for index in indexes):
+        raise ConfigMismatchError("cannot merge indexes built under different LSH configs")
+    shifts = np.cumsum([0] + [len(index) for index in indexes[:-1]], dtype=np.int64)
+    flat_terms = np.concatenate(
+        [np.zeros(0, dtype=np.uint32)] + [np.repeat(index.terms, np.diff(index.offsets)) for index in indexes]
+    )
+    ids = np.concatenate([np.zeros(0, dtype=np.int64)] + [index.ids + s for index, s in zip(indexes, shifts)])
+    external = np.concatenate([np.zeros(0, dtype=np.uint64)] + [index.dictionary.external for index in indexes])
+    order = np.argsort(flat_terms, kind="stable")
+    terms, offsets = sorted_runs(flat_terms[order])
+    head_only = all(index.head_only for index in indexes)
+    return PostingIndex(config, IdDictionary(external), terms, offsets, ids[order], head_only=head_only)
+
+
+def index_tail(index: PostingIndex, first: int) -> PostingIndex:
+    """The postings of dense ids first and later, renumbered from 0."""
+    keep = index.ids >= first
+    terms, offsets = sorted_runs(np.repeat(index.terms, np.diff(index.offsets))[keep])
+    external = index.dictionary.external[first:]
+    ids = index.ids[keep] - np.uint32(first)
+    return PostingIndex(index.config, IdDictionary(external), terms, offsets, ids, head_only=index.head_only)

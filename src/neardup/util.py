@@ -47,19 +47,34 @@ class ByteReader:
         return np.frombuffer(self.blob, dtype=dtype, count=count, offset=start)
 
 
+TEMP_PREFIX = ".tmp-"
+
+
 def atomic_write_bytes(path, payload: bytes) -> None:
     """Write via a temp file in the same directory plus rename, so readers
-    never observe a partial file and failures leave the target untouched."""
+    never observe a partial file and failures leave the target untouched.
+
+    The temp file is fsynced before the rename and the directory after it:
+    without the first a power loss can persist the rename before the data,
+    without the second it can lose the rename itself.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=TEMP_PREFIX, suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def atomic_write_text(path, text: str) -> None:

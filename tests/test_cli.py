@@ -1,11 +1,14 @@
 """Drive every subcommand through main(argv) on a small corpus."""
 
+import fcntl
 import json
+import os
 
 import numpy as np
 import pytest
 
 from neardup import (
+    ClusterStore,
     batch_search,
     generate_labels,
     load_corpus,
@@ -14,6 +17,7 @@ from neardup import (
     write_labels_csv,
 )
 from neardup.cli import _read_hits_tsv, main
+from neardup.clustering import clusters_to_tsv
 from neardup.index import load_index
 
 
@@ -290,6 +294,32 @@ def test_incremental_flow(workspace, tmp_path):
     )
     manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
     assert manifest["batch_id"] == 2
+
+
+def test_incremental_clusters_out_and_writer_lock(workspace, tmp_path, capsys):
+    embeddings, _ = load_corpus(workspace / "corpus")
+    embeddings.save(tmp_path / "batch.ndem")
+    command = [
+        "incremental",
+        "--store", str(tmp_path / "store"),
+        "--new", str(tmp_path / "batch.ndem"),
+        "--model", str(workspace / "model.ndml"),
+        "--config", str(workspace / "config.json"),
+        "--clusters-out", str(tmp_path / "clusters.tsv"),
+    ]
+    (tmp_path / "store").mkdir()
+    fd = os.open(tmp_path / "store" / "lock", os.O_RDWR | os.O_CREAT)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert "error in incremental:" in err and "lock" in err and "Traceback" not in err
+        assert not (tmp_path / "store" / "manifest.json").exists()
+    finally:
+        os.close(fd)
+    assert main(command) == 0
+    store = ClusterStore.open(tmp_path / "store")
+    assert (tmp_path / "clusters.tsv").read_bytes() == clusters_to_tsv(store.table).encode()
 
 
 def test_evaluate_reports_metrics(workspace):

@@ -1,8 +1,9 @@
 """Golden digests: the cluster tables of a fixed seeded run, byte for byte.
 
 A refactor or speed-up of search, selection, scoring or clustering must
-leave these tables identical, and a change to the index codec must leave the
-head-index file identical. A digest that moves means the change altered
+leave these tables identical, a change to the index codec must leave the
+head-index file identical, and a change to the store must leave what it
+holds identical. A digest that moves means the change altered
 clustering output or the file format: report that, do not re-record the
 digest to pass.
 Scores pass through BLAS, so another BLAS build may round differently.
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from neardup import (
+    ClusterStore,
     PipelineConfig,
     SyntheticCorpusSpec,
     generate_corpus,
@@ -22,17 +24,23 @@ from neardup import (
     train_default_model,
 )
 from neardup.clustering import clusters_to_tsv
-from neardup.index import load_index, serialize_index
+from neardup.index import build_index, load_index, serialize_index
 
 RUN_FULL_SHA256 = "db8024457abf4a690b5a5f9cd801769d9e7a90206d71f4b5958bc47d5567182d"
 INGEST_SHA256 = "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda"
+# the head index over the stored heads in id order, as the index file codec writes it
 HEAD_INDEX_SHA256 = "24123629982fd336fe15b93cf7a32a3510a63ea3f1a7bf3a953e9b848b840267"
-# every other file of the same store, byte for byte
+# what the store holds, byte for byte: its files (manifest.json and the
+# segments), and, under the names of the files an earlier whole-generation
+# store wrote, the cluster file, the heads oracle and the embedding file of
+# the reopened store
 STORE_FILE_SHA256 = {
     "clusters-3.tsv": "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda",
     "heads-3.json": "3e36374d4d5d15ffce0f46a6da51a321b23fd3e89d9e5f0d6d39eaa81d6d0092",
     "embeddings-3.ndem": "86ab212dc10ad9859cff013a4b79fba4103f389ecf8e0e449ebb73967e077b74",
-    "manifest.json": "897abb7f913ee1435a1373d8e01525a9b2b7418920afc1d892bd4f31e9ba77c1",
+    "manifest.json": "4225d9e8c6b2e99ccd88bb85abf90a47bb93e4e3f3131be2facedefc2e534322",
+    "segment-1-2.ndsg": "5dbfc24d659d912077fbc1d1f893253754fa7860e68894656b2b6172dcd6e361",
+    "segment-1-3.ndsg": "1d67bb7861406b1c00c4ca0a264c01bc87e97f7807cb3f37495297f428f464dc",
 }
 # the same run with top-K binding: (k, candidate pairs, edges, non-singleton clusters, sha256)
 RUN_FULL_SMALL_K = (
@@ -84,22 +92,56 @@ def ingested(seeded, tmp_path_factory):
     return store, directory
 
 
+def heads_json(heads) -> str:
+    """The heads file of the earlier store: compact JSON with sorted keys,
+    cluster id -> {"augmentation": [[member, score], ...], "head": id}."""
+    aug = list(map("[{},{!r}]".format, heads.aug_image.tolist(), heads.aug_score.tolist()))
+    bounds = heads.aug_offsets.tolist()
+    entries = {
+        str(cid): f'"{cid}":{{"augmentation":[{",".join(aug[lo:hi])}],"head":{head}}}'
+        for cid, head, lo, hi in zip(heads.cluster.tolist(), heads.head.tolist(), bounds, bounds[1:])
+    }
+    return "{" + ",".join(entries[k] for k in sorted(entries)) + "}\n"
+
+
 def test_incremental_store_table_digest(ingested):
     store, _ = ingested
     table = clusters_to_tsv(store.clusters.values()).encode()
     assert hashlib.sha256(table).hexdigest() == INGEST_SHA256
 
 
-def test_head_index_file_digest(ingested):
-    _, directory = ingested
-    path = directory / "heads-3.ndix"
-    blob = path.read_bytes()
+def test_head_index_file_digest(ingested, tmp_path):
+    store, directory = ingested
+    reopened = ClusterStore.open(directory)
+    oracle = build_index(
+        reopened.embeddings.subset(np.sort(reopened.heads.head)), reopened.lsh_config, head_only=True
+    )
+    blob = serialize_index(oracle)
     assert hashlib.sha256(blob).hexdigest() == HEAD_INDEX_SHA256
-    assert serialize_index(load_index(path)) == blob
+    (tmp_path / "heads.ndix").write_bytes(blob)
+    assert serialize_index(load_index(tmp_path / "heads.ndix")) == blob
+    # the merged head index, in memory and reopened, holds the same postings
+    assert serialize_index(reopened.head_index) == serialize_index(store.head_index)
+    assert posting_pairs(store.head_index) == posting_pairs(oracle)
+
+
+def posting_pairs(index) -> set:
+    """(term, external id) of every posting."""
+    terms = np.repeat(index.terms, np.diff(index.offsets)).tolist()
+    return set(zip(terms, index.dictionary.external[index.ids].tolist()))
 
 
 @pytest.mark.parametrize("name", sorted(STORE_FILE_SHA256))
-def test_store_file_digest(ingested, name):
+def test_store_file_digest(ingested, tmp_path, name):
     _, directory = ingested
-    blob = (directory / name).read_bytes()
+    reopened = ClusterStore.open(directory)
+    if name.startswith("clusters-"):
+        blob = clusters_to_tsv(reopened.table).encode()
+    elif name.startswith("heads-"):
+        blob = heads_json(reopened.heads).encode()
+    elif name.startswith("embeddings-"):
+        reopened.embeddings.save(tmp_path / name)
+        blob = (tmp_path / name).read_bytes()
+    else:
+        blob = (directory / name).read_bytes()
     assert hashlib.sha256(blob).hexdigest() == STORE_FILE_SHA256[name]

@@ -4,18 +4,24 @@ All distances are engineered through star_set flip lists, so the popcount
 model gives exact, predictable scores everywhere.
 """
 
+import fcntl
 import json
 import math
+import os
 import re
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neardup import (
     ClusterHeads,
     ClusterStore,
     ClusterTable,
     DataError,
+    EmbeddingSet,
     HeadMatches,
     LshConfig,
     NearDupeCluster,
@@ -30,6 +36,7 @@ from neardup import (
     static_clusters,
 )
 from neardup.clustering import ClusterIndex, clusters_to_tsv
+from neardup.incremental import SegmentRef, _decode_segment, _encode_segment
 from neardup.index import build_index, serialize_index
 
 from conftest import popcount_model, star_set
@@ -152,65 +159,277 @@ def test_store_save_open_round_trip(tmp_path):
     assert np.array_equal(again.embeddings.ids, store.embeddings.ids)
     assert np.array_equal(again.embeddings.bits_matrix(), store.embeddings.bits_matrix())
     assert serialize_index(again.head_index) == serialize_index(store.head_index)
-    for name in ("manifest.json", "clusters-0.tsv", "heads-0.json", "heads-0.ndix", "embeddings-0.ndem"):
-        assert (tmp_path / "store" / name).exists()
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["manifest.json", "segment-0-0.ndsg"]
 
 
-def test_heads_file_is_compact_json_and_round_trips(tmp_path):
+def test_reopened_store_writes_the_same_bytes(tmp_path):
     store = make_store(directory=tmp_path / "store")
-    text = (tmp_path / "store" / "heads-0.json").read_text(encoding="utf-8")
-    payload = json.loads(text)
-    assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    assert payload["1"] == {"augmentation": [[2, s(1)]], "head": 1}
+    assert augmentation(store.heads, 1) == [(2, s(1))]
     again = ClusterStore.open(tmp_path / "store")
     assert head_rows(again.heads) == head_rows(store.heads)
-    # a reopened store writes the same bytes again
     again.save(tmp_path / "copy")
-    assert (tmp_path / "copy" / "heads-0.json").read_text(encoding="utf-8") == text
+    for name in ("manifest.json", "segment-0-0.ndsg"):
+        assert (tmp_path / "copy" / name).read_bytes() == (tmp_path / "store" / name).read_bytes()
+    # saving again with nothing new rewrites only an identical manifest
+    again.save()
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["manifest.json", "segment-0-0.ndsg"]
 
 
-def test_store_open_rejects_bad_state(tmp_path):
+def read_manifest(directory):
+    return json.loads((directory / "manifest.json").read_text())
+
+
+def segment_path(directory, position=-1):
+    return directory / SegmentRef(**read_manifest(directory)["segments"][position]).name
+
+
+def rewrite_segment(directory, edit, position=-1):
+    """Apply edit to the columns of one segment, then write it back with a
+    valid checksum, named by the manifest as before."""
+    manifest = read_manifest(directory)
+    path = segment_path(directory, position)
+    d, columns = _decode_segment(path.read_bytes(), path)
+    columns = {k: np.array(v) for k, v in columns.items()}
+    edit(columns)
+    blob = _encode_segment(d, columns)
+    path.write_bytes(blob)
+    manifest["segments"][position].update(crc32=zlib.crc32(blob[:-4]), images=columns["ids"].size)
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+def two_segment_store(directory, model):
+    """make_store plus a one-image batch that joins cluster 1, in a segment
+    of its own."""
+    make_store(directory=directory)
+    run_incremental(directory, batch([(100, [1])]), model, cfg())
+    return ClusterStore.open(directory)
+
+
+def test_store_open_rejects_bad_state(tmp_path, model):
     with pytest.raises(StoreError):
         ClusterStore.open(tmp_path / "nowhere")
 
-    store = make_store(directory=tmp_path / "store")
-    manifest = tmp_path / "store" / "manifest.json"
-    manifest.write_text(manifest.read_text().replace('"version": 1', '"version": 9'))
+    directory = tmp_path / "store"
+    store = make_store(directory=directory)
+    manifest = directory / "manifest.json"
+    good = manifest.read_text()
+    manifest.write_text(good.replace('"version": 2', '"version": 9'))
     with pytest.raises(StoreError):
-        ClusterStore.open(tmp_path / "store")
+        ClusterStore.open(directory)
+    manifest.write_text(good.replace('"version": 2', '"version": 1'))
+    with pytest.raises(StoreError, match="version 1"):
+        ClusterStore.open(directory)
 
     store.save()  # restore a good manifest
-    # a full (non-head-only) index in the head slot must be refused
-    full = build_index(store.embeddings.subset([1, 10]), lshc(), head_only=False)
-    (tmp_path / "store" / "heads-0.ndix").write_bytes(serialize_index(full))
+    ClusterStore.open(directory)
+    # the head postings must cover exactly the segment's heads
+    for i, edit in enumerate((
+        lambda c: c.update(postings=c["postings"] + 5),  # dense ids past the heads
+        lambda c: c.update(postings=c["postings"][:-1], term_count=np.r_[c["term_count"][:-1], 0]),
+        lambda c: c.update(terms=c["terms"][::-1].copy()),
+    )):
+        directory = tmp_path / f"copy{i}"
+        store.save(directory)
+        rewrite_segment(directory, edit)
+        with pytest.raises(StoreError):
+            ClusterStore.open(directory)
+    # a missing segment, or another good segment under its name
+    two_segment_store(tmp_path / "two", model)
+    first, second = segment_path(tmp_path / "two", 0), segment_path(tmp_path / "two", 1)
+    blob = first.read_bytes()
+    first.write_bytes(second.read_bytes())
+    with pytest.raises(StoreError, match="not the segment"):
+        ClusterStore.open(tmp_path / "two")
+    first.unlink()
     with pytest.raises(StoreError):
-        ClusterStore.open(tmp_path / "store")
+        ClusterStore.open(tmp_path / "two")
+    first.write_bytes(blob)
+    ClusterStore.open(tmp_path / "two")
+    # a head must be an image of the segment that holds its entry
+    rewrite_segment(tmp_path / "two", lambda c: c["head_image"].__setitem__(0, 100), position=0)
+    with pytest.raises(StoreError, match="own segment"):
+        ClusterStore.open(tmp_path / "two")
 
 
-def test_store_open_rejects_malformed_manifest_and_heads(tmp_path):
-    store = make_store(directory=tmp_path / "store")
-    manifest = tmp_path / "store" / "manifest.json"
+def test_store_open_rejects_malformed_manifest_and_heads(tmp_path, model):
+    directory = tmp_path / "store"
+    store = make_store(directory=directory)
+    manifest = directory / "manifest.json"
     good = manifest.read_text()
     for cut in range(len(good.rstrip())):
         manifest.write_text(good[:cut])
         with pytest.raises(StoreError):
-            ClusterStore.open(tmp_path / "store")
-    for bad in ('{"version": 1}', '{"version": 1, "files": {}}', "[1]",
-                good.replace('"k_aug": 3', '"k_aug": "3"')):
+            ClusterStore.open(directory)
+    payload = json.loads(good)
+    bad_manifests = ['{"version": 2}', '{"version": 2, "segments": {}}', "[1]",
+                     good.replace('"k_aug": 3', '"k_aug": "3"')]
+    for key, value in (("lsh", None), ("lsh", {"d": 64}), ("segments", [{}]), ("segments", [[0, 0, 4, 1]]),
+                       ("batch_id", -1), ("segments", payload["segments"] * 2)):
+        bad_manifests.append(json.dumps(dict(payload, **{key: value})))
+    for key, value in (("d", "64"), ("d", 2**70), ("term_bits", 7), ("selected_bits", [0.5] * 36)):
+        bad_manifests.append(json.dumps(dict(payload, lsh=dict(payload["lsh"], **{key: value}))))
+    for key, value in (("images", True), ("crc32", -1), ("last_batch", 5)):
+        bad_manifests.append(json.dumps(dict(payload, segments=[dict(payload["segments"][0], **{key: value})])))
+    for bad in bad_manifests:
         manifest.write_text(bad)
         with pytest.raises(StoreError):
-            ClusterStore.open(tmp_path / "store")
-
-    store.save()  # a good manifest again; now break the files it names
-    heads = tmp_path / "store" / "heads-0.json"
-    for bad in ('{"1": {"head": 1}}', '{"1": [1]}', "[]", '{"x": {"head": 1, "augmentation": []}}'):
-        heads.write_text(bad)
-        with pytest.raises(StoreError):
-            ClusterStore.open(tmp_path / "store")
-    store.save()
-    (tmp_path / "store" / "clusters-0.tsv").write_text("1\tone\thead\t\n")
+            ClusterStore.open(directory)
+    manifest.unlink()
+    manifest.mkdir()  # unreadable
     with pytest.raises(StoreError):
-        ClusterStore.open(tmp_path / "store")
+        ClusterStore.open(directory)
+
+    # head entries and cluster rows that disagree, behind a valid checksum
+    def bump(name, at=0, by=1):
+        def edit(c):
+            c[name][at] += by
+        return edit
+
+    store = two_segment_store(tmp_path / "two", model)
+    for i, edit in enumerate((
+        bump("head_image"),  # head entry names a member, not the head row
+        bump("head_cluster"),  # head entry of a cluster with no rows
+        lambda c: c["aug_image"].__setitem__(0, c["head_image"][0]),  # head in its own list
+        bump("aug_count"),  # augmentation counts past the entries stored
+        lambda c: c["is_head"].__setitem__(slice(None), 1),  # a cluster with two head rows
+        lambda c: c["cluster"].__setitem__(slice(None), c["cluster"][0]),
+        lambda c: c["image"].__setitem__(slice(None), c["image"][0]),  # one image on every row
+        lambda c: c.update(ids=c["ids"][:-1], packed=c["packed"][:-8]),  # a clustered image not stored
+    )):
+        directory = tmp_path / f"copy{i}"
+        store.save(directory)
+        rewrite_segment(directory, edit)
+        with pytest.raises(StoreError):
+            ClusterStore.open(directory)
+
+
+def test_store_open_rejects_every_truncated_segment(tmp_path, model):
+    directory = tmp_path / "store"
+    two_segment_store(directory, model)
+    for position in (0, 1):
+        path = segment_path(directory, position)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(StoreError):
+                ClusterStore.open(directory)
+        path.write_bytes(blob)
+    ClusterStore.open(directory)
+
+
+@pytest.fixture(scope="module")
+def flip_store(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("flip") / "store"
+    two_segment_store(directory, popcount_model(D, THETA))
+    files = [segment_path(directory, 0), segment_path(directory, 1), directory / "manifest.json"]
+    return directory, {path: path.read_bytes() for path in files}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_store_bit_flips_fail_only_with_store_error(data, flip_store):
+    directory, files = flip_store
+    path = data.draw(st.sampled_from(sorted(files)))
+    blob = bytearray(files[path])
+    pos = data.draw(st.integers(0, len(blob) - 1))
+    blob[pos] ^= 1 << data.draw(st.integers(0, 7))
+    path.write_bytes(bytes(blob))
+    try:
+        if path.name.endswith(".ndsg"):
+            with pytest.raises(StoreError, match="checksum"):
+                ClusterStore.open(directory)
+        else:
+            try:
+                ClusterStore.open(directory)
+            except StoreError:
+                pass
+    finally:
+        path.write_bytes(files[path])
+
+
+def test_interrupted_save_keeps_the_previous_generation(tmp_path, model, monkeypatch):
+    from neardup import incremental
+
+    first, second = batch([(100, [1]), (500, list(range(40, 60)))]), batch([(600, list(range(20, 30)))])
+    clean = tmp_path / "clean"
+    make_store(directory=clean)
+    expected = clusters_to_tsv(run_incremental(clean, first, model, cfg())[0].table)
+
+    directory = tmp_path / "store"
+    before = clusters_to_tsv(make_store(directory=directory).table)
+    real = incremental.atomic_write_json
+
+    def crash(path, payload):
+        raise OSError("simulated crash before the manifest swap")
+
+    monkeypatch.setattr(incremental, "atomic_write_json", crash)
+    with pytest.raises(OSError):
+        run_incremental(directory, first, model, cfg())
+    monkeypatch.setattr(incremental, "atomic_write_json", real)
+    orphan = directory / "segment-0-1.ndsg"  # compacted with the 4-image first segment
+    assert orphan.exists()
+    assert clusters_to_tsv(ClusterStore.open(directory).table) == before
+
+    # the same batch again ends as an uninterrupted run, file for file
+    assert clusters_to_tsv(run_incremental(directory, first, model, cfg())[0].table) == expected
+    assert {p.name: p.read_bytes() for p in directory.iterdir()} == {p.name: p.read_bytes() for p in clean.iterdir()}
+
+    # a crash whose segment the next save does not rewrite leaves an orphan
+    # that the next successful save deletes
+    make_store(directory=tmp_path / "other")
+    monkeypatch.setattr(incremental, "atomic_write_json", crash)
+    with pytest.raises(OSError):
+        run_incremental(tmp_path / "other", first, model, cfg())
+    monkeypatch.setattr(incremental, "atomic_write_json", real)
+    assert (tmp_path / "other" / orphan.name).exists()
+    run_incremental(tmp_path / "other", second, model, cfg())
+    assert not (tmp_path / "other" / orphan.name).exists()
+    assert [p.name for p in tmp_path.joinpath("other").iterdir() if p.suffix == ".ndsg"] != []
+
+
+def assert_same_store(a, b):
+    for x, y in zip((*a.table.columns, *a.heads.columns), (*b.table.columns, *b.heads.columns)):
+        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f")
+    assert np.array_equal(a.embeddings.ids, b.embeddings.ids)
+    assert np.array_equal(a.embeddings.packed, b.embeddings.packed)
+    assert serialize_index(a.head_index) == serialize_index(b.head_index)
+    assert (a.batch_id, a.k_aug, a.lsh_config) == (b.batch_id, b.k_aug, b.lsh_config)
+
+
+def test_compaction_keeps_log_many_segments(tmp_path, model):
+    rng = np.random.default_rng(5)
+    directory = tmp_path / "store"
+    previous = set()
+    for b in range(1, 21):
+        ids = np.arange(3 * b, 3 * b + 3, dtype=np.uint64)
+        bits = rng.integers(0, 2, size=(3, D), dtype=np.uint8)
+        bits[1] = bits[0]
+        bits[1, :2] ^= 1  # a near duplicate in every batch
+        store, _, _ = run_incremental(directory, EmbeddingSet.from_bits(ids, bits), model, cfg())
+        segments = read_manifest(directory)["segments"]
+        assert len(segments) <= math.ceil(math.log2(b)) + 1
+        assert sum(ref["images"] for ref in segments) == len(store) == 3 * b
+        assert_same_store(ClusterStore.open(directory), store)
+        # a reader of the replaced generation keeps its segments until the next save
+        named = {SegmentRef(**ref).name for ref in segments}
+        assert {p.name for p in directory.glob("*.ndsg")} == named | previous
+        previous = named
+    assert sorted(p.name for p in directory.iterdir() if p.suffix != ".ndsg") == ["lock", "manifest.json"]
+
+
+def test_second_writer_is_refused(tmp_path, model):
+    directory = tmp_path / "store"
+    make_store(directory=directory)
+    fd = os.open(directory / "lock", os.O_RDWR | os.O_CREAT)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(StoreError, match="lock"):
+            run_incremental(directory, batch([(100, [1])]), model, cfg())
+    finally:
+        os.close(fd)
+    assert ClusterStore.open(directory).batch_id == 0  # the refused batch wrote nothing
+    store, _, _ = run_incremental(directory, batch([(100, [1])]), model, cfg())
+    assert store.batch_id == 1
 
 
 def test_nvo_matches_a_duplicate_of_the_head(model):
@@ -407,9 +626,10 @@ def test_run_incremental_joins_via_heads(model, tmp_path):
     assert labels == []  # matched at the head, no augmentation label
     assert next_store.batch_id == 1
     assert 100 in dict(next_store.clusters[1].members)
-    # previous generation files survive the new save
-    assert (tmp_path / "store" / "clusters-0.tsv").exists()
-    assert (tmp_path / "store" / "clusters-1.tsv").exists()
+    # the first segment stays; the batch went into a segment of its own
+    assert [ref["images"] for ref in read_manifest(tmp_path / "store")["segments"]] == [4, 1]
+    assert (tmp_path / "store" / "segment-0-0.ndsg").exists()
+    assert (tmp_path / "store" / "segment-1-1.ndsg").exists()
 
 
 def test_run_incremental_emits_augmentation_labels(model):

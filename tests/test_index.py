@@ -14,9 +14,11 @@ from neardup import (
     load_index,
     save_index,
 )
-from neardup.errors import EncodingError, FormatError, IndexBuildError
+from neardup.errors import ConfigMismatchError, EncodingError, FormatError, IndexBuildError
 from neardup.index import (
     IdDictionary,
+    index_tail,
+    merge_indexes,
     serialize_index,
     varbyte_decode,
     varbyte_encode,
@@ -316,3 +318,27 @@ def test_compression_beats_baseline_on_clustered_ids(rng):
     sizes = index_size_bytes(index)
     assert index.posting_count() == 30000
     assert sizes.payload < 0.5 * sizes.baseline
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 60), cuts=st.lists(st.integers(0, 60), max_size=4), seed=st.integers(0, 2**16))
+def test_merged_row_ranges_equal_one_build(n, cuts, seed):
+    rng = np.random.default_rng(seed)
+    config = LshConfig(d=64, selected_bits=tuple(range(36)), term_bits=6)
+    ids = rng.permutation(1000)[:n].astype(np.uint64)
+    emb = EmbeddingSet.from_bits(ids, rng.integers(0, 2, size=(n, 64), dtype=np.uint8))
+    bounds = [0, *sorted(min(c, n) for c in cuts), n]
+    parts = [build_index(emb.subset(ids[a:b]), config, head_only=True) for a, b in zip(bounds, bounds[1:])]
+    whole = build_index(emb, config, head_only=True)
+    assert serialize_index(merge_indexes(config, parts)) == serialize_index(whole)
+    for a in bounds:
+        tail = build_index(emb.subset(ids[a:]), config, head_only=True)
+        assert serialize_index(index_tail(whole, a)) == serialize_index(tail)
+
+
+def test_merge_refuses_mixed_configs():
+    emb = EmbeddingSet.from_bits([1, 2], np.eye(2, 64, dtype=np.uint8))
+    a = LshConfig(d=64, selected_bits=tuple(range(36)), term_bits=6)
+    b = LshConfig(d=64, selected_bits=tuple(range(1, 37)), term_bits=6)
+    with pytest.raises(ConfigMismatchError):
+        merge_indexes(a, [build_index(emb, a), build_index(emb, b)])
