@@ -149,11 +149,6 @@ def _sample_matrix(sample, d: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def _group_weights(g: int) -> np.ndarray:
-    # first extracted bit is the MSB of the group value
-    return (1 << np.arange(g - 1, -1, -1, dtype=np.uint32)).astype(np.uint32)
-
-
 def derive_terms_matrix(bits: np.ndarray, config: LshConfig) -> np.ndarray:
     """Vectorized term derivation: (n, d) 0/1 matrix -> (n, term_count) uint32.
 
@@ -163,11 +158,15 @@ def derive_terms_matrix(bits: np.ndarray, config: LshConfig) -> np.ndarray:
     if bits.ndim != 2 or bits.shape[1] != config.d:
         raise DimensionError(f"bits matrix must be (n, {config.d}), got {bits.shape}")
     g = config.term_bits
-    sel = bits[:, np.array(config.selected_bits, dtype=np.intp)].astype(np.uint32)
+    sel = np.take(bits, np.array(config.selected_bits, dtype=np.intp), axis=1)
     grouped = sel.reshape(bits.shape[0], config.term_count, g)
-    values = grouped @ _group_weights(g)
-    tags = (np.arange(config.term_count, dtype=np.uint32) << np.uint32(g))
-    return (values + tags).astype(np.uint32)
+    # shift in each group's bits in order, so the first extracted is the MSB
+    terms = np.zeros(grouped.shape[:2], dtype=np.uint32)
+    for k in range(g):
+        terms <<= np.uint32(1)
+        terms |= grouped[:, :, k]
+    terms |= np.arange(config.term_count, dtype=np.uint32) << np.uint32(g)
+    return terms
 
 
 class EmbeddingSet:

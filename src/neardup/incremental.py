@@ -3,36 +3,39 @@
 A ClusterStore holds the current clustering as arrays: every stored image's
 embedding, the cluster table (clustering.ClusterTable), the heads with their
 frozen augmentation lists (selection.ClusterHeads), and an LSH index over
-the heads only. Each incoming batch runs two searches. New-vs-old matches
-batch images against stored heads through the head index; new-vs-new runs
-the static pipeline inside the batch. Merge prefers old clusters: an image
-with a head match joins its matched cluster, the rest of its batch cluster
-follows the best-matched member, and only batch clusters with no matched
-member at all enter the store as new clusters (heads re-picked as medoids in
-one batched call, members rescored against them). Merge appends table rows.
+the heads only, derived from their embeddings on first use. Each incoming
+batch runs two searches. New-vs-old matches batch images against stored
+heads through the head index; new-vs-new runs the static pipeline inside
+the batch. Merge prefers old clusters: an image with a head match joins its
+matched cluster, the rest of its batch cluster follows the best-matched
+member, and only batch clusters with no matched member at all enter the
+store as new clusters (heads re-picked as medoids in one batched call,
+members rescored against them). Merge appends table rows.
 
 On disk a store is a directory of append-only segment files listed by
 manifest.json, which also holds the LSH config, k_aug and the batch id. A
 segment holds everything about the images first stored in it: their
-embeddings, their cluster-table rows, the head entries of the clusters they
-created (heads and augmentation lists are frozen, and a new cluster's head
-is always a new image) and those heads' postings, as raw little-endian
-columns under a CRC32. Stored rows, and the head index's dense ids, follow
-segment order. A save writes one segment for the images past the persisted
-prefix and then replaces the manifest; no segment file is ever rewritten.
-While the newest segment holds at least half as many images as the one
-before it, the two are compacted into a new file, so a store of n batches
-has O(log n) segments. A segment file is deleted once neither the manifest nor
-the one it replaced names it, so a reader of the previous generation never
-loses its files. Every file is fsynced before its rename and its directory
-after, so a crash at any point leaves the last manifest and all it names
-readable. run_incremental on a directory holds an flock on <store>/lock
-from open through save: a second writer gets a StoreError, and the kernel
-drops the lock of a process that dies.
+embeddings, their cluster-table rows and the head entries of the clusters
+they created (heads and augmentation lists are frozen, and a new cluster's
+head is always a new image), as raw little-endian columns under a CRC32.
+No postings are stored: the head index is a function of the heads'
+embeddings and the LSH config. Stored rows follow segment order. A save
+writes one segment for the images past the persisted prefix and then
+replaces the manifest; no segment file is ever rewritten. While the newest
+segment holds at least half as many images as the one before it, the two
+are compacted into a new file, so a store of n batches has O(log n)
+segments. A segment file is deleted once neither the manifest nor the one
+it replaced names it, so a reader of the previous generation never loses
+its files. Every file is fsynced before its rename and its directory after,
+so a crash at any point leaves the last manifest and all it names readable.
+run_incremental on a directory holds an flock on <store>/lock from open
+through save: a second writer gets a StoreError, and the kernel drops the
+lock of a process that dies.
 """
 
 import contextlib
 import fcntl
+import functools
 import json
 import logging
 import os
@@ -48,7 +51,7 @@ from .clustering import ClusterIndex, ClusterTable, choose_head
 from .config import PipelineConfig
 from .embeddings import EmbeddingSet, LshConfig
 from .errors import NearDupError, StoreError
-from .index import IdDictionary, PostingIndex, build_index, check_postings, index_tail, merge_indexes
+from .index import PostingIndex, build_index
 from .pipeline import resolve_lsh_config, static_clusters
 from .search import batch_search
 from .selection import ClusterHeads, HeadMatches, emit_augmentation_labels, select_candidates
@@ -60,7 +63,7 @@ MANIFEST_NAME = "manifest.json"
 LOCK_NAME = "lock"
 STORE_VERSION = 2
 SEGMENT_MAGIC = b"NDSG"
-SEGMENT_VERSION = 1
+SEGMENT_VERSION = 2
 
 
 class SegmentRef(NamedTuple):
@@ -95,7 +98,6 @@ class ClusterStore:
         k_aug: int = 3,
         batch_id: int = 0,
         directory=None,
-        head_index=None,
         segments=(),
     ):
         self.lsh_config = lsh_config
@@ -121,10 +123,12 @@ class ClusterStore:
         if table.image.size != len(embeddings):
             raise StoreError(f"{len(embeddings)} stored embeddings but {table.image.size} clustered images")
         self.clusters = ClusterIndex(table)
-        if head_index is None:
-            # dense ids follow row order, as in a store read back from segments
-            head_index = build_index(_rows_holding(embeddings, heads.head), lsh_config, head_only=True)
-        self.head_index = head_index
+
+    @functools.cached_property
+    def head_index(self) -> PostingIndex:
+        """The LSH index over the heads, dense ids in row order; derived from
+        the stored embeddings and built on first use."""
+        return build_index(_rows_holding(self.embeddings, self.heads.head), self.lsh_config, head_only=True)
 
     def __len__(self) -> int:
         return len(self.embeddings)
@@ -205,9 +209,6 @@ class ClusterStore:
         mine = _is_in(self.heads.head, ids)
         counts = np.diff(self.heads.aug_offsets)
         aug = np.repeat(mine, counts)
-        postings = index_tail(self.head_index, len(self.head_index) - int(mine.sum()))
-        if not np.array_equal(postings.dictionary.external, ids[_is_in(ids, self.heads.head[mine])]):
-            raise StoreError("head index dense ids do not follow store row order")
         return {
             "ids": ids,
             "image": self.table.image[rows],
@@ -218,9 +219,6 @@ class ClusterStore:
             "aug_image": self.heads.aug_image[aug],
             "aug_score": self.heads.aug_score[aug],
             "aug_count": counts[mine],
-            "terms": postings.terms,
-            "term_count": np.diff(postings.offsets),
-            "postings": postings.ids,
             "is_head": self.table.head[rows],
             "packed": self.embeddings.packed[start:],
         }
@@ -240,9 +238,8 @@ class ClusterStore:
             heads = ClusterHeads(
                 *(_concat(segments, k) for k in ("head_cluster", "head_image", "aug_count", "aug_image", "aug_score"))
             )
-            head_index = merge_indexes(config, [seg["index"] for seg in segments])
             k_aug, batch_id = manifest["k_aug"], manifest["batch_id"]
-            return cls(config, embeddings, table, heads, k_aug, batch_id, directory, head_index, refs)
+            return cls(config, embeddings, table, heads, k_aug, batch_id, directory, refs)
         except StoreError:
             raise
         except NearDupError as exc:
@@ -266,15 +263,14 @@ def _concat(segments, name) -> np.ndarray:
 
 # -- segment file -----------------------------------------------------------
 #
-# magic "NDSG" | version u16 | d u16 | counts u64 x 6: images, rows,
-# clusters, aug (augmentation entries), terms, postings
+# magic "NDSG" | version u16 | d u16 | counts u64 x 4: images, rows,
+# clusters, aug (augmentation entries)
 # then the columns below, each count items long (bytes: images * d/8),
 # widest first so every column starts aligned; then a CRC32 (u32) of all
-# bytes before it. All little-endian. Posting dense ids number the
-# segment's heads in row order.
+# bytes before it. All little-endian.
 
-_HEADER = struct.Struct("<4sHH6Q")
-_COUNTS = ("images", "rows", "clusters", "aug", "terms", "postings")
+_HEADER = struct.Struct("<4sHH4Q")
+_COUNTS = ("images", "rows", "clusters", "aug")
 _COLUMNS = (
     ("ids", "<u8", "images"),
     ("image", "<u8", "rows"),
@@ -285,9 +281,6 @@ _COLUMNS = (
     ("aug_image", "<u8", "aug"),
     ("aug_score", "<f8", "aug"),
     ("aug_count", "<u4", "clusters"),
-    ("terms", "<u4", "terms"),
-    ("term_count", "<u4", "terms"),
-    ("postings", "<u4", "postings"),
     ("is_head", "u1", "rows"),
     ("packed", "u1", "bytes"),
 )
@@ -295,7 +288,7 @@ _DTYPES = {name: np.dtype(dtype) for name, dtype, _ in _COLUMNS}
 
 
 def _encode_segment(d: int, columns: dict) -> bytes:
-    counts = [columns[name].size for name in ("ids", "image", "head_cluster", "aug_image", "terms", "postings")]
+    counts = [columns[name].size for name in ("ids", "image", "head_cluster", "aug_image")]
     parts = [_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, d, *counts)]
     parts += [np.ascontiguousarray(columns[name], dtype=dtype).tobytes() for name, dtype, _ in _COLUMNS]
     body = b"".join(parts)
@@ -314,8 +307,10 @@ def _decode_segment(blob: bytes, path) -> tuple:
     if zlib.crc32(memoryview(blob)[:-4]) != _stored_crc(blob):
         raise StoreError(f"{path}: segment checksum mismatch")
     magic, version, d, *counts = _HEADER.unpack_from(blob)
-    if magic != SEGMENT_MAGIC or version != SEGMENT_VERSION:
-        raise StoreError(f"{path}: not a version {SEGMENT_VERSION} segment file")
+    if magic != SEGMENT_MAGIC:
+        raise StoreError(f"{path}: not a segment file")
+    if version != SEGMENT_VERSION:
+        raise StoreError(f"{path}: segment version {version}; this release reads version {SEGMENT_VERSION} only")
     if d == 0 or d % 8:
         raise StoreError(f"{path}: invalid d={d}")
     count = dict(zip(_COUNTS, counts), bytes=counts[0] * (d // 8))
@@ -330,8 +325,7 @@ def _decode_segment(blob: bytes, path) -> tuple:
 
 
 def _read_segment(directory, ref: SegmentRef, config: LshConfig) -> dict:
-    """One segment's columns plus its head postings as a PostingIndex
-    ("index"), checked against its manifest entry."""
+    """One segment's columns, checked against its manifest entry."""
     path = os.path.join(directory, ref.name)
     try:
         with open(path, "rb") as fh:
@@ -345,19 +339,8 @@ def _read_segment(directory, ref: SegmentRef, config: LshConfig) -> dict:
         raise StoreError(f"{path}: segment d={d}, store d={config.d}")
     if int(seg["aug_count"].sum(dtype=np.int64)) != seg["aug_image"].size:
         raise StoreError(f"{path}: augmentation counts do not add up to the entries stored")
-    if int(seg["term_count"].sum(dtype=np.int64)) != seg["postings"].size:
-        raise StoreError(f"{path}: posting counts do not add up to the postings stored")
-    dictionary = seg["ids"][_is_in(seg["ids"], seg["head_image"])]
-    if dictionary.size != seg["head_image"].size:
+    if np.count_nonzero(_is_in(seg["ids"], seg["head_image"])) != seg["head_image"].size:
         raise StoreError(f"{path}: every head must be a distinct image of its own segment")
-    offsets = np.concatenate(([0], np.cumsum(seg["term_count"], dtype=np.int64)))
-    try:
-        check_postings(seg["terms"], offsets, seg["postings"], dictionary.size)
-        seg["index"] = PostingIndex(config, IdDictionary(dictionary), seg["terms"], offsets, seg["postings"], True)
-    except NearDupError as exc:
-        raise StoreError(f"{path}: bad head postings: {exc}") from exc
-    if np.any(np.bincount(seg["postings"], minlength=dictionary.size) != config.term_count):
-        raise StoreError(f"{path}: every head needs exactly {config.term_count} postings")
     return seg
 
 
@@ -471,7 +454,7 @@ def run_nvo(
     query. The head index must cover exactly the current heads; anything
     else means the store is corrupt.
     """
-    if not np.array_equal(np.sort(store.head_index.dictionary.external), np.sort(store.heads.head)):
+    if not np.array_equal(np.sort(store.head_index.dictionary), np.sort(store.heads.head)):
         raise StoreError("head index out of sync with cluster heads")
     if len(new_embeddings) == 0 or store.heads.cluster.size == 0:
         return HeadMatches()
@@ -628,12 +611,8 @@ def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: 
     nvn = run_nvn(store, fresh, model, config)
     t0 = _log_stage("nvn", t0, ": %d batch clusters", len(nvn.clusters))
     table, heads, batch_assignments = merge(store, matches, nvn.clusters, model, combined)
-    # entering heads are batch images; their postings append to the head index
-    entering = build_index(_rows_holding(fresh, heads.head), store.lsh_config, head_only=True)
-    head_index = merge_indexes(store.lsh_config, [store.head_index, entering])
     next_store = ClusterStore(
-        store.lsh_config, combined, table, heads, store.k_aug, store.batch_id + 1, store.directory, head_index,
-        store.segments,
+        store.lsh_config, combined, table, heads, store.k_aug, store.batch_id + 1, store.directory, store.segments
     )
     t0 = _log_stage("merge", t0, ": store now %d clusters", next_store.n_clusters)
     if next_store.directory is not None:

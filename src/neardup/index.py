@@ -1,55 +1,28 @@
 """Compressed inverted index from LSH terms to image posting lists.
 
-External 64-bit image ids are dictionary-encoded to dense 32-bit ids in
-first-seen order. Each term's posting list is the strictly increasing
-sequence of dense ids holding that term, stored delta-encoded with
-variable-byte coding: little-endian 7-bit groups, high bit set meaning a
-continuation byte follows. The whole point is to undercut the naive
-8-bytes-per-posting layout; `index_size_bytes` reports both sides.
+External 64-bit image ids are dictionary-encoded to dense 32-bit ids: the
+dictionary is the array of external ids, position = dense id. Each term's
+posting list is the strictly increasing sequence of dense ids holding that
+term, stored delta-encoded with variable-byte coding: little-endian 7-bit
+groups, high bit set meaning a continuation byte follows. The whole point
+is to undercut the naive 8-bytes-per-posting layout; `index_size_bytes`
+reports both sides.
 
 In memory the lists are CSR arrays (sorted terms, offsets, flat dense ids),
 and the file codec codes or decodes every list in one vectorised pass.
 """
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .embeddings import EmbeddingSet, LshConfig
-from .errors import ConfigMismatchError, DimensionError, EncodingError, FormatError, IndexBuildError
+from .errors import DimensionError, EncodingError, FormatError, IndexBuildError
 from .util import ByteReader
 
 INDEX_MAGIC = b"NDIX"
 INDEX_VERSION = 1
-
-
-def varbyte_encode(values) -> bytes:
-    """Delta + varbyte encode a strictly increasing sequence of u32 ids."""
-    vals = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.int64)
-    if vals.size == 0:
-        return b""
-    if vals.min() < 0 or vals.max() >= 2**32:
-        raise EncodingError("posting ids must fit in 32 bits")
-    if vals.size > 1 and not (np.diff(vals) > 0).all():
-        raise EncodingError("posting ids must be strictly increasing")
-    deltas = np.empty_like(vals)
-    deltas[0] = vals[0]
-    np.subtract(vals[1:], vals[:-1], out=deltas[1:])
-    return _vb_encode_u64(deltas.astype(np.uint64))[0].tobytes()
-
-
-def varbyte_decode(payload: bytes) -> np.ndarray:
-    """Inverse of varbyte_encode; returns the dense-id array."""
-    deltas = _vb_decode_u64(np.frombuffer(payload, dtype=np.uint8))
-    ids = np.cumsum(deltas, dtype=np.uint64)
-    if ids.size:
-        if ids.max() >= 2**32:
-            raise EncodingError("decoded posting id overflows 32 bits")
-        if ids.size > 1 and not (np.diff(ids.astype(np.int64)) > 0).all():
-            raise EncodingError("decoded posting ids are not strictly increasing")
-    return ids.astype(np.uint32)
 
 
 def _vb_encode_u64(values: np.ndarray):
@@ -90,42 +63,6 @@ def _vb_decode_u64(raw: np.ndarray) -> np.ndarray:
     return np.add.reduceat(contrib, start_idx)
 
 
-@dataclass
-class IdDictionary:
-    """Bijection between external u64 image ids and dense u32 ids.
-
-    Dense ids are assigned in first-seen order, 0-based.
-    """
-
-    external: np.ndarray  # (n,) uint64, position = dense id
-
-    def __post_init__(self):
-        self.external = np.ascontiguousarray(self.external, dtype=np.uint64)
-        if np.unique(self.external).size != self.external.size:
-            raise IndexBuildError("duplicate external ids in dictionary")
-        self._dense = None  # external -> dense map, built on first lookup
-
-    def __len__(self) -> int:
-        return self.external.size
-
-    def _dense_map(self) -> dict:
-        if self._dense is None:
-            self._dense = {v: i for i, v in enumerate(self.external.tolist())}
-        return self._dense
-
-    def to_dense(self, external_id: int) -> int:
-        try:
-            return self._dense_map()[int(external_id)]
-        except KeyError:
-            raise KeyError(f"external id {external_id} not in dictionary") from None
-
-    def to_external(self, dense_id: int) -> int:
-        return int(self.external[dense_id])
-
-    def __contains__(self, external_id) -> bool:
-        return int(external_id) in self._dense_map()
-
-
 class IndexSizes(NamedTuple):
     payload: int  # varbyte posting payload bytes only
     serialized: int  # full file size: header + config + dictionary + postings
@@ -140,21 +77,22 @@ class PostingIndex:
     """Posting lists in CSR form plus the id dictionary and build config.
 
     terms[i] (strictly increasing u32) posts the dense ids
-    ids[offsets[i]:offsets[i + 1]], strictly increasing within each term.
-    The three arrays are read-only.
+    ids[offsets[i]:offsets[i + 1]], strictly increasing within each term;
+    dense id i is the external id dictionary[i]. The four arrays are
+    read-only.
     """
 
     def __init__(
         self,
         config: LshConfig,
-        dictionary: IdDictionary,
+        dictionary: np.ndarray,
         terms: np.ndarray,
         offsets: np.ndarray,
         ids: np.ndarray,
         head_only: bool = False,
     ):
         self.config = config
-        self.dictionary = dictionary
+        self.dictionary = _frozen(dictionary, np.uint64)
         self.terms = _frozen(terms, np.uint32)
         self.offsets = _frozen(offsets, np.int64)
         self.ids = _frozen(ids, np.uint32)
@@ -175,11 +113,12 @@ class PostingIndex:
         return int(self.ids.size)
 
     def __len__(self) -> int:
-        return len(self.dictionary)
+        return self.dictionary.size
 
 
 def _frozen(values, dtype) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=dtype)
+    """A read-only view; the caller's array (such as a set's ids) stays writable."""
+    arr = np.ascontiguousarray(values, dtype=dtype).view()
     arr.setflags(write=False)
     return arr
 
@@ -198,13 +137,15 @@ def build_index(embeddings: EmbeddingSet, config: LshConfig, head_only: bool = F
     Dense ids follow the set's row order.
     """
     term_matrix = embeddings.terms(config)
-    dictionary = IdDictionary(embeddings.ids)
     n, t = term_matrix.shape
     flat_terms = term_matrix.reshape(-1)
     flat_dense = np.repeat(np.arange(n, dtype=np.uint32), t)
-    order = np.lexsort((flat_dense, flat_terms))
+    # flat_dense never decreases, so a stable sort by term alone orders each
+    # list by dense id; keys of 16 bits or fewer take NumPy's radix sort
+    key = np.min_scalar_type((config.term_count << config.term_bits) - 1)
+    order = np.argsort(flat_terms.astype(key, copy=False), kind="stable")
     terms, offsets = sorted_runs(flat_terms[order])
-    return PostingIndex(config, dictionary, terms, offsets, flat_dense[order], head_only=head_only)
+    return PostingIndex(config, embeddings.ids, terms, offsets, flat_dense[order], head_only=head_only)
 
 
 def _list_heads(offsets: np.ndarray) -> np.ndarray:
@@ -281,7 +222,7 @@ def serialize_index(index: PostingIndex) -> bytes:
             struct.pack("<HHH", cfg.d, cfg.term_bits, cfg.m),
             np.array(cfg.selected_bits, dtype="<u2").tobytes(),
             struct.pack("<Q", len(index.dictionary)),
-            index.dictionary.external.astype("<u8").tobytes(),
+            index.dictionary.astype("<u8").tobytes(),
             struct.pack("<I", n_terms),
             body.tobytes(),
         ]
@@ -311,15 +252,13 @@ def load_index(path) -> PostingIndex:
     (n_images,) = r.unpack("<Q")
     external = r.array("<u8", n_images).copy()
     (n_terms,) = r.unpack("<I")
-    try:
-        dictionary = IdDictionary(external)
-    except IndexBuildError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    if np.unique(external).size != external.size:
+        raise FormatError(f"{path}: duplicate external ids in dictionary")
     try:
         terms, offsets, ids = _decode_postings(blob, r.offset, n_terms, n_images)
     except (EncodingError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return PostingIndex(config, dictionary, terms, offsets, ids, head_only=bool(head_only))
+    return PostingIndex(config, external, terms, offsets, ids, head_only=bool(head_only))
 
 
 def _decode_postings(blob: bytes, start: int, n_terms: int, n_images: int):
@@ -374,13 +313,6 @@ def _decode_postings(blob: bytes, start: int, n_terms: int, n_images: int):
     if ids.size and ids.max() > np.uint64(2**32 - 1):
         raise EncodingError("decoded posting id overflows 32 bits")
     ids = ids.astype(np.int64)
-    check_postings(terms, offsets, ids, n_images)
-    return terms, offsets, ids
-
-
-def check_postings(terms: np.ndarray, offsets: np.ndarray, ids: np.ndarray, n_ids: int) -> None:
-    """FormatError unless terms strictly increase and every list holds
-    strictly increasing dense ids below n_ids."""
     bad = np.flatnonzero(terms[1:] <= terms[:-1])
     if bad.size:
         i = bad[0] + 1
@@ -388,34 +320,7 @@ def check_postings(terms: np.ndarray, offsets: np.ndarray, ids: np.ndarray, n_id
     bad = np.flatnonzero(~_list_heads(offsets)[1:] & (ids[1:] <= ids[:-1]))
     if bad.size:
         raise FormatError(f"posting ids are not strictly increasing at posting {bad[0] + 1}")
-    if ids.size and ids.max() >= n_ids:
-        raise FormatError(f"a posting list holds dense id {ids.max()}, dictionary holds {n_ids}")
+    if ids.size and ids.max() >= n_images:
+        raise FormatError(f"a posting list holds dense id {ids.max()}, dictionary holds {n_images}")
+    return terms, offsets, ids
 
-
-def merge_indexes(config: LshConfig, indexes) -> PostingIndex:
-    """Append indexes built under config into one.
-
-    The dense ids of each index follow those of all earlier ones, so one
-    stable sort over the concatenated terms keeps every list increasing.
-    """
-    if any(index.config != config for index in indexes):
-        raise ConfigMismatchError("cannot merge indexes built under different LSH configs")
-    shifts = np.cumsum([0] + [len(index) for index in indexes[:-1]], dtype=np.int64)
-    flat_terms = np.concatenate(
-        [np.zeros(0, dtype=np.uint32)] + [np.repeat(index.terms, np.diff(index.offsets)) for index in indexes]
-    )
-    ids = np.concatenate([np.zeros(0, dtype=np.int64)] + [index.ids + s for index, s in zip(indexes, shifts)])
-    external = np.concatenate([np.zeros(0, dtype=np.uint64)] + [index.dictionary.external for index in indexes])
-    order = np.argsort(flat_terms, kind="stable")
-    terms, offsets = sorted_runs(flat_terms[order])
-    head_only = all(index.head_only for index in indexes)
-    return PostingIndex(config, IdDictionary(external), terms, offsets, ids[order], head_only=head_only)
-
-
-def index_tail(index: PostingIndex, first: int) -> PostingIndex:
-    """The postings of dense ids first and later, renumbered from 0."""
-    keep = index.ids >= first
-    terms, offsets = sorted_runs(np.repeat(index.terms, np.diff(index.offsets))[keep])
-    external = index.dictionary.external[first:]
-    ids = index.ids[keep] - np.uint32(first)
-    return PostingIndex(index.config, IdDictionary(external), terms, offsets, ids, head_only=index.head_only)

@@ -165,7 +165,7 @@ def _self_join_lists(queries: EmbeddingSet, q_terms: np.ndarray, index: PostingI
     """
     n, t = q_terms.shape
     ids = index.ids
-    if ids.size != n * t or not np.array_equal(queries.ids, index.dictionary.external):
+    if ids.size != n * t or not np.array_equal(queries.ids, index.dictionary):
         return None
     lengths = np.diff(index.offsets)
     posting_terms = np.repeat(index.terms, lengths)
@@ -240,7 +240,7 @@ def overlap_pairs(queries: EmbeddingSet, index: PostingIndex, min_overlap: int =
         rows, dense = np.concatenate((rows, dense)), np.concatenate((dense, rows))
         counts = np.concatenate((counts, counts))
         order = np.lexsort((dense, rows))
-        return queries.ids[rows[order]], index.dictionary.external[dense[order]], counts[order]
+        return queries.ids[rows[order]], index.dictionary[dense[order]], counts[order]
 
     pos = np.minimum(np.searchsorted(index.terms, q_terms), index.terms.size - 1)
     found = index.terms[pos] == q_terms
@@ -248,7 +248,7 @@ def overlap_pairs(queries: EmbeddingSet, index: PostingIndex, min_overlap: int =
     hi = np.where(found, index.offsets[pos + 1], 0)
     rows, dense, counts = _join(lo, hi, index.ids, min_overlap)
     ext_q = queries.ids[rows]
-    ext_i = index.dictionary.external[dense]
+    ext_i = index.dictionary[dense]
     not_self = ext_q != ext_i
     return ext_q[not_self], ext_i[not_self], counts[not_self]
 

@@ -129,16 +129,18 @@ def test_derive_terms_hand_example():
 
 
 @settings(max_examples=50)
-@given(st.integers(0, 2**32 - 1))
-def test_derive_terms_matches_chunk_oracle(seed):
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 4, 13, 24]))
+def test_derive_terms_matches_chunk_oracle(seed, g):
     rng = np.random.default_rng(seed)
-    d, g = 32, 4
-    selected = tuple(int(i) for i in rng.permutation(d)[:16])
+    d = 64
+    selected = tuple(int(i) for i in rng.permutation(d)[: g * max(2, 32 // g)])
     config = LshConfig(d=d, selected_bits=selected, term_bits=g)
     bits = rng.integers(0, 2, size=(3, d), dtype=np.uint8)
     got = derive_terms_matrix(bits, config)
+    assert got.dtype == np.uint32
     for row, terms in zip(bits, got):
-        assert set(terms.tolist()) == chunk_oracle(row, selected, g)
+        # column j holds group j, whose tag sorts it after every earlier group
+        assert terms.tolist() == sorted(chunk_oracle(row, selected, g))
 
 
 def test_term_count_and_group_disjointness(lsh64, rng):

@@ -38,9 +38,9 @@ STORE_FILE_SHA256 = {
     "clusters-3.tsv": "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda",
     "heads-3.json": "3e36374d4d5d15ffce0f46a6da51a321b23fd3e89d9e5f0d6d39eaa81d6d0092",
     "embeddings-3.ndem": "86ab212dc10ad9859cff013a4b79fba4103f389ecf8e0e449ebb73967e077b74",
-    "manifest.json": "4225d9e8c6b2e99ccd88bb85abf90a47bb93e4e3f3131be2facedefc2e534322",
-    "segment-1-2.ndsg": "5dbfc24d659d912077fbc1d1f893253754fa7860e68894656b2b6172dcd6e361",
-    "segment-1-3.ndsg": "1d67bb7861406b1c00c4ca0a264c01bc87e97f7807cb3f37495297f428f464dc",
+    "manifest.json": "fde9026953ccbf5c506b980a5fab9c5b4468287fe3fb3950afbba1ad91212bfa",
+    "segment-1-2.ndsg": "686f4649f93f73b331854c0fe59c3382b99dad5af75d8f0ecda5270e6f949662",
+    "segment-1-3.ndsg": "8a26c8c7e683b91e0da907c27b9f8a04a47a9e77b10872e5f993ec4c1d116fb9",
 }
 # the same run with top-K binding: (k, candidate pairs, edges, non-singleton clusters, sha256)
 RUN_FULL_SMALL_K = (
@@ -120,7 +120,7 @@ def test_head_index_file_digest(ingested, tmp_path):
     assert hashlib.sha256(blob).hexdigest() == HEAD_INDEX_SHA256
     (tmp_path / "heads.ndix").write_bytes(blob)
     assert serialize_index(load_index(tmp_path / "heads.ndix")) == blob
-    # the merged head index, in memory and reopened, holds the same postings
+    # the derived head index, in memory and reopened, holds the same postings
     assert serialize_index(reopened.head_index) == serialize_index(store.head_index)
     assert posting_pairs(store.head_index) == posting_pairs(oracle)
 
@@ -128,7 +128,7 @@ def test_head_index_file_digest(ingested, tmp_path):
 def posting_pairs(index) -> set:
     """(term, external id) of every posting."""
     terms = np.repeat(index.terms, np.diff(index.offsets)).tolist()
-    return set(zip(terms, index.dictionary.external[index.ids].tolist()))
+    return set(zip(terms, index.dictionary[index.ids].tolist()))
 
 
 @pytest.mark.parametrize("name", sorted(STORE_FILE_SHA256))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,15 +16,8 @@ from neardup import (
     load_index,
     save_index,
 )
-from neardup.errors import ConfigMismatchError, EncodingError, FormatError, IndexBuildError
-from neardup.index import (
-    IdDictionary,
-    index_tail,
-    merge_indexes,
-    serialize_index,
-    varbyte_decode,
-    varbyte_encode,
-)
+from neardup.errors import EncodingError, FormatError
+from neardup.index import PostingIndex, serialize_index
 
 
 # -- oracles ------------------------------------------------------------------
@@ -70,72 +65,109 @@ def naive_index_oracle(sets):
     return dense, postings
 
 
-# -- varbyte ------------------------------------------------------------------
+# -- varbyte codec, through the index file ------------------------------------
+
+CONFIG = LshConfig(d=64, selected_bits=tuple(range(36)), term_bits=6)
+
+
+def index_file(n_images, entries):
+    """An index file over external ids 0..n_images-1 with hand-made posting
+    entries (term, count, payload)."""
+    parts = [
+        b"NDIX",
+        struct.pack("<HB", 1, 0),
+        struct.pack("<HHH", CONFIG.d, CONFIG.term_bits, CONFIG.m),
+        np.array(CONFIG.selected_bits, dtype="<u2").tobytes(),
+        struct.pack("<Q", n_images),
+        np.arange(n_images, dtype="<u8").tobytes(),
+        struct.pack("<I", len(entries)),
+    ]
+    for term, count, payload in entries:
+        parts.append(struct.pack("<III", term, count, len(payload)) + payload)
+    return b"".join(parts)
+
+
+def one_list(ids, n_images=1):
+    """A PostingIndex whose one term, 3, posts ids."""
+    return PostingIndex(CONFIG, np.arange(n_images, dtype=np.uint64), [3], [0, len(ids)], ids)
+
+
+def coded(ids, n_images=1):
+    """The payload serialize_index writes for the posting list ids."""
+    start = len(index_file(n_images, [])) + 12  # one 12-byte entry header
+    return serialize_index(one_list(ids, n_images))[start:]
+
+
+def loaded(payload, count, n_images):
+    """The posting list load_index decodes from payload."""
+    return load_index_from_bytes(index_file(n_images, [(3, count, payload)])).posting_ids(3).tolist()
 
 
 def test_varbyte_frozen_examples():
-    assert varbyte_encode([0]) == bytes([0x00])
-    assert varbyte_encode([5, 9, 12]) == bytes([0x05, 0x04, 0x03])  # deltas 5,4,3
+    assert coded([0]) == bytes([0x00])
+    assert coded([5, 9, 12]) == bytes([0x05, 0x04, 0x03])  # deltas 5,4,3
     # 128 needs two bytes; the high bit marks continuation
-    assert varbyte_encode([128]) == bytes([0x80, 0x01])
-    assert varbyte_encode([2**32 - 1]) == vb_encode_oracle([2**32 - 1])
+    assert coded([128]) == bytes([0x80, 0x01])
+    assert coded([2**32 - 1]) == vb_encode_oracle([2**32 - 1])
 
 
 def test_varbyte_decode_frozen_examples():
-    assert varbyte_decode(bytes([0x05, 0x04, 0x03])).tolist() == [5, 9, 12]
-    assert varbyte_decode(bytes([0x80, 0x01])).tolist() == [128]
-    assert varbyte_decode(b"").tolist() == []
+    assert loaded(bytes([0x05, 0x04, 0x03]), 3, 13) == [5, 9, 12]
+    assert loaded(bytes([0x80, 0x01]), 1, 129) == [128]
+    assert loaded(b"", 0, 0) == []
 
 
-@settings(max_examples=200)
-@given(st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=60, unique=True))
-def test_varbyte_round_trip_matches_oracle(ids):
-    ids = sorted(ids)
-    payload = varbyte_encode(ids)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=60, unique=True),
+    st.lists(st.integers(0, 4095), min_size=0, max_size=60, unique=True),
+)
+def test_varbyte_round_trip_matches_oracle(ids, small):
+    # any u32 list codes as the oracle does; a list within a dictionary
+    # small enough to write also loads back
+    ids, small = sorted(ids), sorted(small)
+    payload = coded(ids)
     assert payload == vb_encode_oracle(ids)
-    assert varbyte_decode(payload).tolist() == ids
     assert vb_decode_oracle(payload) == ids
+    assert loaded(coded(small), len(small), 4096) == small
 
 
 def test_varbyte_rejects_bad_sequences():
     with pytest.raises(EncodingError):
-        varbyte_encode([3, 3])
+        serialize_index(one_list([3, 3], 4))
     with pytest.raises(EncodingError):
-        varbyte_encode([5, 2])
-    with pytest.raises(EncodingError):
-        varbyte_encode([2**32])
-    with pytest.raises(EncodingError):
-        varbyte_decode(bytes([0x80]))  # ends mid-value
+        serialize_index(one_list([5, 2], 6))
+    for payload, count in (
+        (vb_encode_oracle([2**32]), 1),  # id past 32 bits
+        (bytes([0x80]), 1),  # ends mid-value
+        (bytes([0x03, 0x00]), 2),  # repeated id
+    ):
+        with pytest.raises(FormatError):
+            loaded(payload, count, 8)
 
 
 def test_varbyte_one_byte_per_small_delta():
     # dense consecutive ids: every delta fits 7 bits -> 1 byte per posting
-    ids = list(range(1000))
-    assert len(varbyte_encode(ids)) == 1000
+    assert len(coded(list(range(1000)), 1000)) == 1000
 
 
 # -- dictionary ---------------------------------------------------------------
 
 
 def test_id_dictionary_first_seen_order():
-    d = IdDictionary(np.array([99, 3, 47], dtype=np.uint64))
-    assert d.to_dense(99) == 0
-    assert d.to_dense(47) == 2
-    assert d.to_external(1) == 3
-    assert 3 in d and 4 not in d
-    with pytest.raises(KeyError):
-        d.to_dense(1000)
-    with pytest.raises(IndexBuildError):
-        IdDictionary(np.array([1, 1], dtype=np.uint64))
-
-
-@given(st.lists(st.integers(0, 2**64 - 2), min_size=1, max_size=50, unique=True))
-def test_id_dictionary_bijective(ids):
-    d = IdDictionary(np.array(ids, dtype=np.uint64))
-    for ext in ids:
-        assert d.to_external(d.to_dense(ext)) == ext
-    for dense in range(len(ids)):
-        assert d.to_dense(d.to_external(dense)) == dense
+    # the dictionary is the external ids by dense id: the set's row order
+    emb = EmbeddingSet.from_bits(np.array([99, 3, 47], dtype=np.uint64), np.eye(3, 64, dtype=np.uint8))
+    index = build_index(emb, CONFIG)
+    assert index.dictionary.tolist() == [99, 3, 47]
+    assert len(index) == 3
+    with pytest.raises(ValueError):
+        index.dictionary[0] = 1  # read-only
+    # only the loader checks for repeats: an index file is outside input
+    blob = bytearray(serialize_index(index))
+    start = len(index_file(0, [])) - 4  # the dictionary follows its u64 count
+    blob[start + 8 : start + 16] = blob[start : start + 8]
+    with pytest.raises(FormatError, match="duplicate"):
+        load_index_from_bytes(bytes(blob))
 
 
 # -- index build --------------------------------------------------------------
@@ -149,15 +181,15 @@ def small_set(rng):
 
 
 def test_build_index_matches_naive_oracle(small_set, lsh64):
-    index = build_index(small_set, lsh64)
-    dense, postings = naive_index_oracle(term_sets(small_set, lsh64))
-    assert len(index.dictionary) == len(dense)
-    for ext, dn in dense.items():
-        assert index.dictionary.to_dense(ext) == dn
-    assert index.terms.tolist() == sorted(postings)
-    for term, ids in postings.items():
-        assert index.posting_ids(term).tolist() == ids
-    assert index.posting_count() == sum(len(v) for v in postings.values())
+    # sorted as u16 keys under lsh64; u8 with 1-bit groups, u32 with 24-bit ones
+    for config in (lsh64, LshConfig(64, tuple(range(8)), 1), LshConfig(64, tuple(range(48)), 24)):
+        index = build_index(small_set, config)
+        dense, postings = naive_index_oracle(term_sets(small_set, config))
+        assert index.dictionary.tolist() == list(dense)  # position = dense id
+        assert index.terms.tolist() == sorted(postings)
+        for term, ids in postings.items():
+            assert index.posting_ids(term).tolist() == ids
+        assert index.posting_count() == sum(len(v) for v in postings.values())
 
 
 def test_build_index_from_embedding_set_equivalent(small_set, lsh64):
@@ -236,7 +268,7 @@ def test_index_file_round_trip(small_set, lsh64, tmp_path):
     back = load_index(path)
     assert back.head_only is True
     assert back.config == index.config
-    np.testing.assert_array_equal(back.dictionary.external, index.dictionary.external)
+    np.testing.assert_array_equal(back.dictionary, index.dictionary)
     assert back.terms.tolist() == index.terms.tolist()
     for t in index.terms:
         assert back.posting_ids(t).tolist() == index.posting_ids(t).tolist()
@@ -281,23 +313,9 @@ def test_index_file_bit_flips_load_or_raise_format_error(data):
         pass
 
 
-def test_index_file_rejects_inconsistent_postings(lsh64):
-    import struct
-
+def test_index_file_rejects_inconsistent_postings():
     def blob(n_images, entries):
-        parts = [
-            b"NDIX",
-            struct.pack("<HB", 1, 0),
-            struct.pack("<HHH", lsh64.d, lsh64.term_bits, lsh64.m),
-            np.array(lsh64.selected_bits, dtype="<u2").tobytes(),
-            struct.pack("<Q", n_images),
-            np.arange(n_images, dtype="<u8").tobytes(),
-            struct.pack("<I", len(entries)),
-        ]
-        for term, ids in entries:
-            payload = varbyte_encode(ids)
-            parts.append(struct.pack("<III", term, len(ids), len(payload)) + payload)
-        return b"".join(parts)
+        return index_file(n_images, [(term, len(ids), vb_encode_oracle(ids)) for term, ids in entries])
 
     assert load_index_from_bytes(blob(2, [(3, [0, 1]), (7, [1])])).posting_ids(7).tolist() == [1]
     with pytest.raises(FormatError):
@@ -318,27 +336,3 @@ def test_compression_beats_baseline_on_clustered_ids(rng):
     sizes = index_size_bytes(index)
     assert index.posting_count() == 30000
     assert sizes.payload < 0.5 * sizes.baseline
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(0, 60), cuts=st.lists(st.integers(0, 60), max_size=4), seed=st.integers(0, 2**16))
-def test_merged_row_ranges_equal_one_build(n, cuts, seed):
-    rng = np.random.default_rng(seed)
-    config = LshConfig(d=64, selected_bits=tuple(range(36)), term_bits=6)
-    ids = rng.permutation(1000)[:n].astype(np.uint64)
-    emb = EmbeddingSet.from_bits(ids, rng.integers(0, 2, size=(n, 64), dtype=np.uint8))
-    bounds = [0, *sorted(min(c, n) for c in cuts), n]
-    parts = [build_index(emb.subset(ids[a:b]), config, head_only=True) for a, b in zip(bounds, bounds[1:])]
-    whole = build_index(emb, config, head_only=True)
-    assert serialize_index(merge_indexes(config, parts)) == serialize_index(whole)
-    for a in bounds:
-        tail = build_index(emb.subset(ids[a:]), config, head_only=True)
-        assert serialize_index(index_tail(whole, a)) == serialize_index(tail)
-
-
-def test_merge_refuses_mixed_configs():
-    emb = EmbeddingSet.from_bits([1, 2], np.eye(2, 64, dtype=np.uint8))
-    a = LshConfig(d=64, selected_bits=tuple(range(36)), term_bits=6)
-    b = LshConfig(d=64, selected_bits=tuple(range(1, 37)), term_bits=6)
-    with pytest.raises(ConfigMismatchError):
-        merge_indexes(a, [build_index(emb, a), build_index(emb, b)])
