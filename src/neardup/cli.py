@@ -199,7 +199,7 @@ def cmd_select(args) -> int:
         atomic_write_text(args.out, "".join(f"{q}\t{c}\t{v}\t{s:.6f}\n" for q, c, v, s in rows))
         print(f"{len(matches)} matched queries -> {args.out}")
         if args.labels_out:
-            labels = emit_augmentation_labels(matches, heads, model, embeddings, args.threshold)
+            labels = emit_augmentation_labels(matches, heads)
             atomic_write_text(
                 args.labels_out,
                 "id_a,id_b,label\n" + "".join(f"{a},{b},{l}\n" for a, b, l in labels),

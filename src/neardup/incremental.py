@@ -1,26 +1,27 @@
 """Incremental ingestion: new batches join existing clusters or form new ones.
 
-A ClusterStore holds the current clustering as arrays: every stored image's
-embedding, the cluster table (clustering.ClusterTable), the heads with their
-frozen augmentation lists (selection.ClusterHeads), and an LSH index over
-the heads only, derived from their embeddings on first use. Each incoming
-batch runs two searches. New-vs-old matches batch images against stored
-heads through the head index; new-vs-new runs the static pipeline inside
-the batch. Merge prefers old clusters: an image with a head match joins its
-matched cluster, the rest of its batch cluster follows the best-matched
-member, and only batch clusters with no matched member at all enter the
-store as new clusters (heads re-picked as medoids in one batched call,
-members rescored against them). Merge appends table rows.
+A ClusterStore holds the current clustering as one entry per stored image,
+aligned with the embedding rows: its cluster id, its score against its head
+and its role (member, head, or member on the cluster's frozen augmentation
+list). The cluster table (clustering.ClusterTable), the heads with their
+augmentation lists (selection.ClusterHeads) and an LSH index over the heads
+only are derived from these on first use. Each incoming batch runs two
+searches. New-vs-old matches batch images against stored heads through the
+head index; new-vs-new runs the static pipeline inside the batch. Merge
+prefers old clusters: an image with a head match joins its matched
+cluster, the rest of its batch cluster follows the best-matched member,
+and only batch clusters with no matched member at all enter the store as
+new clusters (heads re-picked as medoids in one batched call, members
+rescored against them). Merge appends the batch's entries; a
+joiner is a plain member, so augmentation lists stay frozen.
 
 On disk a store is a directory of append-only segment files listed by
 manifest.json, which also holds the LSH config, k_aug and the batch id. A
-segment holds everything about the images first stored in it: their
-embeddings, their cluster-table rows and the head entries of the clusters
-they created (heads and augmentation lists are frozen, and a new cluster's
-head is always a new image), as raw little-endian columns under a CRC32.
-No postings are stored: the head index is a function of the heads'
-embeddings and the LSH config. Stored rows follow segment order. A save
-writes one segment for the images past the persisted prefix and then
+segment holds the entries and embeddings of the images first stored in it,
+as raw little-endian columns under a CRC32; an image's entry never changes
+once stored. No postings are stored: the head index is a function of the
+heads' embeddings and the LSH config. Stored rows follow segment order. A
+save writes one segment for the images past the persisted prefix and then
 replaces the manifest; no segment file is ever rewritten. While the newest
 segment holds at least half as many images as the one before it, the two
 are compacted into a new file, so a store of n batches has O(log n)
@@ -55,7 +56,7 @@ from .index import PostingIndex, build_index
 from .pipeline import resolve_lsh_config, static_clusters
 from .search import batch_search
 from .selection import ClusterHeads, HeadMatches, emit_augmentation_labels, select_candidates
-from .util import TEMP_PREFIX, atomic_write_bytes, atomic_write_json, find_sorted, first_repeat
+from .util import TEMP_PREFIX, atomic_write_bytes, atomic_write_text, find_sorted, first_repeat
 
 log = logging.getLogger("neardup")
 
@@ -63,7 +64,10 @@ MANIFEST_NAME = "manifest.json"
 LOCK_NAME = "lock"
 STORE_VERSION = 2
 SEGMENT_MAGIC = b"NDSG"
-SEGMENT_VERSION = 2
+SEGMENT_VERSION = 3
+# a stored image's role: a member, its cluster's head, or a member on its
+# cluster's frozen augmentation list
+MEMBER, HEAD, LISTED = 0, 1, 2
 
 
 class SegmentRef(NamedTuple):
@@ -83,18 +87,23 @@ class SegmentRef(NamedTuple):
 class ClusterStore:
     """The persistent clustering state between batches.
 
-    table is the ClusterTable, heads the ClusterHeads; clusters is a
-    read-only map of cluster id -> NearDupeCluster view over the table.
-    segments lists the segments of directory that hold the first stored
-    images, in row order; save writes the rest.
+    One entry per stored image, aligned with the rows of embeddings: cluster
+    (its cluster id), score (against its head, NaN on a head) and role
+    (MEMBER, HEAD, or LISTED for a member on its cluster's frozen
+    augmentation list). table (the ClusterTable), heads (ClusterHeads, each
+    list the LISTED members by score desc, id asc), clusters (a read-only
+    map of cluster id -> NearDupeCluster view) and head_index are derived
+    from them on first use. segments lists the segments of directory that
+    hold the first stored images, in row order; save writes the rest.
     """
 
     def __init__(
         self,
         lsh_config: LshConfig,
         embeddings: EmbeddingSet,
-        table: ClusterTable,
-        heads: ClusterHeads,
+        cluster=(),
+        score=(),
+        role=(),
         k_aug: int = 3,
         batch_id: int = 0,
         directory=None,
@@ -102,40 +111,43 @@ class ClusterStore:
     ):
         self.lsh_config = lsh_config
         self.embeddings = embeddings
-        self.table = table
-        self.heads = heads
+        self.cluster = np.asarray(cluster, dtype=np.uint64).reshape(-1)
+        self.score = np.asarray(score, dtype=np.float64).reshape(-1)
+        self.role = np.asarray(role, dtype=np.uint8).reshape(-1)
         self.k_aug = int(k_aug)
         self.batch_id = int(batch_id)
         self.directory = directory
         self.segments = tuple(segments)
+        if not len(embeddings) == self.cluster.size == self.score.size == self.role.size:
+            raise StoreError(f"{len(embeddings)} stored embeddings need as many cluster, score and role entries")
+        if self.role.max(initial=0) > LISTED:
+            raise StoreError(f"image {embeddings.ids[self.role > LISTED][0]}: role {self.role.max()} is not 0, 1 or 2")
 
-        if not np.array_equal(table.cluster_ids, heads.cluster):
-            raise StoreError("cluster table and head entries disagree on cluster ids")
-        wrong = np.flatnonzero(table.heads != heads.head)
-        if wrong.size:
-            raise StoreError(f"cluster {heads.cluster[wrong[0]]}: head entry does not match cluster")
-        twice = first_repeat(table.image)
-        if twice:
-            raise StoreError(f"image {table.image[twice[0]]} appears in more than one cluster")
-        stored = np.isin(table.image, embeddings.ids)
-        if not stored.all():
-            raise StoreError(f"image {table.image[~stored][0]} is clustered but has no stored embedding")
-        if table.image.size != len(embeddings):
-            raise StoreError(f"{len(embeddings)} stored embeddings but {table.image.size} clustered images")
-        self.clusters = ClusterIndex(table)
+    @functools.cached_property
+    def table(self) -> ClusterTable:
+        return ClusterTable(self.embeddings.ids, self.cluster, self.role == HEAD, self.score)
+
+    @functools.cached_property
+    def heads(self) -> ClusterHeads:
+        return ClusterHeads.from_table(self.table, self.k_aug, listed=self.embeddings.ids[self.role == LISTED])
+
+    @functools.cached_property
+    def clusters(self) -> ClusterIndex:
+        return ClusterIndex(self.table)
 
     @functools.cached_property
     def head_index(self) -> PostingIndex:
-        """The LSH index over the heads, dense ids in row order; derived from
-        the stored embeddings and built on first use."""
-        return build_index(_rows_holding(self.embeddings, self.heads.head), self.lsh_config, head_only=True)
+        """The LSH index over the heads, dense ids in row order."""
+        heads = self.role == HEAD
+        heads_only = EmbeddingSet(self.embeddings.d, self.embeddings.ids[heads], self.embeddings.packed[heads])
+        return build_index(heads_only, self.lsh_config, head_only=True)
 
     def __len__(self) -> int:
         return len(self.embeddings)
 
     @property
     def n_clusters(self) -> int:
-        return len(self.table)
+        return int(np.count_nonzero(self.role == HEAD))
 
     @classmethod
     def initialize(
@@ -147,14 +159,24 @@ class ClusterStore:
         directory=None,
     ) -> "ClusterStore":
         """Create a store from a finished clustering (a ClusterTable or
-        NearDupeCluster-like objects), keeping heads as given.
+        NearDupeCluster-like objects) of exactly the images of embeddings,
+        keeping heads as given.
 
         Augmentation lists are fixed here: the top k_aug members of each
         cluster by (score desc, id asc).
         """
         table = ClusterTable.from_clusters(clusters)
-        heads = ClusterHeads.from_table(table, k_aug)
-        store = cls(lsh_config, embeddings, table, heads, k_aug=k_aug, directory=directory)
+        twice = first_repeat(table.image)
+        if twice:
+            raise StoreError(f"image {table.image[twice[0]]} appears in more than one cluster")
+        stored = find_sorted(np.sort(embeddings.ids), table.image)[1]
+        if not stored.all():
+            raise StoreError(f"image {table.image[~stored][0]} is clustered but has no stored embedding")
+        if table.image.size != len(embeddings):
+            raise StoreError(f"{len(embeddings)} stored embeddings but {table.image.size} clustered images")
+        by_row = np.argsort(embeddings.rows_of(table.image))
+        aligned = (table.cluster[by_row], table.score[by_row], _roles(table, k_aug)[by_row])
+        store = cls(lsh_config, embeddings, *aligned, k_aug=k_aug, directory=directory)
         if directory is not None:
             store.save()
         return store
@@ -182,7 +204,9 @@ class ClusterStore:
             while len(segments) > 1 and 2 * segments[-1].images >= segments[-2].images:
                 newer, older = segments.pop(), segments.pop()
                 segments.append(SegmentRef(older.first_batch, newer.last_batch, older.images + newer.images, 0))
-            blob = _encode_segment(self.embeddings.d, self._segment_columns(len(self) - segments[-1].images))
+            start = len(self) - segments[-1].images
+            columns = (self.embeddings.ids, self.cluster, self.score, self.role, self.embeddings.packed)
+            blob = _encode_segment(self.embeddings.d, {n: c[start:] for (n, _), c in zip(_COLUMNS, columns)})
             segments[-1] = segments[-1]._replace(crc32=_stored_crc(blob))
             atomic_write_bytes(os.path.join(directory, segments[-1].name), blob)
         replaced = _named_segments(directory)
@@ -197,31 +221,11 @@ class ClusterStore:
             },
             "segments": [ref._asdict() for ref in segments],
         }
-        atomic_write_json(os.path.join(directory, MANIFEST_NAME), manifest)
+        compact = json.dumps(manifest, separators=(",", ":"), sort_keys=True)
+        atomic_write_text(os.path.join(directory, MANIFEST_NAME), compact)
         self.directory, self.segments = directory, tuple(segments)
         if replaced is not None:
             _collect_garbage(directory, replaced | {ref.name for ref in segments})
-
-    def _segment_columns(self, start: int) -> dict:
-        """The segment columns of the images at rows start and later."""
-        ids = self.embeddings.ids[start:]
-        rows = _is_in(self.table.image, ids)
-        mine = _is_in(self.heads.head, ids)
-        counts = np.diff(self.heads.aug_offsets)
-        aug = np.repeat(mine, counts)
-        return {
-            "ids": ids,
-            "image": self.table.image[rows],
-            "cluster": self.table.cluster[rows],
-            "score": self.table.score[rows],
-            "head_cluster": self.heads.cluster[mine],
-            "head_image": self.heads.head[mine],
-            "aug_image": self.heads.aug_image[aug],
-            "aug_score": self.heads.aug_score[aug],
-            "aug_count": counts[mine],
-            "is_head": self.table.head[rows],
-            "packed": self.embeddings.packed[start:],
-        }
 
     @classmethod
     def open(cls, directory) -> "ClusterStore":
@@ -230,67 +234,35 @@ class ClusterStore:
         directory = os.fspath(directory)
         manifest, config, refs = _read_manifest(directory)
         segments = [_read_segment(directory, ref, config) for ref in refs]
+        ids, cluster, score, role, packed = (
+            np.concatenate([np.zeros(0, dtype=dtype)] + [seg[name] for seg in segments]) for name, dtype in _COLUMNS
+        )
         try:
-            embeddings = EmbeddingSet(
-                config.d, _concat(segments, "ids"), _concat(segments, "packed").reshape(-1, config.d // 8)
-            )
-            table = ClusterTable(*(_concat(segments, k) for k in ("image", "cluster", "is_head", "score")))
-            heads = ClusterHeads(
-                *(_concat(segments, k) for k in ("head_cluster", "head_image", "aug_count", "aug_image", "aug_score"))
-            )
+            embeddings = EmbeddingSet(config.d, ids, packed.reshape(-1, config.d // 8))
             k_aug, batch_id = manifest["k_aug"], manifest["batch_id"]
-            return cls(config, embeddings, table, heads, k_aug, batch_id, directory, refs)
+            store = cls(config, embeddings, cluster, score, role, k_aug, batch_id, directory, refs)
+            store.heads  # derive the table and heads now, so bad roles fail here and not mid-batch
+            return store
         except StoreError:
             raise
         except NearDupError as exc:
             raise StoreError(f"{directory}: inconsistent segments: {exc}") from exc
 
 
-def _is_in(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Mask of the values that occur in wanted."""
-    return find_sorted(np.sort(wanted), values)[1]
-
-
-def _rows_holding(embeddings: EmbeddingSet, ids) -> EmbeddingSet:
-    """The rows of embeddings whose ids are in ids, in row order."""
-    rows = _is_in(embeddings.ids, ids)
-    return EmbeddingSet(embeddings.d, embeddings.ids[rows], embeddings.packed[rows])
-
-
-def _concat(segments, name) -> np.ndarray:
-    return np.concatenate([np.zeros(0, dtype=_DTYPES[name])] + [seg[name] for seg in segments])
-
-
 # -- segment file -----------------------------------------------------------
 #
-# magic "NDSG" | version u16 | d u16 | counts u64 x 4: images, rows,
-# clusters, aug (augmentation entries)
-# then the columns below, each count items long (bytes: images * d/8),
+# magic "NDSG" | version u16 | d u16 | images u64
+# then the columns below, one entry per image (packed: d/8 bytes each),
 # widest first so every column starts aligned; then a CRC32 (u32) of all
-# bytes before it. All little-endian.
+# bytes before it. All little-endian. role is MEMBER, HEAD or LISTED.
 
-_HEADER = struct.Struct("<4sHH4Q")
-_COUNTS = ("images", "rows", "clusters", "aug")
-_COLUMNS = (
-    ("ids", "<u8", "images"),
-    ("image", "<u8", "rows"),
-    ("cluster", "<u8", "rows"),
-    ("score", "<f8", "rows"),
-    ("head_cluster", "<u8", "clusters"),
-    ("head_image", "<u8", "clusters"),
-    ("aug_image", "<u8", "aug"),
-    ("aug_score", "<f8", "aug"),
-    ("aug_count", "<u4", "clusters"),
-    ("is_head", "u1", "rows"),
-    ("packed", "u1", "bytes"),
-)
-_DTYPES = {name: np.dtype(dtype) for name, dtype, _ in _COLUMNS}
+_HEADER = struct.Struct("<4sHHQ")
+_COLUMNS = (("ids", "<u8"), ("cluster", "<u8"), ("score", "<f8"), ("role", "u1"), ("packed", "u1"))
 
 
 def _encode_segment(d: int, columns: dict) -> bytes:
-    counts = [columns[name].size for name in ("ids", "image", "head_cluster", "aug_image")]
-    parts = [_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, d, *counts)]
-    parts += [np.ascontiguousarray(columns[name], dtype=dtype).tobytes() for name, dtype, _ in _COLUMNS]
+    parts = [_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, d, columns["ids"].size)]
+    parts += [np.ascontiguousarray(columns[name], dtype=dtype).tobytes() for name, dtype in _COLUMNS]
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -306,20 +278,20 @@ def _decode_segment(blob: bytes, path) -> tuple:
         raise StoreError(f"{path}: truncated segment of {len(blob)} bytes")
     if zlib.crc32(memoryview(blob)[:-4]) != _stored_crc(blob):
         raise StoreError(f"{path}: segment checksum mismatch")
-    magic, version, d, *counts = _HEADER.unpack_from(blob)
+    magic, version, d, images = _HEADER.unpack_from(blob)
     if magic != SEGMENT_MAGIC:
         raise StoreError(f"{path}: not a segment file")
     if version != SEGMENT_VERSION:
         raise StoreError(f"{path}: segment version {version}; this release reads version {SEGMENT_VERSION} only")
     if d == 0 or d % 8:
         raise StoreError(f"{path}: invalid d={d}")
-    count = dict(zip(_COUNTS, counts), bytes=counts[0] * (d // 8))
-    size = _HEADER.size + sum(count[key] * np.dtype(dtype).itemsize for _, dtype, key in _COLUMNS) + 4
+    counts = [images] * (len(_COLUMNS) - 1) + [images * (d // 8)]
+    size = _HEADER.size + sum(n * np.dtype(dtype).itemsize for n, (_, dtype) in zip(counts, _COLUMNS)) + 4
     if size != len(blob):
         raise StoreError(f"{path}: header describes {size} bytes, file holds {len(blob)}")
     columns, offset = {}, _HEADER.size
-    for name, dtype, key in _COLUMNS:
-        columns[name] = np.frombuffer(blob, dtype=dtype, count=count[key], offset=offset)
+    for n, (name, dtype) in zip(counts, _COLUMNS):
+        columns[name] = np.frombuffer(blob, dtype=dtype, count=n, offset=offset)
         offset += columns[name].nbytes
     return d, columns
 
@@ -337,10 +309,6 @@ def _read_segment(directory, ref: SegmentRef, config: LshConfig) -> dict:
         raise StoreError(f"{path}: not the segment the manifest names")
     if d != config.d:
         raise StoreError(f"{path}: segment d={d}, store d={config.d}")
-    if int(seg["aug_count"].sum(dtype=np.int64)) != seg["aug_image"].size:
-        raise StoreError(f"{path}: augmentation counts do not add up to the entries stored")
-    if np.count_nonzero(_is_in(seg["ids"], seg["head_image"])) != seg["head_image"].size:
-        raise StoreError(f"{path}: every head must be a distinct image of its own segment")
     return seg
 
 
@@ -451,11 +419,7 @@ def run_nvo(
     combined: EmbeddingSet = None,
 ) -> HeadMatches:
     """Match one batch against stored cluster heads, at most one match per
-    query. The head index must cover exactly the current heads; anything
-    else means the store is corrupt.
-    """
-    if not np.array_equal(np.sort(store.head_index.dictionary), np.sort(store.heads.head)):
-        raise StoreError("head index out of sync with cluster heads")
+    query."""
     if len(new_embeddings) == 0 or store.heads.cluster.size == 0:
         return HeadMatches()
     hits = batch_search(new_embeddings, store.head_index, k=k, min_overlap=min_overlap)
@@ -484,15 +448,18 @@ def merge(
 ):
     """Fold one batch's matches and internal clusters into the clustering.
 
-    nvn_clusters is the batch's ClusterTable (or NearDupeCluster-like
-    objects). Returns (table, heads, assignments): the next cluster table and
-    head arrays plus one (image_id, cluster_id, provenance) row per batch
-    image. The store itself is left untouched.
+    combined is the store's embeddings followed by the batch's, and
+    nvn_clusters the batch's ClusterTable (or NearDupeCluster-like objects)
+    over exactly those batch images. Returns (next_store, assignments): the
+    store's entries plus the batch's at batch_id + 1, not yet saved, and one
+    (image_id, cluster_id, provenance) row per batch image. The store itself
+    is left untouched.
 
     Provenance: "nvo" for a direct head match, "nvn_mapped" for an image
     pulled into an old cluster by a matched batch-mate, "nvn_new" for
     members of clusters entering the store. Joiners' stored scores are
     against the old cluster's head and may land below the match threshold.
+    Joiners are plain members: augmentation lists stay frozen.
     """
     nvn = ClusterTable.from_clusters(nvn_clusters)
     owner = np.repeat(np.arange(len(nvn)), nvn.sizes)
@@ -506,7 +473,7 @@ def merge(
     joins = np.zeros(len(nvn), dtype=bool)
     joins[owner[hit]] = True
 
-    parts = [store.table.columns]
+    parts = []  # the batch's (image, cluster, score, role) entries
     assignments = []
     join = np.flatnonzero(joins[owner])
     if join.size:
@@ -516,8 +483,7 @@ def merge(
         heads_at, _ = find_sorted(store.heads.cluster, target)
         rows_h = combined.rows_of(store.heads.head[heads_at])
         scores = predict_rows(model, combined, combined.rows_of(image), rows_h)
-        # augmentation lists stay frozen: joins add table rows, never head entries
-        parts.append((image, target, np.zeros(join.size, dtype=bool), scores))
+        parts.append((image, target, scores, np.full(join.size, MEMBER, dtype=np.uint8)))
         provenance = np.where(direct, "nvo", "nvn_mapped").tolist()
         assignments += zip(image.tolist(), target.tolist(), provenance)
 
@@ -542,10 +508,27 @@ def merge(
             )
         created = ClusterTable(image, cid[group], is_head, score)
         assignments += zip(created.image.tolist(), created.cluster.tolist(), ["nvn_new"] * image.size)
-    parts.append(created.columns)
-    table = ClusterTable(*map(np.concatenate, zip(*parts)))
-    heads = ClusterHeads.from_table(created, store.k_aug)
-    return table, ClusterHeads(*map(np.concatenate, zip(store.heads.columns, heads.columns))), assignments
+    parts.append((created.image, created.cluster, created.score, _roles(created, store.k_aug)))
+
+    image, cluster, score, role = map(np.concatenate, zip(*parts))
+    rows = combined.rows_of(image)
+    by_row = np.argsort(rows)
+    if not np.array_equal(rows[by_row], np.arange(len(store), len(combined))):
+        raise StoreError("batch clusters must hold exactly the batch's new images")
+    columns = ((store.cluster, cluster), (store.score, score), (store.role, role))
+    cluster, score, role = (np.concatenate((old, new[by_row])) for old, new in columns)
+    next_store = ClusterStore(
+        store.lsh_config, combined, cluster, score, role,
+        store.k_aug, store.batch_id + 1, store.directory, store.segments,
+    )
+    return next_store, assignments
+
+
+def _roles(table: ClusterTable, k_aug: int) -> np.ndarray:
+    """The role of each table row, listing the top k_aug members of each cluster."""
+    role = table.head.astype(np.uint8)
+    role[np.isin(table.image, ClusterHeads.from_table(table, k_aug).aug_image)] = LISTED
+    return role
 
 
 def _log_stage(stage: str, t0: float, detail: str = "", *args) -> float:
@@ -586,15 +569,14 @@ def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: 
         store = ClusterStore.open(directory)
     else:
         lsh_config = resolve_lsh_config(config, new_embeddings)
-        empty = (new_embeddings.subset([]), ClusterTable(), ClusterHeads())
-        store = ClusterStore(lsh_config, *empty, config.augmentation.k_aug, 0, directory)
+        empty = new_embeddings.subset([])
+        store = ClusterStore(lsh_config, empty, k_aug=config.augmentation.k_aug, directory=directory)
     t0 = _log_stage("open", t0, ": %d images in %d clusters", len(store), store.n_clusters)
     if len(new_embeddings) == 0:
         return store, [], []
 
-    by_image = np.argsort(store.table.image)
-    at, known = find_sorted(store.table.image[by_image], new_embeddings.ids)
-    existing = store.table.cluster[by_image[at[known]]]
+    known = find_sorted(np.sort(store.embeddings.ids), new_embeddings.ids)[1]
+    existing = store.cluster[store.embeddings.rows_of(new_embeddings.ids[known])]
     assignments = list(zip(new_embeddings.ids[known].tolist(), existing.tolist(), ["existing"] * existing.size))
     if known.all():
         log.info("batch of %d: all ids already stored, nothing to do", len(new_embeddings))
@@ -606,14 +588,11 @@ def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: 
     matches = run_nvo(
         store, fresh, model, threshold, k=config.search.k, min_overlap=config.search.min_overlap, combined=combined
     )
-    labels = emit_augmentation_labels(matches, store.heads, model, combined, threshold)
+    labels = emit_augmentation_labels(matches, store.heads)
     t0 = _log_stage("nvo", t0, ": %d of %d new images match a head", len(matches), len(fresh))
     nvn = run_nvn(store, fresh, model, config)
     t0 = _log_stage("nvn", t0, ": %d batch clusters", len(nvn.clusters))
-    table, heads, batch_assignments = merge(store, matches, nvn.clusters, model, combined)
-    next_store = ClusterStore(
-        store.lsh_config, combined, table, heads, store.k_aug, store.batch_id + 1, store.directory, store.segments
-    )
+    next_store, batch_assignments = merge(store, matches, nvn.clusters, model, combined)
     t0 = _log_stage("merge", t0, ": store now %d clusters", next_store.n_clusters)
     if next_store.directory is not None:
         next_store.save()

@@ -9,6 +9,8 @@ threshold decides the match. A query matching several clusters keeps only
 the best one. Heads and matches are arrays: ClusterHeads and HeadMatches.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .classifier import MlpModel, predict_rows
@@ -19,43 +21,42 @@ from .search import SearchResultBatch
 from .util import find_sorted
 
 
-class ClusterHeads:
+class ClusterHeads(NamedTuple):
     """Every cluster's head and frozen augmentation list, as arrays.
 
     cluster and head hold one entry per cluster, by cluster id; cluster i's
     list is aug_image/aug_score[aug_offsets[i]:aug_offsets[i + 1]]: up to
     k_aug (member, score vs head) entries by descending score, ties to the
-    smaller id, fixed when the cluster was created. Built from entries in any
-    order (aug_count: list lengths); columns repeats those arguments sorted.
+    smaller id. Built only by from_table.
     """
 
-    def __init__(self, cluster=(), head=(), aug_count=(), aug_image=(), aug_score=()):
-        ids = (np.asarray(a, dtype=np.uint64).reshape(-1) for a in (cluster, head, aug_image))
-        cluster, head, aug_image = ids
-        aug_count = np.asarray(aug_count, dtype=np.int64).reshape(-1)
-        aug_score = np.asarray(aug_score, dtype=np.float64).reshape(-1)
-        owner = np.repeat(np.arange(cluster.size), aug_count)
-        inside = np.flatnonzero(aug_image == head[owner])
-        if inside.size:
-            raise DataError(f"cluster {cluster[owner[inside[0]]]}: head appears in its own augmentation list")
-        order, rows = np.argsort(cluster, kind="stable"), np.argsort(cluster[owner], kind="stable")
-        self.columns = (cluster[order], head[order], aug_count[order], aug_image[rows], aug_score[rows])
-        self.cluster, self.head, _, self.aug_image, self.aug_score = self.columns
-        if np.any(self.cluster[1:] == self.cluster[:-1]):
-            raise DataError("duplicate cluster id in head entries")
-        self.aug_offsets = np.concatenate(([0], np.cumsum(aug_count[order])))
+    cluster: np.ndarray
+    head: np.ndarray
+    aug_offsets: np.ndarray
+    aug_image: np.ndarray
+    aug_score: np.ndarray
 
     @classmethod
-    def from_table(cls, table: ClusterTable, k_aug: int) -> "ClusterHeads":
+    def from_table(cls, table: ClusterTable, k_aug: int, listed=None) -> "ClusterHeads":
         """Heads of a cluster table; each augmentation list is the top k_aug
-        members by (score desc, id asc)."""
+        members by (score desc, id asc), or, given listed ids, the members
+        listed in that order (more than k_aug in a cluster is a DataError)."""
         member = ~table.head
         owner = np.repeat(np.arange(len(table)), table.sizes)[member]
-        order = np.lexsort((table.image[member], -table.score[member], owner))
-        owner, image, score = owner[order], table.image[member][order], table.score[member][order]
-        keep = np.arange(owner.size) - np.searchsorted(owner, owner) < k_aug
+        image, score = table.image[member], table.score[member]
+        if listed is not None:
+            on_list = find_sorted(np.sort(np.asarray(listed, dtype=np.uint64)), image)[1]
+            owner, image, score = owner[on_list], image[on_list], score[on_list]
+        order = np.lexsort((image, -score, owner))
+        owner, image, score = owner[order], image[order], score[order]
+        rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+        if listed is not None and np.any(rank >= k_aug):
+            cluster = table.cluster_ids[owner[rank >= k_aug][0]]
+            raise DataError(f"cluster {cluster}: more than k_aug={k_aug} listed members")
+        keep = rank < k_aug
         counts = np.bincount(owner[keep], minlength=len(table))
-        return cls(table.cluster_ids, table.heads, counts, image[keep], score[keep])
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return cls(table.cluster_ids, table.heads, offsets, image[keep], score[keep])
 
 
 class HeadMatches:
@@ -138,27 +139,20 @@ def select_candidates(
     return HeadMatches(query[order], cluster[order], via[order], score[order])
 
 
-def emit_augmentation_labels(
-    matches: HeadMatches, heads: ClusterHeads, model: MlpModel, embeddings: EmbeddingSet, threshold: float
-) -> list:
+def emit_augmentation_labels(matches: HeadMatches, heads: ClusterHeads) -> list:
     """Positive (query, head, 1) labels for matches won by an augmentation member.
 
     These are exactly the adversarial pairs the classifier got wrong at the
-    head: the pair scored below the threshold although the query belongs to
-    the cluster. Matches via the head emit nothing.
+    head: select_candidates tries the head first, so a match won by a member
+    means the head scored below the threshold in the same call. Matches via
+    the head emit nothing.
     """
-    _check_threshold(threshold)
     pos, found = find_sorted(heads.cluster, matches.cluster)
     if not found.all():
         raise DataError(f"match names unknown cluster {matches.cluster[~found][0]}")
     head = heads.head[pos]
     aug = matches.via != head
-    if not aug.any():
-        return []
-    query, head = matches.query[aug], head[aug]
-    head_scores = predict_rows(model, embeddings, embeddings.rows_of(query), embeddings.rows_of(head))
-    missed = head_scores < threshold
-    return [(q, h, 1) for q, h in zip(query[missed].tolist(), head[missed].tolist())]
+    return [(q, h, 1) for q, h in zip(matches.query[aug].tolist(), head[aug].tolist())]
 
 
 def _check_threshold(threshold: float) -> None:

@@ -38,9 +38,9 @@ STORE_FILE_SHA256 = {
     "clusters-3.tsv": "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda",
     "heads-3.json": "3e36374d4d5d15ffce0f46a6da51a321b23fd3e89d9e5f0d6d39eaa81d6d0092",
     "embeddings-3.ndem": "86ab212dc10ad9859cff013a4b79fba4103f389ecf8e0e449ebb73967e077b74",
-    "manifest.json": "fde9026953ccbf5c506b980a5fab9c5b4468287fe3fb3950afbba1ad91212bfa",
-    "segment-1-2.ndsg": "686f4649f93f73b331854c0fe59c3382b99dad5af75d8f0ecda5270e6f949662",
-    "segment-1-3.ndsg": "8a26c8c7e683b91e0da907c27b9f8a04a47a9e77b10872e5f993ec4c1d116fb9",
+    "manifest.json": "ce73ea07876ed95b4120aea723fb83b61d18ad987977f721e1c3cb224ea68124",
+    "segment-1-2.ndsg": "78af370e785033a2fec994a2f3d1147047784b81dbffc76ec33fc2bcd1646530",
+    "segment-1-3.ndsg": "554751c0979220cc29c2f2b3885209652fdae61142dc350154c7c14cdbb846a8",
 }
 # the same run with top-K binding: (k, candidate pairs, edges, non-singleton clusters, sha256)
 RUN_FULL_SMALL_K = (

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import struct
 import zlib
 
@@ -18,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neardup import (
-    ClusterHeads,
     ClusterStore,
     ClusterTable,
     DataError,
@@ -36,9 +36,9 @@ from neardup import (
     run_nvo,
     static_clusters,
 )
-from neardup.clustering import ClusterIndex, clusters_to_tsv
-from neardup.incremental import SegmentRef, _decode_segment, _encode_segment
-from neardup.index import build_index, serialize_index
+from neardup.clustering import clusters_to_tsv
+from neardup.incremental import HEAD, LISTED, MEMBER, SegmentRef, _decode_segment, _encode_segment
+from neardup.index import serialize_index
 
 from conftest import popcount_model, star_set
 
@@ -128,25 +128,42 @@ def test_initialize_freezes_top_k_augmentation():
 def test_store_consistency_checks():
     emb = star_set(D, SEED, [(1, []), (2, [0]), (3, [1])])
     c1 = NearDupeCluster(1, 1, [(2, 0.9)])
-    # heads/clusters id sets must agree
-    with pytest.raises(StoreError):
-        ClusterStore(lshc(), emb, ClusterTable.from_clusters([c1]), ClusterHeads())
-    # and so must the heads themselves
-    with pytest.raises(StoreError):
-        ClusterStore(lshc(), emb, ClusterTable.from_clusters([c1]), ClusterHeads([1], [2], [0]))
     # every clustered image needs an embedding
-    with pytest.raises(StoreError):
+    with pytest.raises(StoreError, match="no stored embedding"):
         ClusterStore.initialize([NearDupeCluster(1, 1, [(9, 0.5)])], emb, lshc())
     # no unclustered embeddings allowed
-    with pytest.raises(StoreError):
+    with pytest.raises(StoreError, match="clustered images"):
         ClusterStore.initialize([c1], emb, lshc())
     # the same image cannot sit in two clusters: as a table the store
     # refuses it, as cluster objects already the conversion to a table does
     both = ClusterTable([1, 3, 2, 3], [1, 1, 2, 2], [True, False, True, False], [np.nan, 0.9, np.nan, 0.8])
-    with pytest.raises(StoreError):
-        ClusterStore(lshc(), emb, both, ClusterHeads.from_table(both, 3))
+    with pytest.raises(StoreError, match="more than one cluster"):
+        ClusterStore.initialize(both, emb, lshc())
     with pytest.raises(DataError):
         ClusterStore.initialize(list(both), emb, lshc())
+    # the stored entries follow the embedding rows, not the table order
+    store = ClusterStore.initialize([NearDupeCluster(3, 3, []), c1], emb, lshc(), k_aug=1)
+    assert store.cluster.tolist() == [1, 1, 3]
+    assert store.role.tolist() == [HEAD, LISTED, HEAD]
+    assert np.array_equal(store.score, [np.nan, 0.9, np.nan], equal_nan=True)
+
+
+def test_store_entries_are_aligned_with_the_embeddings():
+    emb = star_set(D, SEED, [(1, []), (2, [0]), (3, [1])])
+    store = ClusterStore(lshc(), emb, [1, 1, 3], [np.nan, 0.9, np.nan], [HEAD, LISTED, HEAD], k_aug=1)
+    assert head_rows(store.heads) == [(1, 1, [(2, 0.9)]), (3, 3, [])]
+    assert store.n_clusters == len(store.table) == 2
+    assert store.clusters[1] == NearDupeCluster(1, 1, [(2, 0.9)])
+    # one entry per stored image, and a role of 0, 1 or 2
+    with pytest.raises(StoreError, match="as many"):
+        ClusterStore(lshc(), emb, [1, 1], [np.nan, 0.9], [HEAD, MEMBER])
+    with pytest.raises(StoreError, match="role 3"):
+        ClusterStore(lshc(), emb, [1, 1, 3], [np.nan, 0.9, np.nan], [HEAD, 3, HEAD])
+    # the derived table needs one head per cluster, the derived heads at
+    # most k_aug listed members per cluster
+    for role, k_aug in (([HEAD, HEAD, HEAD], 3), ([MEMBER, MEMBER, HEAD], 3), ([HEAD, LISTED, HEAD], 0)):
+        with pytest.raises(DataError):
+            ClusterStore(lshc(), emb, [1, 1, 3], [np.nan, 0.9, np.nan], role, k_aug=k_aug).heads
 
 
 def test_store_save_open_round_trip(tmp_path):
@@ -213,11 +230,11 @@ def test_store_open_rejects_bad_state(tmp_path, model):
     directory = tmp_path / "store"
     store = make_store(directory=directory)
     manifest = directory / "manifest.json"
-    good = manifest.read_text()
-    manifest.write_text(good.replace('"version": 2', '"version": 9'))
+    good = read_manifest(directory)
+    manifest.write_text(json.dumps(dict(good, version=9)))
     with pytest.raises(StoreError):
         ClusterStore.open(directory)
-    manifest.write_text(good.replace('"version": 2', '"version": 1'))
+    manifest.write_text(json.dumps(dict(good, version=1)))
     with pytest.raises(StoreError, match="version 1"):
         ClusterStore.open(directory)
 
@@ -235,45 +252,54 @@ def test_store_open_rejects_bad_state(tmp_path, model):
         ClusterStore.open(tmp_path / "two")
     first.write_bytes(blob)
     ClusterStore.open(tmp_path / "two")
-    # a head must be an image of the segment that holds its entry
-    rewrite_segment(tmp_path / "two", lambda c: c["head_image"].__setitem__(0, 100), position=0)
-    with pytest.raises(StoreError, match="own segment"):
-        ClusterStore.open(tmp_path / "two")
 
 
-# the first segment format: six counts, and each segment's head postings as
-# CSR columns (terms, term_count, postings) between aug_count and is_head
-_V1_COLUMNS = (
+# the earlier segment formats: per-row image ids and head flags, per-cluster
+# head entries and augmentation lists under four counts (version 2), and
+# each segment's head postings as CSR columns between aug_count and is_head
+# under two more (version 1)
+_V2_COLUMNS = (
     ("ids", "<u8"), ("image", "<u8"), ("cluster", "<u8"), ("score", "<f8"), ("head_cluster", "<u8"),
     ("head_image", "<u8"), ("aug_image", "<u8"), ("aug_score", "<f8"), ("aug_count", "<u4"),
-    ("terms", "<u4"), ("term_count", "<u4"), ("postings", "<u4"), ("is_head", "u1"), ("packed", "u1"),
+    ("is_head", "u1"), ("packed", "u1"),
 )
+_V1_COLUMNS = _V2_COLUMNS[:9] + (("terms", "<u4"), ("term_count", "<u4"), ("postings", "<u4")) + _V2_COLUMNS[9:]
 
 
-def version_1_segment(d, columns, config):
-    """A segment of the same columns in the first segment format."""
-    ids, packed = columns["ids"], columns["packed"].reshape(-1, d // 8)
-    rows = np.isin(ids, columns["head_image"])
-    index = build_index(EmbeddingSet(d, ids[rows], packed[rows]), config, head_only=True)
-    columns = dict(columns, terms=index.terms, term_count=np.diff(index.offsets), postings=index.ids)
+def earlier_segment(version, store):
+    """The one segment of a whole store in segment format 1 or 2."""
+    table, heads, index = store.table, store.heads, store.head_index
+    columns = dict(
+        ids=store.embeddings.ids, image=table.image, cluster=table.cluster, score=table.score,
+        head_cluster=heads.cluster, head_image=heads.head, aug_image=heads.aug_image, aug_score=heads.aug_score,
+        aug_count=np.diff(heads.aug_offsets), is_head=table.head, packed=store.embeddings.packed,
+        terms=index.terms, term_count=np.diff(index.offsets), postings=index.ids,
+    )
     counts = [columns[name].size for name in ("ids", "image", "head_cluster", "aug_image", "terms", "postings")]
-    body = struct.pack("<4sHH6Q", b"NDSG", 1, d, *counts)
-    body += b"".join(np.ascontiguousarray(columns[name], dtype=dtype).tobytes() for name, dtype in _V1_COLUMNS)
+    counts, layout = (counts, _V1_COLUMNS) if version == 1 else (counts[:4], _V2_COLUMNS)
+    body = struct.pack(f"<4sHH{len(counts)}Q", b"NDSG", version, store.embeddings.d, *counts)
+    body += b"".join(np.ascontiguousarray(columns[name], dtype=dtype).tobytes() for name, dtype in layout)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def test_store_open_rejects_a_version_1_segment(tmp_path):
-    directory = tmp_path / "store"
-    make_store(directory=directory)
+def assert_refuses_segment_version(directory, version):
+    """A store whose one segment is rewritten in an earlier format does not open."""
+    store = make_store(directory=directory)
     manifest = read_manifest(directory)
-    path = segment_path(directory)
-    d, columns = _decode_segment(path.read_bytes(), path)
-    blob = version_1_segment(d, columns, lshc())
-    path.write_bytes(blob)
+    blob = earlier_segment(version, store)
+    segment_path(directory).write_bytes(blob)
     manifest["segments"][-1]["crc32"] = zlib.crc32(blob[:-4])
     (directory / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(StoreError, match="segment version 1"):
+    with pytest.raises(StoreError, match=f"segment version {version}"):
         ClusterStore.open(directory)
+
+
+def test_store_open_rejects_a_version_1_segment(tmp_path):
+    assert_refuses_segment_version(tmp_path / "store", 1)
+
+
+def test_store_open_rejects_a_version_2_segment(tmp_path):
+    assert_refuses_segment_version(tmp_path / "store", 2)
 
 
 def test_store_open_rejects_malformed_manifest_and_heads(tmp_path, model):
@@ -286,8 +312,7 @@ def test_store_open_rejects_malformed_manifest_and_heads(tmp_path, model):
         with pytest.raises(StoreError):
             ClusterStore.open(directory)
     payload = json.loads(good)
-    bad_manifests = ['{"version": 2}', '{"version": 2, "segments": {}}', "[1]",
-                     good.replace('"k_aug": 3', '"k_aug": "3"')]
+    bad_manifests = ['{"version": 2}', '{"version": 2, "segments": {}}', "[1]", json.dumps(dict(payload, k_aug="3"))]
     for key, value in (("lsh", None), ("lsh", {"d": 64}), ("segments", [{}]), ("segments", [[0, 0, 4, 1]]),
                        ("batch_id", -1), ("segments", payload["segments"] * 2)):
         bad_manifests.append(json.dumps(dict(payload, **{key: value})))
@@ -304,28 +329,37 @@ def test_store_open_rejects_malformed_manifest_and_heads(tmp_path, model):
     with pytest.raises(StoreError):
         ClusterStore.open(directory)
 
-    # head entries and cluster rows that disagree, behind a valid checksum
-    def bump(name, at=0, by=1):
-        def edit(c):
-            c[name][at] += by
-        return edit
+    # entries no clustering can have, behind a valid checksum; the first
+    # segment holds 1 (head), 2 (listed), 10 (head), 11 (listed) in cluster
+    # rows 1, 1, 10, 10, the second the plain member 100 of cluster 1
+    def put(name, value, at=slice(None)):
+        return lambda c: c[name].__setitem__(at, value)
 
-    store = two_segment_store(tmp_path / "two", model)
-    for i, edit in enumerate((
-        bump("head_image"),  # head entry names a member, not the head row
-        bump("head_cluster"),  # head entry of a cluster with no rows
-        lambda c: c["aug_image"].__setitem__(0, c["head_image"][0]),  # head in its own list
-        bump("aug_count"),  # augmentation counts past the entries stored
-        lambda c: c["is_head"].__setitem__(slice(None), 1),  # a cluster with two head rows
-        lambda c: c["cluster"].__setitem__(slice(None), c["cluster"][0]),
-        lambda c: c["image"].__setitem__(slice(None), c["image"][0]),  # one image on every row
-        lambda c: c.update(ids=c["ids"][:-1], packed=c["packed"][:-8]),  # a clustered image not stored
+    two_segment_store(tmp_path / "two", model)
+    for i, (position, edit, message) in enumerate((
+        (-1, put("role", 3), "role 3"),
+        (-1, put("role", HEAD), "exactly one head"),  # a second head in cluster 1
+        (0, put("role", MEMBER, 0), "exactly one head"),  # cluster 1 without a head
+        (-1, put("cluster", 7), "exactly one head"),  # a cluster of one member
+        (0, put("cluster", 1), "exactly one head"),  # both heads in one cluster
+        (0, put("ids", 1), "duplicate image ids"),
+        (-1, put("ids", 1), "duplicate image ids"),  # an image stored in two segments
+        (0, lambda c: c.update(ids=c["ids"][:-1], packed=c["packed"][:-8]), "header describes"),  # columns misaligned
     )):
         directory = tmp_path / f"copy{i}"
-        store.save(directory)
-        rewrite_segment(directory, edit)
-        with pytest.raises(StoreError):
+        shutil.copytree(tmp_path / "two", directory)
+        rewrite_segment(directory, edit, position)
+        with pytest.raises(StoreError, match=message):
             ClusterStore.open(directory)
+    # more listed members in cluster 1 (2, then 100) than a k_aug of 1
+    directory = tmp_path / "listed"
+    shutil.copytree(tmp_path / "two", directory)
+    rewrite_segment(directory, put("role", LISTED))
+    ClusterStore.open(directory)  # k_aug is 3
+    manifest = read_manifest(directory)
+    (directory / "manifest.json").write_text(json.dumps(dict(manifest, k_aug=1)))
+    with pytest.raises(StoreError, match="more than k_aug=1 listed"):
+        ClusterStore.open(directory)
 
 
 def test_store_open_rejects_every_truncated_segment(tmp_path, model):
@@ -382,15 +416,15 @@ def test_interrupted_save_keeps_the_previous_generation(tmp_path, model, monkeyp
 
     directory = tmp_path / "store"
     before = clusters_to_tsv(make_store(directory=directory).table)
-    real = incremental.atomic_write_json
+    real = incremental.atomic_write_text
 
     def crash(path, payload):
         raise OSError("simulated crash before the manifest swap")
 
-    monkeypatch.setattr(incremental, "atomic_write_json", crash)
+    monkeypatch.setattr(incremental, "atomic_write_text", crash)
     with pytest.raises(OSError):
         run_incremental(directory, first, model, cfg())
-    monkeypatch.setattr(incremental, "atomic_write_json", real)
+    monkeypatch.setattr(incremental, "atomic_write_text", real)
     orphan = directory / "segment-0-1.ndsg"  # compacted with the 4-image first segment
     assert orphan.exists()
     assert clusters_to_tsv(ClusterStore.open(directory).table) == before
@@ -402,10 +436,10 @@ def test_interrupted_save_keeps_the_previous_generation(tmp_path, model, monkeyp
     # a crash whose segment the next save does not rewrite leaves an orphan
     # that the next successful save deletes
     make_store(directory=tmp_path / "other")
-    monkeypatch.setattr(incremental, "atomic_write_json", crash)
+    monkeypatch.setattr(incremental, "atomic_write_text", crash)
     with pytest.raises(OSError):
         run_incremental(tmp_path / "other", first, model, cfg())
-    monkeypatch.setattr(incremental, "atomic_write_json", real)
+    monkeypatch.setattr(incremental, "atomic_write_text", real)
     assert (tmp_path / "other" / orphan.name).exists()
     run_incremental(tmp_path / "other", second, model, cfg())
     assert not (tmp_path / "other" / orphan.name).exists()
@@ -413,8 +447,9 @@ def test_interrupted_save_keeps_the_previous_generation(tmp_path, model, monkeyp
 
 
 def assert_same_store(a, b):
-    for x, y in zip((*a.table.columns, *a.heads.columns), (*b.table.columns, *b.heads.columns)):
-        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f")
+    assert np.array_equal(a.cluster, b.cluster)
+    assert np.array_equal(a.score, b.score, equal_nan=True)
+    assert np.array_equal(a.role, b.role)
     assert np.array_equal(a.embeddings.ids, b.embeddings.ids)
     assert np.array_equal(a.embeddings.packed, b.embeddings.packed)
     assert serialize_index(a.head_index) == serialize_index(b.head_index)
@@ -474,17 +509,6 @@ def test_nvo_uses_the_augmentation_list(model):
     assert score == pytest.approx(s(6))
 
 
-def test_nvo_detects_out_of_sync_head_index(model):
-    store = make_store()
-    for indexed in ([2], [1, 11], [1, 2, 10]):
-        store.head_index = build_index(store.embeddings.subset(indexed), lshc(), head_only=True)
-        with pytest.raises(StoreError):
-            run_nvo(store, batch([(100, [])]), model, 0.5)
-    # the same heads in another dense order are in sync
-    store.head_index = build_index(store.embeddings.subset([10, 1]), lshc(), head_only=True)
-    assert run_nvo(store, batch([(100, [])]), model, 0.5).cluster.tolist() == [1]
-
-
 def test_nvn_is_the_static_pipeline(model):
     store = make_store()
     emb = batch([(100, [1]), (101, [1, 2]), (200, list(range(10, 20)))])
@@ -500,13 +524,15 @@ def test_merge_nvo_join_keeps_augmentation_frozen(model):
     nvn = [NearDupeCluster(100, 100, [])]
     before = head_rows(store.heads)
 
-    table, heads, assignments = merge(store, matches((100, 1, 1, s(2))), nvn, model, combined)
-    clusters = ClusterIndex(table)
+    next_store, assignments = merge(store, matches((100, 1, 1, s(2))), nvn, model, combined)
+    clusters = next_store.clusters
     assert assignments == [(100, 1, "nvo")]
     joined = dict(clusters[1].members)
     assert joined[100] == pytest.approx(s(2))  # scored against the old head
-    assert head_rows(heads) == before  # join does not reopen the frozen list
-    assert augmentation(heads, 1) == [(2, s(1))]
+    assert head_rows(next_store.heads) == before  # join does not reopen the frozen list
+    assert augmentation(next_store.heads, 1) == [(2, s(1))]
+    assert next_store.role.tolist() == [HEAD, LISTED, HEAD, LISTED, MEMBER]
+    assert (next_store.batch_id, next_store.directory, next_store.segments) == (1, None, ())
     # the input store was not touched
     assert 100 not in dict(store.clusters[1].members)
     assert clusters[10] == store.clusters[10]
@@ -519,8 +545,8 @@ def test_merge_unmatched_members_follow_best_match(model):
     combined = store.embeddings.concat(emb)
     found = matches((100, 10, 10, s(2)), (102, 1, 1, s(1)))
     nvn = [NearDupeCluster(100, 100, [(101, 0.9), (102, 0.9)])]
-    table, heads, assignments = merge(store, found, nvn, model, combined)
-    clusters = ClusterIndex(table)
+    next_store, assignments = merge(store, found, nvn, model, combined)
+    clusters = next_store.clusters
     assert sorted(assignments) == [
         (100, 10, "nvo"),
         (101, 1, "nvn_mapped"),  # follows 102, the best-scoring match
@@ -537,7 +563,7 @@ def test_merge_equal_scores_prefer_smaller_cluster(model):
     # identical scores: the tie goes to cluster 1
     found = matches((100, 10, 10, s(2)), (102, 1, 1, s(2)))
     nvn = [NearDupeCluster(100, 100, [(101, 0.9), (102, 0.9)])]
-    _, _, assignments = merge(store, found, nvn, model, combined)
+    _, assignments = merge(store, found, nvn, model, combined)
     assert (101, 1, "nvn_mapped") in assignments
 
 
@@ -552,16 +578,16 @@ def test_merge_entering_cluster_repicks_head_and_rescores():
     combined = store.embeddings.concat(emb)
     # incoming head/scores are deliberately wrong; merge must fix both
     nvn = [NearDupeCluster(200, 202, [(200, 0.123), (201, 0.123)])]
-    table, heads, assignments = merge(store, matches(), nvn, gentle, combined)
+    next_store, assignments = merge(store, matches(), nvn, gentle, combined)
 
-    created = ClusterIndex(table)[200]
+    created = next_store.clusters[200]
     assert created.cluster_id == 200  # smallest member id
     assert created.head == 201
     assert dict(created.members) == {
         200: pytest.approx(g(1)),
         202: pytest.approx(g(1)),
     }
-    assert augmentation(heads, 200) == [
+    assert augmentation(next_store.heads, 200) == [
         (200, pytest.approx(g(1))),
         (202, pytest.approx(g(1))),
     ]
@@ -593,12 +619,12 @@ def test_merge_picks_all_entering_heads_in_one_call(monkeypatch):
         return real(ids, sizes, *args)
 
     monkeypatch.setattr(incremental, "choose_head", counting)
-    table, heads, assignments = merge(store, matches(), nvn, gentle, combined)
+    next_store, assignments = merge(store, matches(), nvn, gentle, combined)
     assert calls == [[2, 3, 1]]
     # 301 is the medoid of 300..302, ties between 200 and 201 go to 200
-    assert heads.head.tolist() == [1, 10, 200, 301, 400]
+    assert next_store.heads.head.tolist() == [1, 10, 200, 301, 400]
     assert sorted(p for _, _, p in assignments) == ["nvn_new"] * 6
-    assert len(table) == 5
+    assert len(next_store.table) == 5
 
 
 def test_merge_rejects_cluster_id_collision(model):

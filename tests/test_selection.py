@@ -35,15 +35,11 @@ def hit(q, *head_ids):
 
 
 def heads_of(*entries):
-    """ClusterHeads from (cluster_id, head, augmentation list) entries."""
-    aug = [a for _, _, augmentation in entries for a in augmentation]
-    return ClusterHeads(
-        [c for c, _, _ in entries],
-        [h for _, h, _ in entries],
-        [len(a) for _, _, a in entries],
-        [m for m, _ in aug],
-        [sc for _, sc in aug],
-    )
+    """ClusterHeads of (cluster_id, head, augmentation list) entries: the
+    heads of a table whose members are each list's (member, score) pairs,
+    with k_aug large enough to keep every list whole."""
+    table = ClusterTable.from_clusters([NearDupeCluster(c, h, a) for c, h, a in entries])
+    return ClusterHeads.from_table(table, max(len(a) for _, _, a in entries))
 
 
 def rows(matches):
@@ -172,26 +168,34 @@ def test_parameter_validation(store, model):
     with pytest.raises(DataError):
         select_candidates(hits, heads, model, emb, 0.5, k_aug=-1)
     with pytest.raises(DataError):
-        heads_of((1, 100, [(100, 0.9)]))  # head inside its own list
+        heads_of((1, 100, [(100, 0.9)]))  # a head cannot also be its own member
 
 
-def test_augmentation_match_emits_head_label(store, model):
+def test_augmentation_match_emits_head_label(store, model, monkeypatch):
+    from neardup import selection
+
     emb, heads = store
     hits = SearchResultBatch([hit(200, 100), hit(201, 100)])
     matches = select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3)
-    labels = emit_augmentation_labels(matches, heads, model, emb, threshold=0.5)
+
+    def no_scoring(*args):
+        raise AssertionError("emit_augmentation_labels must not score")
+
+    # the head already scored below the threshold when the match was made
+    monkeypatch.setattr(selection, "predict_rows", no_scoring)
+    labels = emit_augmentation_labels(matches, heads)
     # only the aug-won match produces a label, and it points at the head
     assert labels == [(200, 100, 1)]
     with pytest.raises(DataError):
-        emit_augmentation_labels(matches, ClusterHeads(), model, emb, 0.5)
+        emit_augmentation_labels(matches, ClusterHeads.from_table(ClusterTable(), 0))
 
 
 def test_no_labels_when_heads_match(store, model):
     emb, heads = store
     hits = SearchResultBatch([hit(201, 100)])
     matches = select_candidates(hits, heads, model, emb, threshold=0.5)
-    assert emit_augmentation_labels(matches, heads, model, emb, 0.5) == []
-    assert emit_augmentation_labels(HeadMatches(), heads, model, emb, 0.5) == []
+    assert emit_augmentation_labels(matches, heads) == []
+    assert emit_augmentation_labels(HeadMatches(), heads) == []
 
 
 def test_heads_from_table_keep_top_k_by_score_then_id(rng):
@@ -208,14 +212,19 @@ def test_heads_from_table_keep_top_k_by_score_then_id(rng):
             (c.cluster_id, c.head, sorted(c.members, key=lambda ms: (-ms[1], ms[0]))[:k_aug])
             for c in clusters
         ]
-        heads = ClusterHeads.from_table(table, k_aug)
-        bounds = heads.aug_offsets.tolist()
-        aug = list(zip(heads.aug_image.tolist(), heads.aug_score.tolist()))
-        got = [
-            (c, h, aug[lo:hi])
-            for c, h, lo, hi in zip(heads.cluster.tolist(), heads.head.tolist(), bounds, bounds[1:])
-        ]
-        assert got == want
+        assert head_entries(ClusterHeads.from_table(table, k_aug)) == want
+        # listed members are the lists themselves, however large k_aug is
+        listed = [m for _, _, aug in want for m, _ in aug]
+        assert head_entries(ClusterHeads.from_table(table, 10, listed=listed)) == want
+    with pytest.raises(DataError, match="more than k_aug=2 listed"):
+        ClusterHeads.from_table(table, 2, listed=table.image[~table.head])
+
+
+def head_entries(heads):
+    """(cluster, head, augmentation list) per cluster."""
+    bounds = heads.aug_offsets.tolist()
+    aug = list(zip(heads.aug_image.tolist(), heads.aug_score.tolist()))
+    return [(c, h, aug[lo:hi]) for c, h, lo, hi in zip(heads.cluster.tolist(), heads.head.tolist(), bounds, bounds[1:])]
 
 
 def test_select_edges_filters_at_threshold(model):
