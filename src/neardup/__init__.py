@@ -36,13 +36,7 @@ from .corpus import (
     save_corpus,
     write_labels_csv,
 )
-from .embeddings import (
-    BinaryEmbedding,
-    EmbeddingSet,
-    LshConfig,
-    binarize,
-    select_bits,
-)
+from .embeddings import EmbeddingSet, LshConfig, select_bits
 from .errors import (
     ConfigMismatchError,
     DataError,
@@ -65,7 +59,7 @@ from .incremental import (
     run_nvo,
 )
 from .index import PostingIndex, build_index, index_size_bytes, load_index, save_index
-from .metrics import pairwise_precision_recall, pr_auc, rand_index, roc_auc
+from .metrics import pairwise_precision_recall, pr_auc, purity, rand_index, roc_auc
 from .pipeline import (
     evaluate_pipeline,
     resolve_lsh_config,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError, FormatError, ModelError, TrainingError
-from .util import ByteReader
+from .util import ByteReader, atomic_write_bytes
 
 MODEL_MAGIC = b"NDML"
 MODEL_VERSION = 1
@@ -342,8 +342,7 @@ def save_model(model: MlpModel, path) -> None:
         parts.append(w.astype("<f4").tobytes())
         parts.append(b.astype("<f4").tobytes())
     parts.append(struct.pack("<f", model.threshold))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    atomic_write_bytes(path, b"".join(parts))
 
 
 def load_model(path) -> MlpModel:

@@ -10,6 +10,8 @@ import json
 import logging
 import sys
 
+import numpy as np
+
 from .classifier import TrainConfig, load_model, predict_rows, save_model, train
 from .clustering import clusters_to_tsv, k_cut, read_clusters_tsv, transitive_closure
 from .config import PipelineConfig
@@ -25,9 +27,9 @@ from .errors import DataError, NearDupError
 from .incremental import assignments_to_tsv, run_incremental
 from .index import build_index, index_size_bytes, load_index, serialize_index
 from .pipeline import resolve_lsh_config, run_full
-from .search import SearchHit, SearchResultBatch, batch_search, unordered_pairs
+from .search import SearchResultBatch, batch_search, unordered_pairs
 from .selection import ClusterHeads, emit_augmentation_labels, select_candidates, select_edges
-from .util import atomic_write_bytes, atomic_write_json, atomic_write_text
+from .util import atomic_write_bytes, atomic_write_json, atomic_write_text, read_tsv
 
 log = logging.getLogger("neardup")
 
@@ -168,22 +170,13 @@ def cmd_classify(args) -> int:
 
 
 def _read_hits_tsv(path) -> SearchResultBatch:
-    results = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{ln}: expected 4 tab-separated fields")
-            q, m, overlap, jac = parts
-            try:
-                q, hit = int(q), SearchHit(int(m), int(overlap), float(jac))
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from None
-            results.setdefault(q, []).append(hit)
-    return SearchResultBatch(results)
+    """The hits of a search output file, sorted by query id, file order kept
+    within a query."""
+    query, hit, overlap, jaccard = read_tsv(
+        path, [(int, np.uint64), (int, np.uint64), (int, np.int64), (float, np.float64)]
+    )
+    order = np.argsort(query, kind="stable")
+    return SearchResultBatch(np.unique(query), *(a[order] for a in (query, hit, overlap, jaccard)))
 
 
 def cmd_select(args) -> int:
@@ -216,30 +209,13 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _read_edges_tsv(path) -> list:
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataError(f"{path}:{ln}: expected at least 2 tab-separated fields")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from None
-    return edges
-
-
 def cmd_cluster(args) -> int:
     model = load_model(args.model)
     embeddings = _load_embeddings(args.embeddings)
     if args.threshold is None:
         args.threshold = model.threshold
-    edges = _read_edges_tsv(args.edges)
-    groups = transitive_closure(edges)
+    edges = read_tsv(args.edges, [(int, np.uint64), (int, np.uint64)], exact=False)
+    groups = transitive_closure(np.column_stack(edges))
     clusters = k_cut(groups, model, embeddings, args.threshold, seed=args.seed)
     atomic_write_text(args.out, clusters_to_tsv(clusters))
     print(f"{len(clusters)} clusters over {clusters.image.size} images -> {args.out}")

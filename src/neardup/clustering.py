@@ -24,7 +24,6 @@ Clusters travel as a ClusterTable of aligned arrays, from the cut through
 the store to the cluster file; NearDupeCluster is a read-only view.
 """
 
-import math
 from collections.abc import Mapping
 from itertools import repeat
 from typing import NamedTuple
@@ -35,7 +34,7 @@ from .classifier import MlpModel, predict_rows
 from .embeddings import EmbeddingSet
 from .errors import DataError
 from .search import row_pair_keys
-from .util import find_sorted, first_repeat
+from .util import find_sorted, first_repeat, parse_column
 
 
 class NearDupeCluster(NamedTuple):
@@ -81,22 +80,6 @@ class ClusterTable:
         self.starts = np.flatnonzero(first)
         self.cluster_ids, self.heads = self.cluster[self.starts], self.image[self.starts]
         self.sizes = np.diff(np.append(self.starts, image.size))
-
-    @classmethod
-    def from_clusters(cls, clusters) -> "ClusterTable":
-        """The table of NearDupeCluster-like objects (a table is returned as
-        is); an image listed twice is a DataError."""
-        if isinstance(clusters, ClusterTable):
-            return clusters
-        rows = []
-        for c in clusters:
-            rows.append((c.head, c.cluster_id, True, math.nan))
-            rows += [(m, c.cluster_id, False, s) for m, s in c.members]
-        table = cls(*zip(*rows)) if rows else cls()
-        twice = first_repeat(table.image)
-        if twice:
-            raise DataError(f"cluster {table.cluster[twice[0]]}: image {table.image[twice[0]]} listed twice")
-        return table
 
     def __len__(self) -> int:
         return self.starts.size
@@ -287,10 +270,8 @@ def choose_head(ids, sizes, model: MlpModel, embeddings: EmbeddingSet) -> np.nda
 # (cluster_id, role head first, image_id) so output is byte-stable.
 
 
-def clusters_to_tsv(clusters) -> str:
-    """The cluster file of a ClusterTable, or of NearDupeCluster-like objects
-    through ClusterTable.from_clusters."""
-    table = ClusterTable.from_clusters(clusters)
+def clusters_to_tsv(table: ClusterTable) -> str:
+    """The cluster file of a ClusterTable."""
     tails = ["head\t" if h else "member\t%.6f" % s for h, s in zip(table.head.tolist(), table.score.tolist())]
     return "".join(map("{}\t{}\t{}\n".format, table.image.tolist(), table.cluster.tolist(), tails))
 
@@ -318,13 +299,13 @@ def read_clusters_tsv(path) -> ClusterTable:
     tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=len(lines))
     flag(np.flatnonzero(tabs != 3), lambda r: "expected 4 tab-separated fields")
     fields = "\t".join(lines[: bad[0]]).split("\t") if bad[0] else []
-    image = _parse_column(fields[0::4], int, np.uint64, flag)
-    cluster = _parse_column(fields[1::4], int, np.uint64, flag)
+    image = parse_column(fields[0::4], int, np.uint64, flag)
+    cluster = parse_column(fields[1::4], int, np.uint64, flag)
     is_head = np.array([role == "head" for role in fields[2::4]], dtype=bool)
     is_member = np.array([role == "member" for role in fields[2::4]], dtype=bool)
     members = np.flatnonzero(is_member[: bad[0]])
     score = np.full(is_head.size, np.nan)
-    parsed = _parse_column(
+    parsed = parse_column(
         [fields[4 * r + 3] for r in members.tolist()], float, np.float64, lambda rows, m: flag(members[rows], m)
     )
     score[members[: parsed.size]] = parsed
@@ -340,19 +321,3 @@ def read_clusters_tsv(path) -> ClusterTable:
     if orphans.size:
         raise DataError(f"{path}: member rows for clusters without heads: {np.unique(orphans).tolist()}")
     return ClusterTable(image, cluster, is_head, score)
-
-
-def _parse_column(values: list, parse, dtype, flag) -> np.ndarray:
-    """values through parse into a dtype array. The first value that fails
-    is flagged with its row and message, and only the rows before it come
-    back."""
-    try:
-        return np.fromiter(map(parse, values), dtype=dtype, count=len(values))
-    except (ValueError, OverflowError):
-        pass
-    for row, value in enumerate(values):
-        try:
-            np.array([parse(value)], dtype=dtype)
-        except (ValueError, OverflowError) as exc:
-            flag([row], lambda r: str(exc))
-            return np.fromiter(map(parse, values[:row]), dtype=dtype, count=row)

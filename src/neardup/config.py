@@ -49,7 +49,7 @@ class SearchSettings:
 @dataclass
 class ClassifierSettings:
     model_path: str = None
-    threshold: float = 0.9
+    threshold: float = 0.9  # the score an edge, a cut or a head match needs
     hidden: list = field(default_factory=lambda: [512, 256, 64])
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -73,15 +73,6 @@ class ClassifierSettings:
 
 
 @dataclass
-class KcutSettings:
-    threshold: float = 0.9
-
-    def validate(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise DataError(f"kcut.threshold must be in (0, 1), got {self.threshold}")
-
-
-@dataclass
 class AugmentationSettings:
     k_aug: int = 3
 
@@ -96,11 +87,10 @@ class PipelineConfig:
     lsh: LshSettings = field(default_factory=LshSettings)
     search: SearchSettings = field(default_factory=SearchSettings)
     classifier: ClassifierSettings = field(default_factory=ClassifierSettings)
-    kcut: KcutSettings = field(default_factory=KcutSettings)
     augmentation: AugmentationSettings = field(default_factory=AugmentationSettings)
 
     def validate(self) -> "PipelineConfig":
-        for section in (self.lsh, self.search, self.classifier, self.kcut, self.augmentation):
+        for section in (self.lsh, self.search, self.classifier, self.augmentation):
             section.validate()
         return self
 
@@ -111,7 +101,7 @@ class PipelineConfig:
     def from_dict(cls, payload: dict) -> "PipelineConfig":
         if not isinstance(payload, dict):
             raise DataError("config root must be a JSON object")
-        known = {"seed", "lsh", "search", "classifier", "kcut", "augmentation"}
+        known = {"seed", "lsh", "search", "classifier", "augmentation"}
         unknown = set(payload) - known
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
@@ -122,7 +112,6 @@ class PipelineConfig:
             lsh=_section(LshSettings, "lsh", payload.get("lsh")),
             search=_section(SearchSettings, "search", payload.get("search")),
             classifier=_section(ClassifierSettings, "classifier", payload.get("classifier")),
-            kcut=_section(KcutSettings, "kcut", payload.get("kcut")),
             augmentation=_section(AugmentationSettings, "augmentation", payload.get("augmentation")),
         )
         return cfg.validate()

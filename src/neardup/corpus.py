@@ -15,7 +15,7 @@ pairs that actually collide in the LSH index (harder negatives).
 """
 
 import csv
-import json
+import io
 import os
 from dataclasses import dataclass, field
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, LshConfig
 from .errors import DataError, SamplingError
+from .util import atomic_write_json, atomic_write_text, read_tsv
 
 DEFAULT_DUPES_DIST = {0: 0.5, 1: 0.25, 2: 0.11, 3: 0.06, 4: 0.04, 6: 0.025, 9: 0.01, 16: 0.005}
 
@@ -214,14 +215,15 @@ def _candidate_cross_group_pairs(truth: GroundTruth, embeddings: EmbeddingSet, l
 
 
 def write_labels_csv(pairs, path, source: str = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if source is None:
-            writer.writerow(["id_a", "id_b", "label"])
-            writer.writerows((a, b, l) for a, b, l in pairs)
-        else:
-            writer.writerow(["id_a", "id_b", "label", "source"])
-            writer.writerows((a, b, l, source) for a, b, l in pairs)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)  # rows end in \r\n, the csv module's default
+    if source is None:
+        writer.writerow(["id_a", "id_b", "label"])
+        writer.writerows((a, b, l) for a, b, l in pairs)
+    else:
+        writer.writerow(["id_a", "id_b", "label", "source"])
+        writer.writerows((a, b, l, source) for a, b, l in pairs)
+    atomic_write_text(path, buffer.getvalue())
 
 
 def read_labels_csv(path) -> list:
@@ -254,9 +256,8 @@ def read_labels_csv(path) -> list:
 def save_corpus(embeddings: EmbeddingSet, truth: GroundTruth, directory, spec: SyntheticCorpusSpec = None) -> None:
     os.makedirs(directory, exist_ok=True)
     embeddings.save(os.path.join(directory, "embeddings.ndem"))
-    with open(os.path.join(directory, "groundtruth.tsv"), "w", encoding="utf-8") as fh:
-        for i, g in zip(truth.ids, truth.group_of):
-            fh.write(f"{int(i)}\t{int(g)}\n")
+    rows = zip(truth.ids.tolist(), truth.group_of.tolist())
+    atomic_write_text(os.path.join(directory, "groundtruth.tsv"), "".join(f"{i}\t{g}\n" for i, g in rows))
     if spec is not None:
         payload = {
             "seed": spec.seed,
@@ -267,23 +268,13 @@ def save_corpus(embeddings: EmbeddingSet, truth: GroundTruth, directory, spec: S
             "flip_max": spec.flip_max,
             "hard_negative_fraction": spec.hard_negative_fraction,
         }
-        with open(os.path.join(directory, "spec.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write_json(os.path.join(directory, "spec.json"), payload)
 
 
 def load_corpus(directory):
     embeddings = EmbeddingSet.load(os.path.join(directory, "embeddings.ndem"))
-    ids, groups = [], []
-    with open(os.path.join(directory, "groundtruth.tsv"), "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, g = line.split("\t")
-            ids.append(int(a))
-            groups.append(int(g))
-    truth = GroundTruth(np.array(ids, dtype=np.uint64), np.array(groups, dtype=np.uint64))
+    path = os.path.join(directory, "groundtruth.tsv")
+    truth = GroundTruth(*read_tsv(path, [(int, np.uint64), (int, np.uint64)]))
     if truth.ids.size != len(embeddings):
         raise DataError(f"{directory}: ground truth covers {truth.ids.size} ids, embeddings {len(embeddings)}")
     return embeddings, truth

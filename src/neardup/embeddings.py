@@ -1,9 +1,10 @@
 """Binary embeddings and LSH term derivation.
 
-Dense visual embeddings are binarized per component (bit = 1 iff the
-component is >= 0). A fixed subset of m bits, ranked by empirical variance
-over a sample, is chopped into m/g groups of g consecutive bits; each group
-becomes one integer term tagged with its group index:
+Dense visual embeddings become one bit per component, 1 iff the component
+is >= 0: EmbeddingSet.from_bits(ids, vectors >= 0). A fixed subset of m
+bits, ranked by empirical variance over a sample, is chopped into m/g
+groups of g consecutive bits; each group becomes one integer term tagged
+with its group index:
 
     term = (group_index << g) | group_value
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, FormatError, NearDupError, SelectionError
-from .util import find_sorted
+from .util import atomic_write_bytes, find_sorted
 
 EMBEDDING_MAGIC = b"NDEM"
 EMBEDDING_VERSION = 1
@@ -32,45 +33,6 @@ EMBEDDING_VERSION = 1
 # ImageId is a 64-bit unsigned integer; the all-ones value is reserved
 # so dense arrays can use it as a sentinel.
 MAX_IMAGE_ID = 2**64 - 2
-
-
-def _check_image_id(image_id: int) -> int:
-    image_id = int(image_id)
-    if not 0 <= image_id <= MAX_IMAGE_ID:
-        raise DataError(f"image id out of range [0, 2^64 - 2]: {image_id}")
-    return image_id
-
-
-@dataclass(frozen=True)
-class BinaryEmbedding:
-    """A single image's binarized embedding: id plus a 0/1 bit array."""
-
-    image_id: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        _check_image_id(self.image_id)
-        bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or bits.size == 0:
-            raise DimensionError("bits must be a non-empty 1-d array")
-        if bits.max(initial=0) > 1:
-            raise DimensionError("bits must contain only 0/1 values")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def d(self) -> int:
-        return self.bits.shape[0]
-
-
-def binarize(vector, image_id: int = 0) -> BinaryEmbedding:
-    """Sign-binarize a real vector: bit = 1 iff the component is >= 0."""
-    vec = np.asarray(vector, dtype=np.float64)
-    if vec.ndim != 1 or vec.size == 0:
-        raise DimensionError(f"expected a non-empty 1-d vector, got shape {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise DimensionError("vector contains non-finite components")
-    return BinaryEmbedding(image_id, (vec >= 0.0).astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -111,42 +73,24 @@ class LshConfig:
         return self.m // self.term_bits
 
 
-def select_bits(sample, d: int, m: int) -> list:
-    """Rank bit positions by empirical variance over a sample, descending,
-    ties broken by lower index, and return the top m indices.
+def select_bits(sample: np.ndarray, d: int, m: int) -> list:
+    """Rank bit positions by empirical variance over an (n, d) 0/1 sample,
+    descending, ties broken by lower index, and return the top m indices.
 
     For 0/1 bits the variance is p(1-p) with p the empirical mean, so the
     ranking key k*(n-k) (k = count of ones) is exact integer arithmetic.
     """
-    bits = _sample_matrix(sample, d)
-    n = bits.shape[0]
+    if sample.ndim != 2 or sample.shape[1] != d:
+        raise DimensionError(f"sample matrix must be (n, {d}), got {sample.shape}")
+    n = sample.shape[0]
     if n == 0:
         raise SelectionError("cannot select bits from an empty sample")
     if not 0 < m <= d:
         raise SelectionError(f"m must be in [1, d]; got m={m}, d={d}")
-    ones = bits.sum(axis=0, dtype=np.int64)
+    ones = sample.sum(axis=0, dtype=np.int64)
     key = ones * (n - ones)  # monotone in variance, exact
     order = np.lexsort((np.arange(d), -key))
     return [int(i) for i in order[:m]]
-
-
-def _sample_matrix(sample, d: int) -> np.ndarray:
-    if isinstance(sample, EmbeddingSet):
-        if sample.d != d:
-            raise DimensionError(f"sample has d={sample.d}, expected {d}")
-        return sample.bits_matrix()
-    if isinstance(sample, np.ndarray):
-        if sample.ndim != 2 or sample.shape[1] != d:
-            raise DimensionError(f"sample matrix must be (n, {d}), got {sample.shape}")
-        return sample.astype(np.uint8, copy=False)
-    rows = []
-    for emb in sample:
-        if emb.d != d:
-            raise DimensionError(f"sample embedding has d={emb.d}, expected {d}")
-        rows.append(emb.bits)
-    if not rows:
-        return np.zeros((0, d), dtype=np.uint8)
-    return np.stack(rows)
 
 
 def derive_terms_matrix(bits: np.ndarray, config: LshConfig) -> np.ndarray:
@@ -232,11 +176,6 @@ class EmbeddingSet:
             raise DataError(f"unknown image id {int(wanted[~known][0])}")
         return order[pos].astype(np.intp)
 
-    def get(self, image_id: int) -> BinaryEmbedding:
-        (row,) = self.rows_of([image_id])
-        bits = np.unpackbits(self.packed[row])[: self.d]
-        return BinaryEmbedding(int(self.ids[row]), bits)
-
     def subset(self, image_ids) -> "EmbeddingSet":
         rows = self.rows_of(image_ids)
         return EmbeddingSet(self.d, self.ids[rows], self.packed[rows])
@@ -264,9 +203,7 @@ class EmbeddingSet:
         )
         record["id"] = self.ids
         record["bits"] = self.packed
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(record.tobytes())
+        atomic_write_bytes(path, header + record.tobytes())
 
     @classmethod
     def load(cls, path) -> "EmbeddingSet":

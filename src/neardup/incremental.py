@@ -152,20 +152,18 @@ class ClusterStore:
     @classmethod
     def initialize(
         cls,
-        clusters,
+        table: ClusterTable,
         embeddings: EmbeddingSet,
         lsh_config: LshConfig,
         k_aug: int = 3,
         directory=None,
     ) -> "ClusterStore":
-        """Create a store from a finished clustering (a ClusterTable or
-        NearDupeCluster-like objects) of exactly the images of embeddings,
-        keeping heads as given.
+        """Create a store from the finished clustering table of exactly the
+        images of embeddings, keeping heads as given.
 
         Augmentation lists are fixed here: the top k_aug members of each
         cluster by (score desc, id asc).
         """
-        table = ClusterTable.from_clusters(clusters)
         twice = first_repeat(table.image)
         if twice:
             raise StoreError(f"image {table.image[twice[0]]} appears in more than one cluster")
@@ -442,18 +440,17 @@ def run_nvn(
 def merge(
     store: ClusterStore,
     nvo_matches: HeadMatches,
-    nvn_clusters,
+    nvn: ClusterTable,
     model: MlpModel,
     combined: EmbeddingSet,
 ):
     """Fold one batch's matches and internal clusters into the clustering.
 
-    combined is the store's embeddings followed by the batch's, and
-    nvn_clusters the batch's ClusterTable (or NearDupeCluster-like objects)
-    over exactly those batch images. Returns (next_store, assignments): the
-    store's entries plus the batch's at batch_id + 1, not yet saved, and one
-    (image_id, cluster_id, provenance) row per batch image. The store itself
-    is left untouched.
+    combined is the store's embeddings followed by the batch's, and nvn the
+    batch's ClusterTable over exactly those batch images. Returns
+    (next_store, assignments): the store's entries plus the batch's at
+    batch_id + 1, not yet saved, and one (image_id, cluster_id, provenance)
+    row per batch image. The store itself is left untouched.
 
     Provenance: "nvo" for a direct head match, "nvn_mapped" for an image
     pulled into an old cluster by a matched batch-mate, "nvn_new" for
@@ -461,7 +458,6 @@ def merge(
     against the old cluster's head and may land below the match threshold.
     Joiners are plain members: augmentation lists stay frozen.
     """
-    nvn = ClusterTable.from_clusters(nvn_clusters)
     owner = np.repeat(np.arange(len(nvn)), nvn.sizes)
     at, matched = find_sorted(nvo_matches.query, nvn.image)
     # each batch cluster's best match: highest score, then smallest cluster id

@@ -19,7 +19,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, LshConfig
 from .errors import DimensionError, EncodingError, FormatError, IndexBuildError
-from .util import ByteReader
+from .util import ByteReader, atomic_write_bytes
 
 INDEX_MAGIC = b"NDIX"
 INDEX_VERSION = 1
@@ -230,8 +230,7 @@ def serialize_index(index: PostingIndex) -> bytes:
 
 
 def save_index(index: PostingIndex, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_index(index))
+    atomic_write_bytes(path, serialize_index(index))
 
 
 def load_index(path) -> PostingIndex:

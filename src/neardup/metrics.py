@@ -1,4 +1,5 @@
-"""Evaluation metrics: PR/ROC AUC, Rand index, pairwise precision/recall.
+"""Evaluation metrics: PR/ROC AUC, and Rand index, pairwise precision/recall
+and purity over aligned label arrays.
 
 Conventions are pinned so independent oracles can reproduce every value
 exactly. PR AUC: thresholds are the distinct scores, prediction is
@@ -76,52 +77,72 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rand_index(assignment_a: dict, assignment_b: dict) -> float:
+def rand_index(labels_a, labels_b) -> float:
     """Fraction of image pairs on which two clusterings agree.
 
-    Both arguments map image id -> cluster label and must cover the same
-    ids. Agreement means the pair is together in both or apart in both.
+    The arguments are aligned label arrays: entry i of each is the cluster
+    of the same image. Agreement means the pair is together in both or
+    apart in both.
     """
-    ids = sorted(assignment_a)
-    if set(assignment_b) != set(ids):
-        raise MetricError("clusterings cover different id sets")
-    n = len(ids)
+    labels_a, labels_b = _aligned(labels_a, labels_b)
+    n = labels_a.size
     if n < 2:
         raise MetricError("need at least two images")
     total = n * (n - 1) // 2
-    pairs_a = _co_clustered_pairs(assignment_a)
-    pairs_b = _co_clustered_pairs(assignment_b)
-    joint = {}
-    for i in ids:
-        key = (assignment_a[i], assignment_b[i])
-        joint[key] = joint.get(key, 0) + 1
-    pairs_both = sum(c * (c - 1) // 2 for c in joint.values())
-    disagreements = (pairs_a - pairs_both) + (pairs_b - pairs_both)
+    pairs_both = _co_clustered_pairs(labels_a, labels_b)
+    disagreements = _co_clustered_pairs(labels_a) + _co_clustered_pairs(labels_b) - 2 * pairs_both
     return (total - disagreements) / total
 
 
-def _co_clustered_pairs(assignment: dict) -> int:
-    sizes = {}
-    for label in assignment.values():
-        sizes[label] = sizes.get(label, 0) + 1
-    return sum(c * (c - 1) // 2 for c in sizes.values())
-
-
-def pairwise_precision_recall(predicted: dict, truth: dict):
+def pairwise_precision_recall(predicted, truth):
     """Precision/recall of co-clustered pairs against ground truth.
 
-    Both map image id -> label over the same ids. An empty pair set on
-    either side makes the corresponding metric 1.0 by convention.
+    The arguments are aligned label arrays, as for rand_index. An empty pair
+    set on either side makes the corresponding metric 1.0 by convention.
     """
-    if set(predicted) != set(truth):
-        raise MetricError("clusterings cover different id sets")
+    predicted, truth = _aligned(predicted, truth)
     pred_pairs = _co_clustered_pairs(predicted)
     true_pairs = _co_clustered_pairs(truth)
-    joint = {}
-    for i in predicted:
-        key = (predicted[i], truth[i])
-        joint[key] = joint.get(key, 0) + 1
-    tp = sum(c * (c - 1) // 2 for c in joint.values())
+    tp = _co_clustered_pairs(predicted, truth)
     precision = tp / pred_pairs if pred_pairs else 1.0
     recall = tp / true_pairs if true_pairs else 1.0
     return precision, recall
+
+
+def purity(predicted, truth) -> float:
+    """Share of images whose truth label is the most common one in their
+    predicted cluster; aligned label arrays, as for rand_index."""
+    predicted, truth = _aligned(predicted, truth)
+    if predicted.size == 0:
+        raise MetricError("empty inputs")
+    sizes, order, starts = _label_runs(predicted, truth)
+    # runs come sorted by predicted label; each cluster counts its largest
+    cluster = predicted[order[starts]]
+    firsts = np.flatnonzero(np.r_[True, cluster[1:] != cluster[:-1]])
+    return int(np.maximum.reduceat(sizes, firsts).sum()) / predicted.size
+
+
+def _aligned(labels_a, labels_b):
+    labels_a, labels_b = np.asarray(labels_a).reshape(-1), np.asarray(labels_b).reshape(-1)
+    if labels_a.size != labels_b.size:
+        raise MetricError(f"label arrays must align, got {labels_a.size} vs {labels_b.size} images")
+    return labels_a, labels_b
+
+
+def _label_runs(*labels):
+    """Sizes of the runs of equal label tuples, the sorting order and each
+    run's start in it."""
+    order = np.lexsort(labels[::-1])
+    change = np.zeros(order.size, dtype=bool)
+    change[:1] = True
+    for values in labels:
+        ordered = values[order]
+        change[1:] |= ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(change)
+    return np.diff(np.append(starts, order.size)), order, starts
+
+
+def _co_clustered_pairs(*labels) -> int:
+    """Image pairs that agree on every labelling given."""
+    sizes = _label_runs(*labels)[0].astype(np.int64)
+    return int((sizes * (sizes - 1) // 2).sum())

@@ -20,10 +20,10 @@ from .corpus import GroundTruth, generate_labels
 from .embeddings import EmbeddingSet, LshConfig, select_bits
 from .errors import DataError
 from .index import build_index
-from .metrics import pairwise_precision_recall, rand_index
+from .metrics import pairwise_precision_recall, purity, rand_index
 from .search import batch_search, recall_at_distance, unordered_pairs
 from .selection import select_edges
-from .util import atomic_write_text
+from .util import atomic_write_text, find_sorted
 
 log = logging.getLogger("neardup")
 
@@ -98,7 +98,7 @@ def static_clusters(
         groups,
         model,
         embeddings,
-        config.kcut.threshold,
+        config.classifier.threshold,
         seed=config.seed,
         scored=(edges_a, edges_b, edge_scores),
     )
@@ -177,20 +177,6 @@ def train_default_model(
     return train(pairs, embeddings, train_config), len(pairs)
 
 
-def _purity(predicted: dict, truth_map: dict) -> float:
-    by_cluster = {}
-    for image_id, cluster_id in predicted.items():
-        by_cluster.setdefault(cluster_id, []).append(image_id)
-    correct = 0
-    for members in by_cluster.values():
-        counts = {}
-        for image_id in members:
-            g = truth_map[image_id]
-            counts[g] = counts.get(g, 0) + 1
-        correct += max(counts.values())
-    return correct / len(predicted)
-
-
 def evaluate_pipeline(
     embeddings: EmbeddingSet,
     truth: GroundTruth,
@@ -224,11 +210,16 @@ def evaluate_pipeline(
             log.info("trained model on %d pairs in %.1fs", n_pairs, training["seconds"])
 
     run = static_clusters(embeddings, model, config, lsh_config=lsh_config)
-    predicted = run.assignment()
-    truth_map = truth.assignment()
-    precision, recall = pairwise_precision_recall(predicted, truth_map)
+    # the truth group of each table row, by one sorted lookup
+    by_id = np.argsort(truth.ids, kind="stable")
+    pos, known = find_sorted(truth.ids[by_id], run.clusters.image)
+    if not known.all():
+        raise DataError(f"image {run.clusters.image[~known][0]} has no ground-truth group")
+    predicted, actual = run.clusters.cluster, truth.group_of[by_id[pos]]
+    precision, recall = pairwise_precision_recall(predicted, actual)
 
-    group_vec = np.array([truth_map[int(i)] for i in embeddings.ids], dtype=np.uint64)
+    group_vec = np.empty(len(embeddings), dtype=np.uint64)
+    group_vec[embeddings.rows_of(run.clusters.image)] = actual
     r_at_d = recall_at_distance(
         embeddings, group_vec, lsh_config, distance_threshold,
         min_overlap=config.search.min_overlap,
@@ -241,8 +232,8 @@ def evaluate_pipeline(
         "clusters": len(run.clusters),
         "pairwise_precision": precision,
         "pairwise_recall": recall,
-        "rand_index": rand_index(predicted, truth_map),
-        "purity": _purity(predicted, truth_map),
+        "rand_index": rand_index(predicted, actual),
+        "purity": purity(predicted, actual),
         "recall_at_distance": {"distance": distance_threshold, "value": r_at_d},
         "candidate_pairs": run.candidate_pairs,
         "edges": run.edge_count,

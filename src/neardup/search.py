@@ -48,32 +48,10 @@ class SearchResultBatch(Mapping):
 
     Backed by aligned arrays: ids holds every query id in query order, and
     query, hit, overlap, jaccard hold one entry per hit, sorted by query id,
-    each query's hits in rank order. Built from (query id, hit list) pairs,
-    each list keeps its order.
+    each query's hits in rank order.
     """
 
-    def __init__(self, items=()):
-        lists = dict(items)
-        hits = [h for hl in lists.values() for h in hl]
-        ids = np.fromiter(lists, dtype=np.uint64, count=len(lists))
-        query = np.repeat(ids, np.array([len(hl) for hl in lists.values()], dtype=np.int64))
-        order = np.argsort(query, kind="stable")
-        self._set(
-            ids,
-            query[order],
-            np.fromiter((h.index_image for h in hits), dtype=np.uint64, count=len(hits))[order],
-            np.fromiter((h.overlap for h in hits), dtype=np.int64, count=len(hits))[order],
-            np.fromiter((h.jaccard for h in hits), dtype=np.float64, count=len(hits))[order],
-        )
-
-    @classmethod
-    def from_arrays(cls, ids, query, hit, overlap, jaccard) -> "SearchResultBatch":
-        """A batch over aligned hit arrays already in batch order (see above)."""
-        batch = cls.__new__(cls)
-        batch._set(ids, query, hit, overlap, jaccard)
-        return batch
-
-    def _set(self, ids, query, hit, overlap, jaccard) -> None:
+    def __init__(self, ids=(), query=(), hit=(), overlap=(), jaccard=()):
         arrays = [
             np.asarray(ids, dtype=np.uint64),
             np.asarray(query, dtype=np.uint64),
@@ -266,7 +244,7 @@ def batch_search(queries: EmbeddingSet, index: PostingIndex, k: int = 20, min_ov
     keep = rank < k
     counts = counts[keep]
     t = index.config.term_count
-    return SearchResultBatch.from_arrays(
+    return SearchResultBatch(
         queries.ids, ext_q[keep], ext_i[keep], counts, counts / (2 * t - counts)
     )
 

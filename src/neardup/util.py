@@ -1,5 +1,5 @@
-"""Atomic file writes, a bounds-checked reader for binary files, and lookups
-in sorted arrays."""
+"""Atomic file writes, a bounds-checked reader for binary files, a column
+reader for tab-separated files, and lookups in sorted arrays."""
 
 import json
 import os
@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 
 class ByteReader:
@@ -83,6 +83,51 @@ def atomic_write_text(path, text: str) -> None:
 
 def atomic_write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def read_tsv(path, columns, exact: bool = True) -> list:
+    """The leading fields of a headerless tab-separated file, one array per
+    (parse, dtype) of columns, in file order; blank lines are skipped.
+
+    The first bad line is a DataError naming <path>:<line>: a field count
+    other than len(columns) (below it, when exact is false), or a field that
+    parse or dtype rejects, the first such field on the line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [(n, line.split("\t")) for n, line in enumerate(fh.read().split("\n"), 1) if line]
+    bad = [len(rows), ""]  # the first bad row and its message
+
+    def flag(at, message):
+        if len(at) and at[0] < bad[0]:
+            bad[:] = [int(at[0]), message(int(at[0]))]
+
+    width = np.fromiter((len(fields) for _, fields in rows), dtype=np.int64, count=len(rows))
+    wrong = width != len(columns) if exact else width < len(columns)
+    need = f"{'' if exact else 'at least '}{len(columns)}"
+    flag(np.flatnonzero(wrong), lambda r: f"expected {need} tab-separated fields")
+    arrays = [
+        parse_column([fields[c] for _, fields in rows[: bad[0]]], parse, dtype, flag)
+        for c, (parse, dtype) in enumerate(columns)
+    ]
+    if bad[1]:
+        raise DataError(f"{path}:{rows[bad[0]][0]}: {bad[1]}")
+    return arrays
+
+
+def parse_column(values: list, parse, dtype, flag) -> np.ndarray:
+    """values through parse into a dtype array. The first value that fails
+    is flagged with its row and message, and only the rows before it come
+    back."""
+    try:
+        return np.fromiter(map(parse, values), dtype=dtype, count=len(values))
+    except (ValueError, OverflowError):
+        pass
+    for row, value in enumerate(values):
+        try:
+            np.array([parse(value)], dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            flag([row], lambda r: str(exc))
+            return np.fromiter(map(parse, values[:row]), dtype=dtype, count=row)
 
 
 def find_sorted(keys: np.ndarray, wanted) -> tuple:

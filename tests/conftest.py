@@ -10,7 +10,7 @@ training anything.
 import numpy as np
 import pytest
 
-from neardup import EmbeddingSet, LshConfig, MlpModel
+from neardup import ClusterTable, EmbeddingSet, LshConfig, MlpModel
 from neardup.embeddings import derive_terms_matrix
 
 
@@ -58,6 +58,13 @@ def star_set(d: int, seed: int, members) -> EmbeddingSet:
         ids.append(image_id)
         rows.append(flip(base, positions))
     return EmbeddingSet.from_bits(np.array(ids, dtype=np.uint64), np.stack(rows))
+
+
+def cluster_table(clusters) -> ClusterTable:
+    """The table of (cluster_id, head, [(member, score), ...]) entries."""
+    rows = [(head, cid, True, np.nan) for cid, head, _ in clusters]
+    rows += [(m, cid, False, s) for cid, _, members in clusters for m, s in members]
+    return ClusterTable(*zip(*rows)) if rows else ClusterTable()
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import pytest
 
 from neardup import (
     ClusterStore,
+    ClusterTable,
     EmbeddingSet,
     LshConfig,
     PipelineConfig,
@@ -257,7 +258,7 @@ def test_c06_closure_matches_union_find_at_scale():
 def test_c07_kcut_partitions_and_members_clear_threshold():
     model = popcount_model(256, 15.5)  # score >= 0.9 iff hamming <= 15
     config = PipelineConfig.from_dict(
-        {"classifier": {"threshold": 0.9}, "kcut": {"threshold": 0.9}}
+        {"classifier": {"threshold": 0.9}}
     )
     rng = np.random.default_rng(707)
     clusters_seen = 0
@@ -306,7 +307,7 @@ def test_c08_augmentation_is_superset_and_lifts_recall():
     lshc = LshConfig(d=d, selected_bits=tuple(range(144)), term_bits=12)
     model = popcount_model(d, 15.5)
     config = PipelineConfig.from_dict(
-        {"classifier": {"threshold": 0.9}, "kcut": {"threshold": 0.9}}
+        {"classifier": {"threshold": 0.9}}
     )
     n_groups = 40
 
@@ -350,7 +351,8 @@ def test_c08_augmentation_is_superset_and_lifts_recall():
         predicted = {i: c.cluster_id for c in run.clusters for i in c.image_ids}
         for q in probe_ids:
             predicted[q] = matches.get(q, q)  # unmatched probes stay singletons
-        return pairwise_precision_recall(predicted, truth_map)[1]
+        ids = list(truth_map)
+        return pairwise_precision_recall([predicted[i] for i in ids], [truth_map[i] for i in ids])[1]
 
     r_plain, r_aug = recall_with(map_plain), recall_with(map_aug)
     report(
@@ -370,7 +372,7 @@ def test_c09_incremental_tracks_static_and_reingest_is_noop():
     lshc = LshConfig(d=d, selected_bits=tuple(range(144)), term_bits=12)
     model = popcount_model(d, 15.5)
     config = PipelineConfig.from_dict(
-        {"classifier": {"threshold": 0.9}, "kcut": {"threshold": 0.9}}
+        {"classifier": {"threshold": 0.9}}
     )
 
     all_ids, all_bits = [], []
@@ -388,12 +390,12 @@ def test_c09_incremental_tracks_static_and_reingest_is_noop():
     static = static_clusters(full, model, config, lsh_config=lshc)
 
     empty = EmbeddingSet.from_bits(np.zeros(0, dtype=np.uint64), np.zeros((0, d), dtype=np.uint8))
-    store = ClusterStore.initialize([], empty, lshc, k_aug=3)
+    store = ClusterStore.initialize(ClusterTable(), empty, lshc, k_aug=3)
     for batch in batches:
         store, _, _ = run_incremental(store, batch, model, config)
 
-    incremental_map = {i: c.cluster_id for c in store.clusters.values() for i in c.image_ids}
-    ri = rand_index(incremental_map, static.assignment())
+    static_map = static.assignment()
+    ri = rand_index(store.table.cluster, [static_map[i] for i in store.table.image.tolist()])
 
     again, rows, _ = run_incremental(store, batches[-1], model, config)
     fresh_rows = [r for r in rows if r[2] != "existing"]
@@ -414,7 +416,7 @@ def test_c10_exact_duplicates_are_perfectly_clustered():
     emb, truth = generate_corpus(spec)
     model = popcount_model(256, 15.5)
     config = PipelineConfig.from_dict(
-        {"classifier": {"threshold": 0.9}, "kcut": {"threshold": 0.9}}
+        {"classifier": {"threshold": 0.9}}
     )
     metrics = evaluate_pipeline(emb, truth, config, model=model)
     report(

@@ -47,7 +47,6 @@ def workspace(tmp_path_factory):
             "epochs": 10,
             "learning_rate": 0.01,
         },
-        "kcut": {"threshold": 0.5},
     }
     (root / "config.json").write_text(json.dumps(config))
 
@@ -391,6 +390,22 @@ def test_classify_pairs_with_non_numeric_field_exit_one(workspace, tmp_path, cap
 def test_train_labels_with_non_numeric_field_exit_one(workspace, tmp_path, capsys):
     _non_numeric_run(workspace, tmp_path, capsys, "train-classifier", "--labels", "labels.csv",
                      "id_a,id_b,label\n1,2,yes\n")
+
+
+@pytest.mark.parametrize("row", ["0\tx", "0"])
+def test_evaluate_with_a_malformed_ground_truth_row_exit_one(workspace, tmp_path, capsys, row):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "embeddings.ndem").write_bytes((workspace / "corpus" / "embeddings.ndem").read_bytes())
+    lines = (workspace / "corpus" / "groundtruth.tsv").read_text().splitlines()
+    path = corpus / "groundtruth.tsv"
+    path.write_text("\n".join([lines[0], row] + lines[2:]) + "\n")
+    argv = ["evaluate", "--corpus", str(corpus), "--config", str(workspace / "config.json"),
+            "--model", str(workspace / "model.ndml")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error in evaluate: {path}:2:" in err
+    assert "Traceback" not in err
 
 
 def test_select_clusters_with_an_image_on_two_rows_exit_one(workspace, tmp_path, capsys):

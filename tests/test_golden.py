@@ -18,6 +18,7 @@ from neardup import (
     ClusterStore,
     PipelineConfig,
     SyntheticCorpusSpec,
+    evaluate_pipeline,
     generate_corpus,
     run_full,
     run_incremental,
@@ -47,6 +48,19 @@ RUN_FULL_SMALL_K = (
     (2, 943, 644, 216, "c650bc625d72f40942a5fa425af8c2ca53b5408a17020def968e11b81da8ced1"),
     (1, 598, 349, 200, "4c9f0db3571687708a5b9d9bfee397c5fb837a73a2ad6654be554a4b1c90cb35"),
 )
+
+
+# evaluate_pipeline's label metrics for the second corpus against its truth
+EVALUATE_REPORT = {
+    "pairwise_precision": 1.0,
+    "pairwise_recall": 0.744430693069307,
+    "rand_index": 0.999314241689124,
+    "purity": 1.0,
+    "recall_at_distance": {"distance": 8, "value": 1.0},
+    "cluster_size_histogram": {
+        "1": 418, "2": 106, "3": 56, "4": 26, "5": 13, "6": 2, "7": 5, "8": 1, "9": 2, "10": 1, "14": 1, "17": 2,
+    },
+}
 
 
 def spec(seed, n_base):
@@ -79,6 +93,13 @@ def test_run_full_digest_where_top_k_binds(seeded, tmp_path, k, pairs, edges, cl
     _, report = run_full(emb, model, config, path)
     assert (report["candidate_pairs"], report["edges"], report["non_singleton_clusters"]) == (pairs, edges, clusters)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_evaluate_pipeline_report(seeded):
+    config, model, emb = seeded
+    _, truth = generate_corpus(spec(12, 500))
+    report = evaluate_pipeline(emb, truth, config, model=model)
+    assert {key: report[key] for key in EVALUATE_REPORT} == EVALUATE_REPORT
 
 
 @pytest.fixture(scope="module")

@@ -40,7 +40,7 @@ from neardup.clustering import clusters_to_tsv
 from neardup.incremental import HEAD, LISTED, MEMBER, SegmentRef, _decode_segment, _encode_segment
 from neardup.index import serialize_index
 
-from conftest import popcount_model, star_set
+from conftest import cluster_table, popcount_model, star_set
 
 D = 64
 SEED = 71
@@ -56,7 +56,6 @@ def cfg():
         {
             "lsh": {"d": D, "m": 36, "term_bits": 6},
             "classifier": {"threshold": 0.5},
-            "kcut": {"threshold": 0.5},
         }
     )
 
@@ -82,10 +81,10 @@ def make_store(directory=None, k_aug=3):
             (11, list(range(20, 36)) + [40]),
         ],
     )
-    clusters = [
+    clusters = cluster_table([
         NearDupeCluster(1, 1, [(2, s(1))]),
         NearDupeCluster(10, 10, [(11, s(1))]),
-    ]
+    ])
     return ClusterStore.initialize(clusters, emb, lshc(), k_aug=k_aug, directory=directory)
 
 
@@ -120,7 +119,7 @@ def match_rows(found):
 def test_initialize_freezes_top_k_augmentation():
     emb = star_set(D, SEED, [(1, []), (5, [0]), (6, [1]), (7, [2]), (8, [3])])
     cluster = NearDupeCluster(1, 1, [(5, 0.7), (6, 0.99), (7, 0.99), (8, 0.2)])
-    store = ClusterStore.initialize([cluster], emb, lshc(), k_aug=2)
+    store = ClusterStore.initialize(cluster_table([cluster]), emb, lshc(), k_aug=2)
     # top two by score, tie broken toward the smaller id
     assert head_rows(store.heads) == [(1, 1, [(6, 0.99), (7, 0.99)])]
 
@@ -130,19 +129,18 @@ def test_store_consistency_checks():
     c1 = NearDupeCluster(1, 1, [(2, 0.9)])
     # every clustered image needs an embedding
     with pytest.raises(StoreError, match="no stored embedding"):
-        ClusterStore.initialize([NearDupeCluster(1, 1, [(9, 0.5)])], emb, lshc())
+        ClusterStore.initialize(cluster_table([NearDupeCluster(1, 1, [(9, 0.5)])]), emb, lshc())
     # no unclustered embeddings allowed
     with pytest.raises(StoreError, match="clustered images"):
-        ClusterStore.initialize([c1], emb, lshc())
-    # the same image cannot sit in two clusters: as a table the store
-    # refuses it, as cluster objects already the conversion to a table does
+        ClusterStore.initialize(cluster_table([c1]), emb, lshc())
+    # the same image cannot sit in two clusters, nor be its own cluster's member
     both = ClusterTable([1, 3, 2, 3], [1, 1, 2, 2], [True, False, True, False], [np.nan, 0.9, np.nan, 0.8])
     with pytest.raises(StoreError, match="more than one cluster"):
         ClusterStore.initialize(both, emb, lshc())
-    with pytest.raises(DataError):
-        ClusterStore.initialize(list(both), emb, lshc())
+    with pytest.raises(StoreError, match="more than one cluster"):
+        ClusterStore.initialize(cluster_table([(1, 1, [(1, 0.9)]), (3, 3, [(2, 0.9)])]), emb, lshc())
     # the stored entries follow the embedding rows, not the table order
-    store = ClusterStore.initialize([NearDupeCluster(3, 3, []), c1], emb, lshc(), k_aug=1)
+    store = ClusterStore.initialize(cluster_table([NearDupeCluster(3, 3, []), c1]), emb, lshc(), k_aug=1)
     assert store.cluster.tolist() == [1, 1, 3]
     assert store.role.tolist() == [HEAD, LISTED, HEAD]
     assert np.array_equal(store.score, [np.nan, 0.9, np.nan], equal_nan=True)
@@ -502,7 +500,7 @@ def test_nvo_matches_a_duplicate_of_the_head(model):
 def test_nvo_uses_the_augmentation_list(model):
     # probe 200 is 12 bits from head 1 but only 6 from stored member 2
     emb = star_set(D, SEED, [(1, []), (2, list(range(6)))])
-    store = ClusterStore.initialize([NearDupeCluster(1, 1, [(2, s(6))])], emb, lshc())
+    store = ClusterStore.initialize(cluster_table([NearDupeCluster(1, 1, [(2, s(6))])]), emb, lshc())
     ((_, cluster, via, score),) = match_rows(run_nvo(store, batch([(200, list(range(12)))]), model, threshold=0.5))
     assert cluster == 1
     assert via == 2
@@ -521,7 +519,7 @@ def test_merge_nvo_join_keeps_augmentation_frozen(model):
     store = make_store()
     emb = batch([(100, [1])])  # 2 bits from head 1
     combined = store.embeddings.concat(emb)
-    nvn = [NearDupeCluster(100, 100, [])]
+    nvn = cluster_table([NearDupeCluster(100, 100, [])])
     before = head_rows(store.heads)
 
     next_store, assignments = merge(store, matches((100, 1, 1, s(2))), nvn, model, combined)
@@ -544,7 +542,7 @@ def test_merge_unmatched_members_follow_best_match(model):
     emb = batch([(100, list(range(22, 36))), (101, [50]), (102, [1])])
     combined = store.embeddings.concat(emb)
     found = matches((100, 10, 10, s(2)), (102, 1, 1, s(1)))
-    nvn = [NearDupeCluster(100, 100, [(101, 0.9), (102, 0.9)])]
+    nvn = cluster_table([NearDupeCluster(100, 100, [(101, 0.9), (102, 0.9)])])
     next_store, assignments = merge(store, found, nvn, model, combined)
     clusters = next_store.clusters
     assert sorted(assignments) == [
@@ -562,7 +560,7 @@ def test_merge_equal_scores_prefer_smaller_cluster(model):
     combined = store.embeddings.concat(emb)
     # identical scores: the tie goes to cluster 1
     found = matches((100, 10, 10, s(2)), (102, 1, 1, s(2)))
-    nvn = [NearDupeCluster(100, 100, [(101, 0.9), (102, 0.9)])]
+    nvn = cluster_table([NearDupeCluster(100, 100, [(101, 0.9), (102, 0.9)])])
     _, assignments = merge(store, found, nvn, model, combined)
     assert (101, 1, "nvn_mapped") in assignments
 
@@ -577,7 +575,7 @@ def test_merge_entering_cluster_repicks_head_and_rescores():
                  (202, list(range(10, 20)) + [62, 63])])
     combined = store.embeddings.concat(emb)
     # incoming head/scores are deliberately wrong; merge must fix both
-    nvn = [NearDupeCluster(200, 202, [(200, 0.123), (201, 0.123)])]
+    nvn = cluster_table([NearDupeCluster(200, 202, [(200, 0.123), (201, 0.123)])])
     next_store, assignments = merge(store, matches(), nvn, gentle, combined)
 
     created = next_store.clusters[200]
@@ -606,11 +604,11 @@ def test_merge_picks_all_entering_heads_in_one_call(monkeypatch):
     emb = batch([(200, list(range(10, 20))), (201, list(range(10, 21))), (300, list(range(40, 50))),
                  (301, list(range(40, 51))), (302, list(range(40, 52))), (400, [60, 61, 62])])
     combined = store.embeddings.concat(emb)
-    nvn = [
+    nvn = cluster_table([
         NearDupeCluster(200, 200, [(201, 0.9)]),
         NearDupeCluster(300, 301, [(300, 0.9), (302, 0.9)]),
         NearDupeCluster(400, 400, []),
-    ]
+    ])
     calls = []
     real = incremental.choose_head
 
@@ -633,7 +631,7 @@ def test_merge_rejects_cluster_id_collision(model):
     combined = store.embeddings.concat(emb)
     # stored image 1 smuggled into a batch cluster: its min id is the
     # existing cluster id 1, which must be refused
-    nvn = [NearDupeCluster(1, 300, [(1, 0.9)])]
+    nvn = cluster_table([NearDupeCluster(1, 300, [(1, 0.9)])])
     with pytest.raises(StoreError):
         merge(store, matches(), nvn, model, combined)
 
@@ -662,9 +660,8 @@ def test_run_incremental_matches_static_clustering(model, tmp_path):
     assert {p for _, _, p in a1} == {"nvn_new"}
     store, a2, _ = run_incremental(directory, second, model, cfg())
 
-    final = {i: c for i, c, _ in a1}
-    final.update({i: c for i, c, _ in a2})
-    assert rand_index(final, static.assignment()) == 1.0
+    final = {i: c for i, c, _ in a1 + a2}
+    assert rand_index(static.clusters.cluster, [final[i] for i in static.clusters.image.tolist()]) == 1.0
     assert store.batch_id == 2
     assert len(store) == 6
 
@@ -686,7 +683,7 @@ def test_run_incremental_joins_via_heads(model, tmp_path):
 def test_run_incremental_emits_augmentation_labels(model):
     # one cluster: head 1, member 2 six bits out (so 2 is in the aug list)
     emb = star_set(D, SEED, [(1, []), (2, list(range(6)))])
-    store = ClusterStore.initialize([NearDupeCluster(1, 1, [(2, s(6))])], emb, lshc(), k_aug=3)
+    store = ClusterStore.initialize(cluster_table([NearDupeCluster(1, 1, [(2, s(6))])]), emb, lshc(), k_aug=3)
     probe = batch([(200, list(range(12)))])  # 12 bits from the head, 6 from member 2
     next_store, assignments, labels = run_incremental(store, probe, model, cfg())
     assert assignments == [(200, 1, "nvo")]

@@ -5,11 +5,12 @@ by hand; the clustering oracles count pairs directly.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from neardup import MetricError, pairwise_precision_recall, pr_auc, rand_index, roc_auc
+from neardup import MetricError, pairwise_precision_recall, pr_auc, purity, rand_index, roc_auc
 
 
 def pr_auc_oracle(scores, labels):
@@ -39,9 +40,8 @@ def roc_auc_oracle(scores, labels):
 
 
 def pair_agreement_oracle(a, b):
-    ids = sorted(a)
     agree = total = 0
-    for i, j in itertools.combinations(ids, 2):
+    for i, j in itertools.combinations(range(len(a)), 2):
         total += 1
         if (a[i] == a[j]) == (b[i] == b[j]):
             agree += 1
@@ -49,9 +49,8 @@ def pair_agreement_oracle(a, b):
 
 
 def pairwise_pr_oracle(pred, truth):
-    ids = sorted(pred)
     tp = fp = fn = 0
-    for i, j in itertools.combinations(ids, 2):
+    for i, j in itertools.combinations(range(len(pred)), 2):
         p = pred[i] == pred[j]
         t = truth[i] == truth[j]
         tp += p and t
@@ -60,6 +59,14 @@ def pairwise_pr_oracle(pred, truth):
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
     return precision, recall
+
+
+def purity_oracle(pred, truth):
+    # each cluster counts the images of its most common truth label
+    members = {}
+    for p, t in zip(pred.tolist(), truth.tolist()):
+        members.setdefault(p, []).append(t)
+    return sum(max(Counter(ts).values()) for ts in members.values()) / len(pred)
 
 
 def test_frozen_small_case():
@@ -113,33 +120,33 @@ def test_metric_input_validation():
         roc_auc([0.5], [1, 0])
 
 
-def random_assignment(rng, ids, n_labels):
-    return {i: int(rng.integers(n_labels)) for i in ids}
+def random_labels(rng, n, n_labels):
+    return rng.integers(n_labels, size=n).astype(np.uint64)
 
 
 def test_rand_index_matches_pair_counting(rng):
     for _ in range(30):
-        ids = list(range(int(rng.integers(2, 25))))
-        a = random_assignment(rng, ids, 4)
-        b = random_assignment(rng, ids, 4)
+        n = int(rng.integers(2, 25))
+        a = random_labels(rng, n, 4)
+        b = random_labels(rng, n, 4)
         assert rand_index(a, b) == pytest.approx(pair_agreement_oracle(a, b), abs=1e-12)
 
 
 def test_rand_index_extremes():
-    a = {1: 0, 2: 0, 3: 1}
-    assert rand_index(a, {1: 9, 2: 9, 3: 4}) == 1.0  # relabeling is invisible
-    assert rand_index({1: 0, 2: 1}, {1: 0, 2: 0}) == 0.0
+    a = [0, 0, 1]
+    assert rand_index(a, [9, 9, 4]) == 1.0  # relabeling is invisible
+    assert rand_index([0, 1], [0, 0]) == 0.0
     with pytest.raises(MetricError):
-        rand_index(a, {1: 0, 2: 0})
+        rand_index(a, [0, 0])
     with pytest.raises(MetricError):
-        rand_index({1: 0}, {1: 0})
+        rand_index([0], [0])
 
 
 def test_pairwise_pr_matches_oracle(rng):
     for _ in range(30):
-        ids = list(range(int(rng.integers(2, 25))))
-        pred = random_assignment(rng, ids, 4)
-        truth = random_assignment(rng, ids, 4)
+        n = int(rng.integers(2, 25))
+        pred = random_labels(rng, n, 4)
+        truth = random_labels(rng, n, 4)
         assert pairwise_precision_recall(pred, truth) == pytest.approx(
             pairwise_pr_oracle(pred, truth), abs=1e-12
         )
@@ -147,11 +154,24 @@ def test_pairwise_pr_matches_oracle(rng):
 
 def test_pairwise_pr_conventions():
     # all singletons predicted: no predicted pairs, precision 1 by convention
-    pred = {1: 1, 2: 2, 3: 3}
-    truth = {1: 0, 2: 0, 3: 0}
+    pred = [1, 2, 3]
+    truth = [0, 0, 0]
     p, r = pairwise_precision_recall(pred, truth)
     assert (p, r) == (1.0, 0.0)
     p, r = pairwise_precision_recall(truth, truth)
     assert (p, r) == (1.0, 1.0)
     with pytest.raises(MetricError):
-        pairwise_precision_recall(pred, {1: 0})
+        pairwise_precision_recall(pred, [0])
+
+
+def test_purity_matches_majority_count_oracle(rng):
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        pred = random_labels(rng, n, int(rng.integers(1, 8)))
+        truth = random_labels(rng, n, int(rng.integers(1, 8)))
+        assert purity(pred, truth) == purity_oracle(pred, truth)
+    assert purity([1, 1, 2, 2], [5, 6, 7, 7]) == 0.75
+    with pytest.raises(MetricError):
+        purity([1, 2], [1])
+    with pytest.raises(MetricError):
+        purity([], [])

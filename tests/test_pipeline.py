@@ -1,5 +1,9 @@
 """End-to-end static pipeline and config handling."""
 
+import json
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -25,7 +29,6 @@ def toy_config(**overrides):
     payload = {
         "lsh": {"d": D, "m": 36, "term_bits": 6},
         "classifier": {"threshold": 0.5, "hidden": [8], "epochs": 2},
-        "kcut": {"threshold": 0.5},
     }
     payload.update(overrides)
     return PipelineConfig.from_dict(payload)
@@ -126,7 +129,7 @@ def test_config_defaults_and_round_trip(tmp_path):
     cfg = PipelineConfig.from_dict({})
     assert cfg.lsh.d == 256 and cfg.lsh.m == 144 and cfg.lsh.term_bits == 12
     assert cfg.search.k == 20 and cfg.search.min_overlap == 2
-    assert cfg.classifier.threshold == 0.9 and cfg.kcut.threshold == 0.9
+    assert cfg.classifier.threshold == 0.9 and "kcut" not in cfg.to_dict()
     assert cfg.augmentation.k_aug == 3
 
     path = tmp_path / "cfg.json"
@@ -135,9 +138,19 @@ def test_config_defaults_and_round_trip(tmp_path):
     assert PipelineConfig.load(path).to_dict() == toy.to_dict()
 
 
+def test_readme_config_example_is_the_default_config():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Configuration", 1)[1]
+    (block,) = re.findall(r"```json\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    assert PipelineConfig.from_dict(json.loads(block)).to_dict() == PipelineConfig().to_dict()
+
+
 def test_config_rejects_unknown_and_invalid():
     with pytest.raises(DataError):
         PipelineConfig.from_dict({"typo": {}})
+    with pytest.raises(DataError, match="unknown config keys: \\['kcut'\\]"):
+        PipelineConfig.from_dict({"kcut": {"threshold": 0.9}})  # the cut uses classifier.threshold
     with pytest.raises(DataError):
         PipelineConfig.from_dict({"lsh": {"bogus_key": 1}})
     with pytest.raises(DataError):
@@ -158,7 +171,7 @@ def test_config_rejects_unknown_and_invalid():
         {"lsh": {"selected_bits": 3}},
         {"classifier": {"hidden": 5}},
         {"classifier": {"hidden": [64, "32"]}},
-        {"kcut": {"threshold": "0.5"}},
+        {"classifier": {"threshold": "0.5"}},
         {"augmentation": {"k_aug": True}},
         {"classifier": {"model_path": 7}},
         {"threads": 2},
@@ -181,6 +194,13 @@ def test_evaluate_pipeline_exact_on_clean_corpus():
     assert report["recall_at_distance"] == {"distance": 4, "value": 1.0}
     assert report["cluster_size_histogram"] == {"1": 1, "2": 1, "3": 1}
     assert report["training"] is None  # a model was supplied
+
+
+def test_evaluate_pipeline_needs_a_group_for_every_image():
+    emb, truth = three_group_corpus()
+    partial = GroundTruth(truth.ids[:-1], truth.group_of[:-1])
+    with pytest.raises(DataError, match="image 20 has no ground-truth group"):
+        evaluate_pipeline(emb, partial, toy_config(), model=popcount_model(D, 9.5))
 
 
 def test_evaluate_pipeline_rejects_empty():

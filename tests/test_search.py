@@ -164,7 +164,7 @@ def test_unordered_pairs_matches_set_oracle(lsh64, rng):
     assert list(zip(a.tolist(), b.tolist())) == want
     # ids at the top of the u64 range survive; a hit on the query itself is dropped
     top = 2**64 - 2
-    a, b = unordered_pairs(SearchResultBatch([(top, [SearchHit(3, 2, 0.2), SearchHit(top, 6, 1.0)])]))
+    a, b = unordered_pairs(SearchResultBatch([top], [top, top], [3, top], [2, 6], [0.2, 1.0]))
     assert (a.tolist(), b.tolist()) == ([3], [top])
 
 
@@ -343,14 +343,15 @@ def test_unsorted_posting_list_is_not_self_joined(lsh64, rng):
             np.testing.assert_array_equal(g, w)
 
 
-def test_search_result_batch_from_lists():
-    batch = SearchResultBatch([(5, [SearchHit(9, 4, 0.5), SearchHit(2, 3, 0.25)]), (1, []), (3, [SearchHit(5, 2, 0.1)])])
+def test_search_result_batch_lookup():
+    batch = SearchResultBatch([5, 1, 3], [3, 5, 5], [5, 9, 2], [2, 4, 3], [0.1, 0.5, 0.25])
     assert list(batch) == [5, 1, 3] and len(batch) == 3
-    assert batch[5] == [SearchHit(9, 4, 0.5), SearchHit(2, 3, 0.25)]  # list order kept
+    assert batch[5] == [SearchHit(9, 4, 0.5), SearchHit(2, 3, 0.25)]  # array order kept within a query
     assert batch[1] == [] and 1 in batch and 2 not in batch and -1 not in batch
-    assert batch.query.tolist() == [3, 5, 5] and batch.hit.tolist() == [5, 9, 2]
     assert batch == {5: [(9, 4, 0.5), (2, 3, 0.25)], 1: [], 3: [(5, 2, 0.1)]}
     with pytest.raises(KeyError):
         batch[2]
     with pytest.raises(ValueError):
         batch.hit[0] = 1  # read-only
+    with pytest.raises(DataError):
+        SearchResultBatch([5], [5, 5], [9], [4], [0.5])  # hit arrays must align

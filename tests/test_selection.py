@@ -9,10 +9,8 @@ import pytest
 from neardup import (
     ClusterHeads,
     ClusterTable,
-    NearDupeCluster,
     DataError,
     HeadMatches,
-    SearchHit,
     SearchResultBatch,
     emit_augmentation_labels,
     select_candidates,
@@ -20,7 +18,7 @@ from neardup import (
     unordered_pairs,
 )
 
-from conftest import popcount_model, star_set
+from conftest import cluster_table, popcount_model, star_set
 
 D = 64
 THETA = 9.5  # pass at threshold 0.5 <=> hamming <= 9
@@ -31,14 +29,23 @@ def score_at(h):
 
 
 def hit(q, *head_ids):
-    return (q, [SearchHit(h, 6, 0.5) for h in head_ids])
+    return q, head_ids
+
+
+def hits_of(*entries):
+    """The SearchResultBatch of hit(query, *head_ids) entries, each hit with
+    overlap 6 and jaccard 0.5."""
+    query = np.array([q for q, hs in entries for _ in hs], dtype=np.uint64)
+    order = np.argsort(query, kind="stable")
+    hit_ids = np.array([h for _, hs in entries for h in hs], dtype=np.uint64)[order]
+    return SearchResultBatch([q for q, _ in entries], query[order], hit_ids, [6] * query.size, [0.5] * query.size)
 
 
 def heads_of(*entries):
     """ClusterHeads of (cluster_id, head, augmentation list) entries: the
     heads of a table whose members are each list's (member, score) pairs,
     with k_aug large enough to keep every list whole."""
-    table = ClusterTable.from_clusters([NearDupeCluster(c, h, a) for c, h, a in entries])
+    table = cluster_table(entries)
     return ClusterHeads.from_table(table, max(len(a) for _, _, a in entries))
 
 
@@ -81,7 +88,7 @@ def store():
 
 def test_match_via_augmentation_member(store, model):
     emb, heads = store
-    hits = SearchResultBatch([hit(200, 100)])
+    hits = hits_of(hit(200, 100))
     ((query, cluster, via, score),) = rows(select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3))
     assert query == 200
     assert cluster == 1
@@ -91,7 +98,7 @@ def test_match_via_augmentation_member(store, model):
 
 def test_match_via_head_short_circuits(store, model):
     emb, heads = store
-    hits = SearchResultBatch([hit(201, 100)])
+    hits = hits_of(hit(201, 100))
     ((_, _, via, score),) = rows(select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3))
     assert via == 100
     assert score == pytest.approx(score_at(2))
@@ -99,7 +106,7 @@ def test_match_via_head_short_circuits(store, model):
 
 def test_k_aug_zero_is_heads_only(store, model):
     emb, heads = store
-    hits = SearchResultBatch([hit(200, 100), hit(201, 100)])
+    hits = hits_of(hit(200, 100), hit(201, 100))
     plain = select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=0)
     assert queries(plain) == [201]
     augmented = select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3)
@@ -111,7 +118,7 @@ def test_k_aug_zero_is_heads_only(store, model):
 
 def test_augmentation_matches_are_a_superset(store, model):
     emb, heads = store
-    hits = SearchResultBatch([hit(200, 100), hit(201, 100)])
+    hits = hits_of(hit(200, 100), hit(201, 100))
     plain = set(queries(select_candidates(hits, heads, model, emb, 0.5, k_aug=0)))
     aug = set(queries(select_candidates(hits, heads, model, emb, 0.5, k_aug=3)))
     assert plain < aug
@@ -119,7 +126,7 @@ def test_augmentation_matches_are_a_superset(store, model):
 
 def test_raising_threshold_only_loses_matches(store, model):
     emb, heads = store
-    hits = SearchResultBatch([hit(200, 100), hit(201, 100)])
+    hits = hits_of(hit(200, 100), hit(201, 100))
     for lo, hi in [(0.3, 0.6), (0.5, 0.99), (0.1, 0.9)]:
         at_lo = set(queries(select_candidates(hits, heads, model, emb, lo, 3)))
         at_hi = set(queries(select_candidates(hits, heads, model, emb, hi, 3)))
@@ -130,7 +137,7 @@ def test_best_cluster_wins(model):
     # query 200 is 6 bits from head 100 and 2 bits from head 110
     emb = star_set(D, 19, [(100, []), (110, list(range(8))), (200, list(range(6)))])
     heads = heads_of((1, 100, []), (2, 110, []))
-    hits = SearchResultBatch([hit(200, 100, 110)])
+    hits = hits_of(hit(200, 100, 110))
     ((_, cluster, _, score),) = rows(select_candidates(hits, heads, model, emb, threshold=0.5))
     assert cluster == 2
     assert score == pytest.approx(score_at(2))
@@ -140,14 +147,14 @@ def test_equal_scores_prefer_smaller_cluster_id(model):
     # both heads are exactly 2 bits from the query: identical scores
     emb = star_set(D, 23, [(100, []), (110, [0, 1, 2, 3]), (200, [0, 1])])
     heads = heads_of((5, 100, []), (2, 110, []))
-    hits = SearchResultBatch([hit(200, 100, 110)])
+    hits = hits_of(hit(200, 100, 110))
     ((_, cluster, _, _),) = rows(select_candidates(hits, heads, model, emb, threshold=0.5))
     assert cluster == 2
 
 
 def test_results_sorted_by_query(store, model):
     emb, heads = store
-    hits = SearchResultBatch([hit(201, 100), hit(200, 100)])
+    hits = hits_of(hit(201, 100), hit(200, 100))
     out = select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3)
     assert queries(out) == [200, 201]
     assert len(out) == 2
@@ -156,26 +163,24 @@ def test_results_sorted_by_query(store, model):
 def test_unknown_head_rejected(store, model):
     emb, heads = store
     with pytest.raises(DataError):
-        select_candidates(SearchResultBatch([hit(200, 999)]), heads, model, emb, 0.5)
+        select_candidates(hits_of(hit(200, 999)), heads, model, emb, 0.5)
 
 
 def test_parameter_validation(store, model):
     emb, heads = store
-    hits = SearchResultBatch([hit(201, 100)])
+    hits = hits_of(hit(201, 100))
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(DataError):
             select_candidates(hits, heads, model, emb, bad)
     with pytest.raises(DataError):
         select_candidates(hits, heads, model, emb, 0.5, k_aug=-1)
-    with pytest.raises(DataError):
-        heads_of((1, 100, [(100, 0.9)]))  # a head cannot also be its own member
 
 
 def test_augmentation_match_emits_head_label(store, model, monkeypatch):
     from neardup import selection
 
     emb, heads = store
-    hits = SearchResultBatch([hit(200, 100), hit(201, 100)])
+    hits = hits_of(hit(200, 100), hit(201, 100))
     matches = select_candidates(hits, heads, model, emb, threshold=0.5, k_aug=3)
 
     def no_scoring(*args):
@@ -192,7 +197,7 @@ def test_augmentation_match_emits_head_label(store, model, monkeypatch):
 
 def test_no_labels_when_heads_match(store, model):
     emb, heads = store
-    hits = SearchResultBatch([hit(201, 100)])
+    hits = hits_of(hit(201, 100))
     matches = select_candidates(hits, heads, model, emb, threshold=0.5)
     assert emit_augmentation_labels(matches, heads) == []
     assert emit_augmentation_labels(HeadMatches(), heads) == []
@@ -205,13 +210,10 @@ def test_heads_from_table_keep_top_k_by_score_then_id(rng):
     for cid in range(30):
         head = next(pool)
         scores = rng.choice([0.5, 0.75, 0.9], size=int(rng.integers(0, 7)))
-        clusters.append(NearDupeCluster(cid, head, [(next(pool), float(sc)) for sc in scores]))
-    table = ClusterTable.from_clusters(clusters)
+        clusters.append((cid, head, [(next(pool), float(sc)) for sc in scores]))
+    table = cluster_table(clusters)
     for k_aug in (0, 1, 3, 10):
-        want = [
-            (c.cluster_id, c.head, sorted(c.members, key=lambda ms: (-ms[1], ms[0]))[:k_aug])
-            for c in clusters
-        ]
+        want = [(cid, head, sorted(members, key=lambda ms: (-ms[1], ms[0]))[:k_aug]) for cid, head, members in clusters]
         assert head_entries(ClusterHeads.from_table(table, k_aug)) == want
         # listed members are the lists themselves, however large k_aug is
         listed = [m for _, _, aug in want for m, _ in aug]
@@ -231,12 +233,8 @@ def test_select_edges_filters_at_threshold(model):
     emb = star_set(
         D, 29, [(0, []), (1, [0, 1]), (2, list(range(8))), (3, list(range(20)))]
     )
-    hits = SearchResultBatch(
-        [
-            (0, [SearchHit(1, 6, 0.5), SearchHit(2, 4, 0.3), SearchHit(3, 2, 0.1)]),
-            (2, [SearchHit(0, 4, 0.3)]),  # the reverse of a pair above
-        ]
-    )
+    # query 2's hit on 0 is the reverse of a pair of query 0
+    hits = SearchResultBatch([0, 2], [0, 0, 0, 2], [1, 2, 3, 0], [6, 4, 2, 4], [0.5, 0.3, 0.1, 0.3])
     a, b = unordered_pairs(hits)
     assert list(zip(a.tolist(), b.tolist())) == [(0, 1), (0, 2), (0, 3)]
     edges_a, edges_b, scores = select_edges(a, b, model, emb, threshold=0.5)

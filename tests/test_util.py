@@ -1,11 +1,26 @@
-"""Atomic writes: what reaches the disk, and in which order."""
+"""Atomic writes: what reaches the disk, and in which order, for every
+file writer."""
 
 import os
 import stat
 
+import numpy as np
 import pytest
 
-from neardup import util
+from neardup import (
+    EmbeddingSet,
+    GroundTruth,
+    LshConfig,
+    SyntheticCorpusSpec,
+    build_index,
+    save_corpus,
+    save_index,
+    save_model,
+    util,
+    write_labels_csv,
+)
+
+from conftest import popcount_model
 
 
 def test_atomic_write_fsyncs_file_then_renames_then_fsyncs_directory(tmp_path, monkeypatch):
@@ -39,3 +54,43 @@ def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path, monkeypat
         util.atomic_write_bytes(tmp_path / "out.bin", b"new")
     assert (tmp_path / "out.bin").read_bytes() == b"old"
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def _write(name, directory, variant):
+    """One writer's output into directory; variant 0 and 1 write different bytes."""
+    emb = EmbeddingSet.from_bits([3, 1 + variant], np.eye(2, 8, dtype=np.uint8))
+    if name == "save_model":
+        save_model(popcount_model(8, 2.5 + variant), directory / "model.ndml")
+    elif name == "EmbeddingSet.save":
+        emb.save(directory / "embeddings.ndem")
+    elif name == "save_corpus":
+        save_corpus(emb, GroundTruth(emb.ids, [3, 3 - 2 * variant]), directory, SyntheticCorpusSpec(seed=variant, d=8, flip_max=4))
+    elif name == "write_labels_csv":
+        write_labels_csv([(1, 3, 1 - variant)], directory / "labels.csv")
+    else:
+        save_index(build_index(emb, LshConfig(8, (0, 1, 2, 3), 2)), directory / "index.ndix")
+
+
+@pytest.mark.parametrize(
+    "name", ["EmbeddingSet.save", "save_corpus", "save_index", "save_model", "write_labels_csv"]
+)
+def test_writers_keep_the_earlier_file_when_the_rename_fails(tmp_path, monkeypatch, name):
+    _write(name, tmp_path, 0)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        _write(name, tmp_path, 1)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(util.TEMP_PREFIX)]
+
+
+def test_text_writers_keep_their_line_ends(tmp_path):
+    write_labels_csv([(1, 3, 1)], tmp_path / "labels.csv")
+    assert (tmp_path / "labels.csv").read_bytes() == b"id_a,id_b,label\r\n1,3,1\r\n"
+    save_corpus(EmbeddingSet.from_bits([3, 1], np.eye(2, 8, dtype=np.uint8)), GroundTruth([3, 1], [3, 3]), tmp_path)
+    assert (tmp_path / "groundtruth.tsv").read_bytes() == b"3\t3\n1\t3\n"
+    assert sorted(os.listdir(tmp_path)) == ["embeddings.ndem", "groundtruth.tsv", "labels.csv"]
