@@ -66,13 +66,6 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.weights[0].shape[1]
 
-    @property
-    def widths(self) -> list:
-        return [self.input_dim] + [w.shape[0] for w in self.weights]
-
-    def parameter_count(self) -> int:
-        return int(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
-
 
 def init_model(d: int, hidden=(512, 256, 64), seed: int = 0) -> MlpModel:
     """Xavier-uniform initialized model with the canonical layer stack."""
@@ -296,9 +289,7 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray, min_recall: float =
     return float(s_sorted[ends[pick]])
 
 
-def predict_rows(
-    model: MlpModel, embeddings: EmbeddingSet, rows_a, rows_b, chunk: int = SCORE_CHUNK_ROWS
-) -> np.ndarray:
+def predict_rows(model: MlpModel, embeddings: EmbeddingSet, rows_a, rows_b) -> np.ndarray:
     """Scores for the row pairs (rows_a[i], rows_b[i]) of one embedding set,
     order-preserving, chunked for memory. The one scoring entry point.
 
@@ -320,10 +311,9 @@ def predict_rows(
     ):
         raise DataError(f"rows must be in [0, {len(embeddings)})")
     out = np.empty(rows_a.size, dtype=np.float64)
-    for s in range(0, rows_a.size, chunk):
-        xor = np.bitwise_xor(
-            embeddings.packed[rows_a[s : s + chunk]], embeddings.packed[rows_b[s : s + chunk]]
-        )
+    for s in range(0, rows_a.size, SCORE_CHUNK_ROWS):
+        stop = s + SCORE_CHUNK_ROWS
+        xor = np.bitwise_xor(embeddings.packed[rows_a[s:stop]], embeddings.packed[rows_b[s:stop]])
         out[s : s + xor.shape[0]] = forward_batch(model, _unpack(xor, embeddings.d))
     return out
 

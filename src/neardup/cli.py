@@ -1,8 +1,11 @@
 """Command line front end: one subcommand per stage plus end-to-end runs.
 
-Every output file is written atomically (temp file + rename), so an aborted
-command never leaves a partial artifact behind. Failures print the failing
-stage to stderr and exit 1. Logging goes to stderr; -v raises verbosity.
+Every pipeline setting comes from the one --config file (its defaults when
+the flag is left out), so build-index, search, select and cluster in turn
+write the same cluster file as run. Every output file is written atomically
+(temp file + rename), so an aborted command never leaves a partial artifact
+behind. Failures print the failing stage to stderr and exit 1. Logging goes
+to stderr; -v raises verbosity.
 """
 
 import argparse
@@ -12,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .classifier import TrainConfig, load_model, predict_rows, save_model, train
-from .clustering import clusters_to_tsv, k_cut, read_clusters_tsv, transitive_closure
+from .classifier import load_model, predict_rows, save_model, train
+from .clustering import add_singletons, clusters_to_tsv, k_cut, read_clusters_tsv, transitive_closure
 from .config import PipelineConfig
 from .corpus import (
     SyntheticCorpusSpec,
@@ -26,7 +29,7 @@ from .embeddings import EmbeddingSet
 from .errors import DataError, NearDupError
 from .incremental import assignments_to_tsv, run_incremental
 from .index import build_index, index_size_bytes, load_index, serialize_index
-from .pipeline import resolve_lsh_config, run_full
+from .pipeline import resolve_lsh_config, run_full, train_config
 from .search import SearchResultBatch, batch_search, unordered_pairs
 from .selection import ClusterHeads, emit_augmentation_labels, select_candidates, select_edges
 from .util import atomic_write_bytes, atomic_write_json, atomic_write_text, read_tsv
@@ -94,7 +97,8 @@ def cmd_build_index(args) -> int:
 def cmd_search(args) -> int:
     index = load_index(args.index)
     queries = _load_embeddings(args.queries)
-    hits = batch_search(queries, index, k=args.k, min_overlap=args.min_overlap)
+    search = _load_config(args.config).search
+    hits = batch_search(queries, index, k=search.k, min_overlap=search.min_overlap)
     rows = zip(hits.query.tolist(), hits.hit.tolist(), hits.overlap.tolist(), hits.jaccard.tolist())
     atomic_write_text(args.out, "".join(f"{q}\t{h}\t{o}\t{j:.6f}\n" for q, h, o, j in rows))
     print(f"{hits.query.size} hits for {len(queries)} queries -> {args.out}")
@@ -105,18 +109,7 @@ def cmd_train_classifier(args) -> int:
     embeddings = _load_embeddings(args.embeddings)
     config = _load_config(args.config)
     pairs = read_labels_csv(args.labels)
-    cls = config.classifier
-    train_config = TrainConfig(
-        learning_rate=cls.learning_rate,
-        beta1=cls.beta1,
-        beta2=cls.beta2,
-        eps=cls.eps,
-        batch_size=cls.batch_size,
-        epochs=args.epochs if args.epochs is not None else cls.epochs,
-        seed=args.seed if args.seed is not None else config.seed,
-        hidden=tuple(cls.hidden),
-    )
-    result = train(pairs, embeddings, train_config)
+    result = train(pairs, embeddings, train_config(config))
     save_model(result.model, args.out)
     report = {
         "pairs": len(pairs),
@@ -183,11 +176,11 @@ def cmd_select(args) -> int:
     model = load_model(args.model)
     embeddings = _load_embeddings(args.embeddings)
     hits = _read_hits_tsv(args.hits)
-    if args.threshold is None:
-        args.threshold = model.threshold
+    config = _load_config(args.config)
+    threshold, k_aug = config.classifier.threshold, config.augmentation.k_aug
     if args.clusters:
-        heads = ClusterHeads.from_table(read_clusters_tsv(args.clusters), args.k_aug)
-        matches = select_candidates(hits, heads, model, embeddings, args.threshold, k_aug=args.k_aug)
+        heads = ClusterHeads.from_table(read_clusters_tsv(args.clusters), k_aug)
+        matches = select_candidates(hits, heads, model, embeddings, threshold, k_aug=k_aug)
         rows = zip(*(a.tolist() for a in (matches.query, matches.cluster, matches.via, matches.score)))
         atomic_write_text(args.out, "".join(f"{q}\t{c}\t{v}\t{s:.6f}\n" for q, c, v, s in rows))
         print(f"{len(matches)} matched queries -> {args.out}")
@@ -200,7 +193,7 @@ def cmd_select(args) -> int:
             print(f"{len(labels)} augmentation labels -> {args.labels_out}")
     else:
         pairs_a, pairs_b = unordered_pairs(hits)
-        a, b, scores = select_edges(pairs_a, pairs_b, model, embeddings, args.threshold)
+        a, b, scores = select_edges(pairs_a, pairs_b, model, embeddings, threshold)
         atomic_write_text(
             args.out,
             "".join(f"{x}\t{y}\t{s:.6f}\n" for x, y, s in zip(a.tolist(), b.tolist(), scores)),
@@ -212,11 +205,12 @@ def cmd_select(args) -> int:
 def cmd_cluster(args) -> int:
     model = load_model(args.model)
     embeddings = _load_embeddings(args.embeddings)
-    if args.threshold is None:
-        args.threshold = model.threshold
+    config = _load_config(args.config)
     edges = read_tsv(args.edges, [(int, np.uint64), (int, np.uint64)], exact=False)
     groups = transitive_closure(np.column_stack(edges))
-    clusters = k_cut(groups, model, embeddings, args.threshold, seed=args.seed)
+    # the edges file rounds scores, so the pivot pairs are scored afresh
+    clusters = k_cut(groups, model, embeddings, config.classifier.threshold, seed=config.seed)
+    clusters = add_singletons(clusters, embeddings.ids)
     atomic_write_text(args.out, clusters_to_tsv(clusters))
     print(f"{len(clusters)} clusters over {clusters.image.size} images -> {args.out}")
     return 0
@@ -310,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="batch search queries against an index")
     p.add_argument("--index", required=True)
     p.add_argument("--queries", action="append", required=True)
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--min-overlap", type=int, default=2)
+    p.add_argument("--config", help="pipeline config JSON: search.k, search.min_overlap")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)
 
@@ -320,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", action="append", required=True)
     p.add_argument("--out", required=True, help="model file")
     p.add_argument("--config")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--report", help="JSON training report")
     p.set_defaults(func=cmd_train_classifier)
 
@@ -336,9 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hits", required=True, help="search output TSV")
     p.add_argument("--model", required=True)
     p.add_argument("--embeddings", action="append", required=True)
-    p.add_argument("--threshold", type=float, default=None, help="score cut (default: the model's stored threshold)")
+    p.add_argument("--config", help="pipeline config JSON: classifier.threshold, augmentation.k_aug")
     p.add_argument("--clusters", help="clusters TSV: match against heads instead of emitting edges")
-    p.add_argument("--k-aug", type=int, default=3)
     p.add_argument("--labels-out", help="CSV for augmentation-recovered positive labels")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select)
@@ -347,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True, help="edges TSV from select")
     p.add_argument("--model", required=True)
     p.add_argument("--embeddings", action="append", required=True)
-    p.add_argument("--threshold", type=float, default=None, help="score cut (default: the model's stored threshold)")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", required=True)
+    p.add_argument("--config", help="pipeline config JSON: classifier.threshold, seed")
+    p.add_argument("--out", required=True, help="clusters TSV: every image of --embeddings")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("run", help="full static pipeline: embeddings to clusters")

@@ -34,7 +34,7 @@ from .classifier import MlpModel, predict_rows
 from .embeddings import EmbeddingSet
 from .errors import DataError
 from .search import row_pair_keys
-from .util import find_sorted, first_repeat, parse_column
+from .util import find_sorted, first_repeat, pairs_within, parse_column
 
 
 class NearDupeCluster(NamedTuple):
@@ -221,6 +221,14 @@ def k_cut(
     return ClusterTable(*map(np.concatenate, zip(*parts)))
 
 
+def add_singletons(table: ClusterTable, ids) -> ClusterTable:
+    """The table plus a singleton cluster for each of ids it leaves out, so
+    that it partitions ids."""
+    lone = np.setdiff1d(ids, table.image)
+    lone = (lone, lone, np.ones(lone.size, dtype=bool), np.full(lone.size, np.nan))
+    return ClusterTable(*map(np.concatenate, zip(table.columns, lone)))
+
+
 def _score_table(scored, embeddings: EmbeddingSet):
     """The sorted unordered row-pair keys of the (a, b, score) arrays and
     their scores; both empty for None."""
@@ -248,10 +256,7 @@ def choose_head(ids, sizes, model: MlpModel, embeddings: EmbeddingSet) -> np.nda
     ids = ids[np.lexsort((ids, group))]
     if np.any((ids[1:] == ids[:-1]) & (group[1:] == group[:-1])):
         raise DataError("duplicate ids in head selection")
-    # pairs (i, j), i < j, within each group, in upper-triangle order
-    later = np.repeat(np.cumsum(sizes), sizes) - 1 - np.arange(ids.size)
-    ia = np.repeat(np.arange(ids.size), later)
-    ib = ia + 1 + np.arange(ia.size) - np.repeat(np.cumsum(later) - later, later)
+    ia, ib = pairs_within(sizes)
     sums = np.zeros(ids.size)
     if ia.size:
         rows = embeddings.rows_of(ids)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .classifier import MlpModel, TrainConfig, load_model, train
 from .classifier import predict_rows  # noqa: F401  unused; perfbench/test_smoke.py checks this import site
-from .clustering import ClusterTable, clusters_to_tsv, k_cut, transitive_closure
+from .clustering import ClusterTable, add_singletons, clusters_to_tsv, k_cut, transitive_closure
 from .config import PipelineConfig
 from .corpus import GroundTruth, generate_labels
 from .embeddings import EmbeddingSet, LshConfig, select_bits
@@ -102,10 +102,7 @@ def static_clusters(
         seed=config.seed,
         scored=(edges_a, edges_b, edge_scores),
     )
-    # images no kept edge reached are singleton clusters
-    lone = np.setdiff1d(embeddings.ids, clusters.image)
-    lone = (lone, lone, np.ones(lone.size, dtype=bool), np.full(lone.size, np.nan))
-    clusters = ClusterTable(*map(np.concatenate, zip(clusters.columns, lone)))
+    clusters = add_singletons(clusters, embeddings.ids)
     timings["cut"] = time.perf_counter() - t0
     log.info("%d clusters (%d non-singleton)", len(clusters), int((clusters.sizes > 1).sum()))
 
@@ -163,8 +160,14 @@ def train_default_model(
     pairs = generate_labels(
         truth, embeddings, n_pos, n_neg, seed=config.seed, lsh_config=lsh_config
     )
+    return train(pairs, embeddings, train_config(config)), len(pairs)
+
+
+def train_config(config: PipelineConfig) -> TrainConfig:
+    """The training settings of a pipeline config: its classifier section
+    and its seed."""
     cls = config.classifier
-    train_config = TrainConfig(
+    return TrainConfig(
         learning_rate=cls.learning_rate,
         beta1=cls.beta1,
         beta2=cls.beta2,
@@ -174,7 +177,6 @@ def train_default_model(
         seed=config.seed,
         hidden=tuple(cls.hidden),
     )
-    return train(pairs, embeddings, train_config), len(pairs)
 
 
 def evaluate_pipeline(

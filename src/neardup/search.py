@@ -26,6 +26,7 @@ import numpy as np
 from .embeddings import EmbeddingSet, LshConfig, hamming_distance_matrix
 from .errors import ConfigMismatchError, DataError
 from .index import PostingIndex, _list_heads, sorted_runs
+from .util import pairs_within
 
 # Join keys one block materialises and sorts. A block holds every key of its
 # query rows, so its count is exact. overlap_pairs self-join, 2-vCPU Xeon
@@ -269,23 +270,8 @@ def recall_at_distance(
     if group_of.shape[0] != len(embeddings):
         raise DataError("group_of must align with embeddings")
     order = np.argsort(group_of, kind="stable")
-    sorted_groups = group_of[order]
-    bounds = np.nonzero(np.diff(sorted_groups))[0] + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.append(starts[1:], sorted_groups.size)
-
-    rows_a, rows_b = [], []
-    for s, e in zip(starts, ends):
-        rows = order[s:e]
-        if rows.size < 2:
-            continue
-        ia, ib = np.triu_indices(rows.size, k=1)
-        rows_a.append(rows[ia])
-        rows_b.append(rows[ib])
-    if not rows_a:
-        return 1.0
-    rows_a = np.concatenate(rows_a)
-    rows_b = np.concatenate(rows_b)
+    ia, ib = pairs_within(np.unique(group_of, return_counts=True)[1])
+    rows_a, rows_b = order[ia], order[ib]
     dist = hamming_distance_matrix(embeddings, rows_a, embeddings, rows_b)
     close = dist <= distance_threshold
     rows_a, rows_b = rows_a[close], rows_b[close]

@@ -1,5 +1,6 @@
 """Atomic file writes, a bounds-checked reader for binary files, a column
-reader for tab-separated files, and lookups in sorted arrays."""
+reader for tab-separated files, lookups in sorted arrays, and the pairs
+within groups."""
 
 import json
 import os
@@ -138,6 +139,17 @@ def find_sorted(keys: np.ndarray, wanted) -> tuple:
     found = pos < keys.size
     found[found] = keys[pos[found]] == wanted[found]
     return pos, found
+
+
+def pairs_within(sizes) -> tuple:
+    """Every pair (i, j), i < j, of positions in the same group, for groups
+    of the given sizes laid out one after another: group by group, each in
+    upper-triangle order, as two int64 arrays."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    later = np.repeat(np.cumsum(sizes), sizes) - 1 - np.arange(sizes.sum())
+    ia = np.repeat(np.arange(later.size), later)
+    ib = ia + 1 + np.arange(ia.size) - np.repeat(np.cumsum(later) - later, later)
+    return ia, ib
 
 
 def first_repeat(values: np.ndarray) -> list:

@@ -23,6 +23,7 @@ from neardup import (
     save_model,
     train,
 )
+from neardup import classifier
 from neardup.classifier import SCORE_CHUNK_ROWS, forward_batch, loss_and_grads
 
 
@@ -129,7 +130,7 @@ def test_gradients_match_finite_differences(rng):
 
 def test_init_model_xavier_bounds():
     m = init_model(64, hidden=(32, 16), seed=3)
-    assert m.widths == [64, 32, 16, 1]
+    assert [w.shape for w in m.weights] == [(32, 64), (16, 32), (1, 16)]
     for w, b in zip(m.weights, m.biases):
         limit = math.sqrt(6.0 / (w.shape[1] + w.shape[0]))
         assert np.all(np.abs(w) <= limit)
@@ -185,7 +186,7 @@ def test_train_rejects_bad_labels():
         train([(0, 1, 2), (0, 2, 0)], emb)
 
 
-def test_predict_rows_symmetric_and_ordered(rng):
+def test_predict_rows_symmetric_and_ordered(rng, monkeypatch):
     bits = rng.integers(0, 2, size=(6, 16), dtype=np.uint8)
     emb = EmbeddingSet.from_bits(np.arange(6, dtype=np.uint64), bits)
     m = random_model(rng, [16, 5, 1])
@@ -193,7 +194,8 @@ def test_predict_rows_symmetric_and_ordered(rng):
     rev = predict_rows(m, emb, [1, 3, 5], [0, 2, 4])
     assert np.array_equal(fwd, rev)
     # chunking must not change anything
-    assert np.array_equal(fwd, predict_rows(m, emb, [0, 2, 4], [1, 3, 5], chunk=1))
+    monkeypatch.setattr(classifier, "SCORE_CHUNK_ROWS", 1)
+    assert np.array_equal(fwd, predict_rows(m, emb, [0, 2, 4], [1, 3, 5]))
     # each score is the network on the pair's XOR bits
     for i, (a, b) in enumerate([(0, 1), (2, 3), (4, 5)]):
         assert fwd[i] == pytest.approx(forward_oracle(m, bits[a] ^ bits[b]), abs=1e-12)

@@ -3,6 +3,8 @@
 import fcntl
 import json
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -13,12 +15,15 @@ from neardup import (
     generate_labels,
     load_corpus,
     read_clusters_tsv,
+    save_model,
     unordered_pairs,
     write_labels_csv,
 )
-from neardup.cli import _read_hits_tsv, main
+from neardup.cli import _read_hits_tsv, build_parser, main
 from neardup.clustering import clusters_to_tsv
 from neardup.index import load_index
+
+from conftest import popcount_model
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +94,10 @@ def test_gen_corpus_writes_a_loadable_corpus(workspace):
 def test_hits_tsv_round_trip_matches_in_memory_search(workspace, tmp_path, k):
     out = tmp_path / "hits.tsv"
     index_path = workspace / "corpus.ndix"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lsh": {"d": 64, "m": 36, "term_bits": 6}, "search": {"k": k}}))
     assert main(["search", "--index", str(index_path), "--queries", emb_path(workspace),
-                 "--k", str(k), "--out", str(out)]) == 0
+                 "--config", str(config), "--out", str(out)]) == 0
     embeddings, _ = load_corpus(workspace / "corpus")
     hits = batch_search(embeddings, load_index(index_path), k=k)
     read = _read_hits_tsv(out)
@@ -127,7 +134,7 @@ def test_index_search_select_cluster_flow(workspace):
             "search",
             "--index", str(root / "corpus.ndix"),
             "--queries", emb_path(root),
-            "--k", "10",
+            "--config", str(root / "config.json"),
             "--out", str(root / "hits.tsv"),
         ]
     ) == 0
@@ -137,13 +144,13 @@ def test_index_search_select_cluster_flow(workspace):
     assert int(overlap) >= 2
     assert 0.0 < float(jac) <= 1.0
 
-    # threshold defaults to the trained model's stored threshold
     assert main(
         [
             "select",
             "--hits", str(root / "hits.tsv"),
             "--model", str(root / "model.ndml"),
             "--embeddings", emb_path(root),
+            "--config", str(root / "config.json"),
             "--out", str(root / "edges.tsv"),
         ]
     ) == 0
@@ -161,13 +168,81 @@ def test_index_search_select_cluster_flow(workspace):
             "--edges", str(root / "edges.tsv"),
             "--model", str(root / "model.ndml"),
             "--embeddings", emb_path(root),
+            "--config", str(root / "config.json"),
             "--out", str(root / "clusters.tsv"),
         ]
     ) == 0
+    # a partition of the embeddings: images no edge reaches are singletons
     clusters = read_clusters_tsv(root / "clusters.tsv")
-    assert clusters
-    seen = [i for c in clusters for i in c.image_ids]
-    assert len(seen) == len(set(seen))
+    embeddings, _ = load_corpus(root / "corpus")
+    assert np.array_equal(np.sort(clusters.image), np.sort(embeddings.ids))
+    assert (clusters.sizes > 1).any()
+
+
+def test_staged_flow_writes_the_run_cluster_file(tmp_path):
+    emb = str(tmp_path / "corpus" / "embeddings.ndem")
+    assert main(["gen-corpus", "--out", str(tmp_path / "corpus"), "--n-base", "200", "--d", "64",
+                 "--seed", "9", "--flip-max", "4"]) == 0
+    # each setting moves this corpus's clusters and differs from the removed
+    # flags' defaults (k 20, min-overlap 2, seed 42) and from the model's
+    # stored threshold, which no stage cuts at
+    config = {"seed": 7, "lsh": {"d": 64, "m": 36, "term_bits": 6},
+              "search": {"k": 1, "min_overlap": 3}, "classifier": {"threshold": 0.6}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    # integer weights: every score is exact in any call, so a rescored pivot
+    # pair scores what selection scored
+    save_model(popcount_model(64, theta=4.5, alpha=1.0, threshold=0.2), tmp_path / "model.ndml")
+    common = ["--config", str(tmp_path / "config.json")]
+    scored = ["--model", str(tmp_path / "model.ndml"), "--embeddings", emb, *common]
+    out = {name: str(tmp_path / name) for name in ("index", "hits", "edges", "staged", "run")}
+    assert main(["build-index", "--embeddings", emb, "--out", out["index"], *common]) == 0
+    assert main(["search", "--index", out["index"], "--queries", emb, "--out", out["hits"], *common]) == 0
+    assert main(["select", "--hits", out["hits"], "--out", out["edges"], *scored]) == 0
+    assert main(["cluster", "--edges", out["edges"], "--out", out["staged"], *scored]) == 0
+    assert main(["run", "--out", out["run"], *scored]) == 0
+    assert (tmp_path / "staged").read_bytes() == (tmp_path / "run").read_bytes()
+    table = read_clusters_tsv(tmp_path / "staged")
+    assert table.image.size == 433 and (table.sizes > 1).any() and (table.sizes == 1).any()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("search", "--k", "5"),
+        ("search", "--min-overlap", "3"),
+        ("select", "--threshold", "0.5"),
+        ("select", "--k-aug", "2"),
+        ("cluster", "--threshold", "0.5"),
+        ("cluster", "--seed", "7"),
+        ("train-classifier", "--epochs", "2"),
+        ("train-classifier", "--seed", "7"),
+    ],
+)
+def test_settings_are_not_stage_flags(command, flag, value, capsys):
+    # the config is the one source of these settings
+    required = {
+        "search": ["--index", "i", "--queries", "q"],
+        "select": ["--hits", "h", "--model", "m", "--embeddings", "e"],
+        "cluster": ["--edges", "e", "--model", "m", "--embeddings", "e"],
+        "train-classifier": ["--labels", "l", "--embeddings", "e"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, "--out", "o", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").split("\n")]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("neardup ")]
+    staged = {"build-index", "search", "select", "cluster"}
+    assert staged <= {argv[0] for argv in commands if "--config" in argv}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_run_deterministic_and_reported(workspace):
@@ -213,6 +288,7 @@ def test_head_only_index_and_head_select(workspace):
             "search",
             "--index", str(root / "heads.ndix"),
             "--queries", emb_path(root),
+            "--config", str(root / "config.json"),
             "--out", str(root / "head-hits.tsv"),
         ]
     ) == 0
@@ -223,6 +299,7 @@ def test_head_only_index_and_head_select(workspace):
             "--model", str(root / "model.ndml"),
             "--embeddings", emb_path(root),
             "--clusters", str(root / "run-a.tsv"),
+            "--config", str(root / "config.json"),
             "--labels-out", str(root / "aug-labels.csv"),
             "--out", str(root / "matches.tsv"),
         ]

@@ -1,5 +1,5 @@
 """Atomic writes: what reaches the disk, and in which order, for every
-file writer."""
+file writer; and the pairs-within-groups enumeration."""
 
 import os
 import stat
@@ -94,3 +94,18 @@ def test_text_writers_keep_their_line_ends(tmp_path):
     save_corpus(EmbeddingSet.from_bits([3, 1], np.eye(2, 8, dtype=np.uint8)), GroundTruth([3, 1], [3, 3]), tmp_path)
     assert (tmp_path / "groundtruth.tsv").read_bytes() == b"3\t3\n1\t3\n"
     assert sorted(os.listdir(tmp_path)) == ["embeddings.ndem", "groundtruth.tsv", "labels.csv"]
+
+
+@pytest.mark.parametrize("sizes", [[], [1], [2], [5], [1, 1, 3], [4, 1, 2, 6], [0, 3, 0, 2]])
+def test_pairs_within_matches_per_group_upper_triangles(sizes):
+    ia, ib, start = [], [], 0
+    for size in sizes:
+        a, b = np.triu_indices(size, k=1)
+        ia.append(a + start)
+        ib.append(b + start)
+        start += size
+    got = util.pairs_within(sizes)
+    want = [np.concatenate(x).astype(np.int64) if x else np.zeros(0, np.int64) for x in (ia, ib)]
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
