@@ -8,7 +8,6 @@ arrive incrementally through a persistent cluster store.
 
 from .classifier import (
     MlpModel,
-    TrainConfig,
     TrainResult,
     choose_threshold,
     init_model,

@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .embeddings import EmbeddingSet
 from .errors import DataError, FormatError, ModelError, TrainingError
+from .metrics import _pr_points, pr_auc, roc_auc
 from .util import ByteReader, atomic_write_bytes
 
 MODEL_MAGIC = b"NDML"
@@ -38,6 +40,11 @@ MODEL_VERSION = 1
 # bit-identical scores at every size. The best value follows the cache,
 # not the data or the caller, so it is a constant, not a knob.
 SCORE_CHUNK_ROWS = 1024
+
+# Share of the labelled pairs train holds out, and the recall the threshold
+# it chooses on them must reach.
+VALIDATION_FRACTION = 0.1
+MIN_RECALL = 0.5
 
 
 @dataclass
@@ -141,45 +148,26 @@ def loss_and_grads(model: MlpModel, features: np.ndarray, labels: np.ndarray):
 
 
 @dataclass
-class TrainConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 256
-    epochs: int = 5
-    seed: int = 0
-    hidden: tuple = (512, 256, 64)
-    validation_fraction: float = 0.1
-    min_recall: float = 0.5
-
-
-@dataclass
 class TrainResult:
     model: MlpModel
     epoch_losses: list = field(default_factory=list)
     validation: dict = field(default_factory=dict)
 
 
-def _pair_xor_packed(pairs, embeddings: EmbeddingSet) -> np.ndarray:
-    rows_a = embeddings.rows_of([p[0] for p in pairs])
-    rows_b = embeddings.rows_of([p[1] for p in pairs])
-    return np.bitwise_xor(embeddings.packed[rows_a], embeddings.packed[rows_b])
-
-
 def _unpack(packed: np.ndarray, d: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1)[:, :d].astype(np.float64)
 
 
-def train(pairs, embeddings: EmbeddingSet, config: TrainConfig = None) -> TrainResult:
-    """Train a fresh model on (id_a, id_b, label) triples.
+def train(pairs, embeddings: EmbeddingSet, config: PipelineConfig) -> TrainResult:
+    """Train a fresh model on (id_a, id_b, label) triples, with the settings
+    of config.classifier.
 
     Deterministic under config.seed: initialization, the validation split
     and per-epoch shuffles all draw from one seeded generator. The decision
     threshold is chosen on the validation split as the highest-precision
-    cut with recall >= config.min_recall.
+    cut with recall >= MIN_RECALL.
     """
-    config = config or TrainConfig()
+    settings = config.classifier
     pairs = list(pairs)
     if not pairs:
         raise TrainingError("empty training set")
@@ -190,11 +178,11 @@ def train(pairs, embeddings: EmbeddingSet, config: TrainConfig = None) -> TrainR
         raise TrainingError("training set must contain both classes")
 
     rng = np.random.default_rng(config.seed)
-    model = init_model(embeddings.d, hidden=tuple(config.hidden), seed=config.seed)
+    model = init_model(embeddings.d, hidden=settings.hidden, seed=config.seed)
 
     n = len(pairs)
     perm = rng.permutation(n)
-    n_val = int(round(n * config.validation_fraction))
+    n_val = int(round(n * VALIDATION_FRACTION))
     # keep both classes in the training portion regardless of the split draw
     val_rows = perm[:n_val]
     train_rows = perm[n_val:]
@@ -203,8 +191,9 @@ def train(pairs, embeddings: EmbeddingSet, config: TrainConfig = None) -> TrainR
         train_rows = perm
 
     # packed XOR rows are 8x smaller than float features; unpack per batch
-    xor_packed = _pair_xor_packed(pairs, embeddings)
-    d = embeddings.d
+    rows_a = embeddings.rows_of([p[0] for p in pairs])
+    rows_b = embeddings.rows_of([p[1] for p in pairs])
+    xor_packed = np.bitwise_xor(embeddings.packed[rows_a], embeddings.packed[rows_b])
 
     m_w = [np.zeros_like(w) for w in model.weights]
     v_w = [np.zeros_like(w) for w in model.weights]
@@ -213,41 +202,34 @@ def train(pairs, embeddings: EmbeddingSet, config: TrainConfig = None) -> TrainR
     step = 0
     epoch_losses = []
     n_train = train_rows.size
-    for _ in range(config.epochs):
+    for _ in range(settings.epochs):
         order = train_rows[rng.permutation(n_train)]
         batch_losses = []
-        for s in range(0, n_train, config.batch_size):
-            rows = order[s : s + config.batch_size]
-            x = _unpack(xor_packed[rows], d)
+        for s in range(0, n_train, settings.batch_size):
+            rows = order[s : s + settings.batch_size]
+            x = _unpack(xor_packed[rows], embeddings.d)
             loss, gw, gb = loss_and_grads(model, x, labels[rows])
             batch_losses.append(loss * rows.size)
             step += 1
-            c1 = 1.0 - config.beta1**step
-            c2 = 1.0 - config.beta2**step
+            c1 = 1.0 - settings.beta1**step
+            c2 = 1.0 - settings.beta2**step
             for params, grads, ms, vs in (
                 (model.weights, gw, m_w, v_w),
                 (model.biases, gb, m_b, v_b),
             ):
                 for p, g, m, v in zip(params, grads, ms, vs):
-                    m *= config.beta1
-                    m += (1.0 - config.beta1) * g
-                    v *= config.beta2
-                    v += (1.0 - config.beta2) * np.square(g)
-                    p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.eps)
+                    m *= settings.beta1
+                    m += (1.0 - settings.beta1) * g
+                    v *= settings.beta2
+                    v += (1.0 - settings.beta2) * np.square(g)
+                    p -= settings.learning_rate * (m / c1) / (np.sqrt(v / c2) + settings.eps)
         epoch_losses.append(sum(batch_losses) / n_train)
 
     validation = {}
     y_val = labels[val_rows]
     if val_rows.size and y_val.min() != y_val.max():
-        val_scores = np.concatenate(
-            [
-                forward_batch(model, _unpack(xor_packed[val_rows[s : s + 8192]], d))
-                for s in range(0, val_rows.size, 8192)
-            ]
-        )
-        model.threshold = choose_threshold(val_scores, y_val, min_recall=config.min_recall)
-        from .metrics import pr_auc, roc_auc
-
+        val_scores = predict_rows(model, embeddings, rows_a[val_rows], rows_b[val_rows])
+        model.threshold = choose_threshold(val_scores, y_val)
         validation = {
             "size": int(val_rows.size),
             "threshold": model.threshold,
@@ -257,7 +239,7 @@ def train(pairs, embeddings: EmbeddingSet, config: TrainConfig = None) -> TrainR
     return TrainResult(model, epoch_losses, validation)
 
 
-def choose_threshold(scores: np.ndarray, labels: np.ndarray, min_recall: float = 0.5) -> float:
+def choose_threshold(scores: np.ndarray, labels: np.ndarray, min_recall: float = MIN_RECALL) -> float:
     """Highest-precision score cut subject to recall >= min_recall.
 
     Ties prefer higher recall, then the lower threshold; falls back to the
@@ -265,20 +247,9 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray, min_recall: float =
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pos_total = int((labels == 1).sum())
-    if pos_total == 0:
+    if not (labels == 1).any():
         raise TrainingError("cannot choose a threshold without positives")
-    order = np.argsort(-scores, kind="stable")
-    s_sorted = scores[order]
-    l_sorted = labels[order]
-    tp_cum = np.cumsum(l_sorted == 1)
-    fp_cum = np.cumsum(l_sorted == 0)
-    # evaluate each distinct score as a >= cut: take the last row of its run
-    ends = np.nonzero(np.append(np.diff(s_sorted) != 0, True))[0]
-    tp = tp_cum[ends].astype(np.float64)
-    fp = fp_cum[ends].astype(np.float64)
-    recall = tp / pos_total
-    precision = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1.0), 0.0)
+    recall, precision, thetas = _pr_points(scores, labels)
     feasible = np.nonzero(recall >= min_recall)[0]
     if feasible.size == 0:
         return float(scores.min())
@@ -286,7 +257,7 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray, min_recall: float =
     # thetas are descending and recall is non-decreasing, so the last
     # max-precision candidate also maximizes recall and minimizes theta
     pick = feasible[np.nonzero(p_feas == p_feas.max())[0][-1]]
-    return float(s_sorted[ends[pick]])
+    return float(thetas[pick])
 
 
 def predict_rows(model: MlpModel, embeddings: EmbeddingSet, rows_a, rows_b) -> np.ndarray:

@@ -29,7 +29,7 @@ from .embeddings import EmbeddingSet
 from .errors import DataError, NearDupError
 from .incremental import assignments_to_tsv, run_incremental
 from .index import build_index, index_size_bytes, load_index, serialize_index
-from .pipeline import resolve_lsh_config, run_full, train_config
+from .pipeline import resolve_lsh_config, run_full
 from .search import SearchResultBatch, batch_search, unordered_pairs
 from .selection import ClusterHeads, emit_augmentation_labels, select_candidates, select_edges
 from .util import atomic_write_bytes, atomic_write_json, atomic_write_text, read_tsv
@@ -109,7 +109,7 @@ def cmd_train_classifier(args) -> int:
     embeddings = _load_embeddings(args.embeddings)
     config = _load_config(args.config)
     pairs = read_labels_csv(args.labels)
-    result = train(pairs, embeddings, train_config(config))
+    result = train(pairs, embeddings, config)
     save_model(result.model, args.out)
     report = {
         "pairs": len(pairs),

@@ -1,12 +1,10 @@
 """Pipeline configuration: JSON in, validated dataclasses out.
 
 Every field has a default, so {} is a complete config. load -> save -> load
-is stable. File paths referenced by a config are checked where they are
-used, not at parse time, except model_path which must exist if set.
+is stable. A config names no files: those come from the command line.
 """
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 
 from .errors import DataError
@@ -48,7 +46,6 @@ class SearchSettings:
 
 @dataclass
 class ClassifierSettings:
-    model_path: str = None
     threshold: float = 0.9  # the score an edge, a cut or a head match needs
     hidden: list = field(default_factory=lambda: [512, 256, 64])
     learning_rate: float = 1e-3
@@ -61,8 +58,6 @@ class ClassifierSettings:
     def validate(self):
         if not 0.0 < self.threshold < 1.0:
             raise DataError(f"classifier.threshold must be in (0, 1), got {self.threshold}")
-        if self.model_path is not None and not os.path.exists(self.model_path):
-            raise DataError(f"classifier.model_path does not exist: {self.model_path}")
         if not self.hidden or any(int(h) < 1 for h in self.hidden):
             raise DataError("classifier.hidden must be positive layer widths")
         for name in ("learning_rate", "beta1", "beta2", "eps"):

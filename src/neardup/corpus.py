@@ -23,7 +23,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, LshConfig
 from .errors import DataError, SamplingError
-from .util import atomic_write_json, atomic_write_text, read_tsv
+from .util import atomic_write_json, atomic_write_text, pairs_within, read_tsv
 
 DEFAULT_DUPES_DIST = {0: 0.5, 1: 0.25, 2: 0.11, 3: 0.06, 4: 0.04, 6: 0.025, 9: 0.01, 16: 0.005}
 
@@ -36,7 +36,6 @@ class SyntheticCorpusSpec:
     dupes_per_base: dict = field(default_factory=lambda: dict(DEFAULT_DUPES_DIST))
     flip_min: int = 1
     flip_max: int = 12
-    hard_negative_fraction: float = 0.5  # share of negatives drawn from LSH collisions
 
     def __post_init__(self):
         if self.n_base <= 0:
@@ -54,8 +53,6 @@ class SyntheticCorpusSpec:
         if total <= 0:
             raise DataError("dupes_per_base weights sum to zero")
         object.__setattr__(self, "dupes_per_base", {k: v / total for k, v in sorted(dist.items())})
-        if not 0.0 <= self.hard_negative_fraction <= 1.0:
-            raise DataError("hard_negative_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -85,12 +82,15 @@ class GroundTruth:
         return counts
 
     def within_group_pairs(self) -> list:
-        pairs = []
-        for members in self.groups().values():
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    pairs.append((members[i], members[j]))
-        return pairs
+        """Every (id, id) pair inside a group: groups in order of first
+        appearance in ids, members in id order, pairs in upper-triangle order."""
+        _, first, inverse, sizes = np.unique(
+            self.group_of, return_index=True, return_inverse=True, return_counts=True
+        )
+        order = np.lexsort((self.ids, first[inverse.reshape(-1)]))
+        ia, ib = pairs_within(sizes[np.argsort(first)])
+        ids = self.ids[order]
+        return list(zip(ids[ia].tolist(), ids[ib].tolist()))
 
 
 def generate_corpus(spec: SyntheticCorpusSpec):
@@ -266,7 +266,6 @@ def save_corpus(embeddings: EmbeddingSet, truth: GroundTruth, directory, spec: S
             "dupes_per_base": {str(k): v for k, v in spec.dupes_per_base.items()},
             "flip_min": spec.flip_min,
             "flip_max": spec.flip_max,
-            "hard_negative_fraction": spec.hard_negative_fraction,
         }
         atomic_write_json(os.path.join(directory, "spec.json"), payload)
 

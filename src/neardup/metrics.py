@@ -30,19 +30,19 @@ def _check_binary(scores, labels):
 
 def pr_curve(scores, labels):
     """(recall, precision, threshold) points at each distinct score, descending."""
-    scores, labels = _check_binary(scores, labels)
+    return _pr_points(*_check_binary(scores, labels))
+
+
+def _pr_points(scores: np.ndarray, labels: np.ndarray):
+    """pr_curve without its checks: labels need a positive, not both classes."""
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
     l_sorted = labels[order]
-    tp = np.cumsum(l_sorted == 1)
-    fp = np.cumsum(l_sorted == 0)
+    # each distinct score is a >= cut: count through the last row of its run
     ends = np.nonzero(np.append(np.diff(s_sorted) != 0, True))[0]
-    tp = tp[ends].astype(np.float64)
-    fp = fp[ends].astype(np.float64)
-    pos = float((labels == 1).sum())
-    recall = tp / pos
-    precision = tp / (tp + fp)
-    return recall, precision, s_sorted[ends]
+    tp = np.cumsum(l_sorted == 1)[ends].astype(np.float64)
+    fp = np.cumsum(l_sorted == 0)[ends].astype(np.float64)
+    return tp / float((labels == 1).sum()), tp / (tp + fp), s_sorted[ends]
 
 
 def pr_auc(scores, labels) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import MlpModel, TrainConfig, load_model, train
+from .classifier import MlpModel, train
 from .classifier import predict_rows  # noqa: F401  unused; perfbench/test_smoke.py checks this import site
 from .clustering import ClusterTable, add_singletons, clusters_to_tsv, k_cut, transitive_closure
 from .config import PipelineConfig
@@ -143,7 +143,8 @@ def train_default_model(
     """Train a classifier from ground truth; used when no model file exists.
 
     Label volume scales with corpus size, 14% positive like the synthetic
-    label generator's default split.
+    label generator's default split. Hard negatives share at least
+    search.min_overlap terms, as the candidates the search proposes do.
     """
     if lsh_config is None:
         lsh_config = resolve_lsh_config(config, embeddings)
@@ -158,25 +159,10 @@ def train_default_model(
     n_pos = min(max(1, round(total * 0.14)), available)
     n_neg = min(max(1, total - n_pos), cross)
     pairs = generate_labels(
-        truth, embeddings, n_pos, n_neg, seed=config.seed, lsh_config=lsh_config
+        truth, embeddings, n_pos, n_neg, seed=config.seed, lsh_config=lsh_config,
+        min_overlap=config.search.min_overlap,
     )
-    return train(pairs, embeddings, train_config(config)), len(pairs)
-
-
-def train_config(config: PipelineConfig) -> TrainConfig:
-    """The training settings of a pipeline config: its classifier section
-    and its seed."""
-    cls = config.classifier
-    return TrainConfig(
-        learning_rate=cls.learning_rate,
-        beta1=cls.beta1,
-        beta2=cls.beta2,
-        eps=cls.eps,
-        batch_size=cls.batch_size,
-        epochs=cls.epochs,
-        seed=config.seed,
-        hidden=tuple(cls.hidden),
-    )
+    return train(pairs, embeddings, config), len(pairs)
 
 
 def evaluate_pipeline(
@@ -188,8 +174,8 @@ def evaluate_pipeline(
 ) -> dict:
     """Cluster a labelled corpus and score the result against ground truth.
 
-    When no model is passed and the config names no model file, one is
-    trained on the spot from the ground truth.
+    When no model is passed, one is trained on the spot from the ground
+    truth.
     """
     if len(embeddings) == 0:
         raise DataError("evaluation needs a non-empty corpus")
@@ -197,19 +183,16 @@ def evaluate_pipeline(
 
     training = None
     if model is None:
-        if config.classifier.model_path:
-            model = load_model(config.classifier.model_path)
-        else:
-            t0 = time.perf_counter()
-            result, n_pairs = train_default_model(embeddings, truth, config, lsh_config)
-            model = result.model
-            training = {
-                "pairs": n_pairs,
-                "epoch_losses": [round(x, 6) for x in result.epoch_losses],
-                "validation": result.validation,
-                "seconds": round(time.perf_counter() - t0, 3),
-            }
-            log.info("trained model on %d pairs in %.1fs", n_pairs, training["seconds"])
+        t0 = time.perf_counter()
+        result, n_pairs = train_default_model(embeddings, truth, config, lsh_config)
+        model = result.model
+        training = {
+            "pairs": n_pairs,
+            "epoch_losses": [round(x, 6) for x in result.epoch_losses],
+            "validation": result.validation,
+            "seconds": round(time.perf_counter() - t0, 3),
+        }
+        log.info("trained model on %d pairs in %.1fs", n_pairs, training["seconds"])
 
     run = static_clusters(embeddings, model, config, lsh_config=lsh_config)
     # the truth group of each table row, by one sorted lookup

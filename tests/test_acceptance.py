@@ -18,7 +18,6 @@ from neardup import (
     LshConfig,
     PipelineConfig,
     SyntheticCorpusSpec,
-    TrainConfig,
     batch_search,
     build_index,
     evaluate_pipeline,
@@ -202,7 +201,7 @@ def test_c05_classifier_quality_and_determinism(standard_corpus):
     positive_fraction = sum(p[2] for p in pairs) / len(pairs)
 
     t0 = time.perf_counter()
-    cfg = TrainConfig(epochs=3, seed=7)
+    cfg = PipelineConfig.from_dict({"seed": 7, "classifier": {"epochs": 3}})
     first = train(pairs, emb, cfg)
     second = train(pairs, emb, cfg)
     elapsed = time.perf_counter() - t0

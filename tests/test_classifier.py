@@ -14,7 +14,7 @@ from neardup import (
     FormatError,
     MlpModel,
     ModelError,
-    TrainConfig,
+    PipelineConfig,
     TrainingError,
     choose_threshold,
     init_model,
@@ -151,9 +151,14 @@ def small_training_set(d=32, copies=40):
     return emb, pairs
 
 
+def training_config(seed: int, **classifier) -> PipelineConfig:
+    """A pipeline config with the given seed and classifier settings."""
+    return PipelineConfig.from_dict({"seed": seed, "classifier": classifier})
+
+
 def test_train_separates_two_points():
     emb, pairs = small_training_set()
-    cfg = TrainConfig(hidden=(8,), epochs=60, batch_size=16, learning_rate=3e-2, seed=1)
+    cfg = training_config(1, hidden=[8], epochs=60, batch_size=16, learning_rate=3e-2)
     result = train(pairs, emb, cfg)
     assert len(result.epoch_losses) == 60
     assert result.epoch_losses[-1] < result.epoch_losses[0]
@@ -164,13 +169,13 @@ def test_train_separates_two_points():
 
 def test_train_deterministic_under_seed():
     emb, pairs = small_training_set()
-    cfg = TrainConfig(hidden=(8,), epochs=5, batch_size=16, seed=7)
+    cfg = training_config(7, hidden=[8], epochs=5, batch_size=16)
     a = train(pairs, emb, cfg)
     b = train(pairs, emb, cfg)
     assert all(np.array_equal(x, y) for x, y in zip(a.model.weights, b.model.weights))
     assert all(np.array_equal(x, y) for x, y in zip(a.model.biases, b.model.biases))
     assert a.model.threshold == b.model.threshold
-    c = train(pairs, emb, TrainConfig(hidden=(8,), epochs=5, batch_size=16, seed=8))
+    c = train(pairs, emb, training_config(8, hidden=[8], epochs=5, batch_size=16))
     assert not all(
         np.array_equal(x, y) for x, y in zip(a.model.weights, c.model.weights)
     )
@@ -178,12 +183,15 @@ def test_train_deterministic_under_seed():
 
 def test_train_rejects_bad_labels():
     emb, pairs = small_training_set(copies=2)
+    config = PipelineConfig()
     with pytest.raises(TrainingError):
-        train([], emb)
+        train([], emb, config)
     with pytest.raises(TrainingError):
-        train([(0, 1, 1), (0, 2, 1)], emb)  # single class
+        train([(0, 1, 1), (0, 2, 1)], emb, config)  # single class
     with pytest.raises(TrainingError):
-        train([(0, 1, 2), (0, 2, 0)], emb)
+        train([(0, 1, 2), (0, 2, 0)], emb, config)
+    with pytest.raises(TypeError):
+        train(pairs, emb)  # the settings come from a PipelineConfig only
 
 
 def test_predict_rows_symmetric_and_ordered(rng, monkeypatch):

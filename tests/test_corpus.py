@@ -96,8 +96,6 @@ def test_spec_validation():
         SyntheticCorpusSpec(dupes_per_base={})
     with pytest.raises(DataError):
         SyntheticCorpusSpec(dupes_per_base={1: 0.0})
-    with pytest.raises(DataError):
-        SyntheticCorpusSpec(hard_negative_fraction=1.5)
     spec = SyntheticCorpusSpec(dupes_per_base={0: 2, 1: 2})
     assert spec.dupes_per_base == {0: 0.5, 1: 0.5}  # weights normalize
 
@@ -113,6 +111,31 @@ def test_groundtruth_helpers():
     assert truth.within_group_pairs() == [(0, 1), (2, 3), (2, 4), (3, 4)]
     with pytest.raises(DataError):
         GroundTruth(np.array([0, 1], dtype=np.uint64), np.array([0], dtype=np.uint64))
+
+
+def within_group_pairs_oracle(truth):
+    """Groups by first appearance in ids, members by id, pairs in
+    upper-triangle order, one dict and a loop."""
+    groups = {}
+    for i, g in zip(truth.ids.tolist(), truth.group_of.tolist()):
+        groups.setdefault(g, []).append(i)
+    pairs = []
+    for members in groups.values():
+        members = sorted(members)
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                pairs.append((members[i], members[j]))
+    return pairs
+
+
+def test_within_group_pairs_matches_loop_oracle(rng):
+    for _ in range(100):
+        n = int(rng.integers(0, 30))
+        ids = rng.permutation(1000)[:n].astype(np.uint64)
+        truth = GroundTruth(ids, rng.integers(0, 6, size=n).astype(np.uint64))
+        assert truth.within_group_pairs() == within_group_pairs_oracle(truth)
+    _, truth = generate_corpus(SyntheticCorpusSpec(seed=8, n_base=300))
+    assert truth.within_group_pairs() == within_group_pairs_oracle(truth)
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from neardup import (
     generate_corpus,
     run_full,
     run_incremental,
+    save_model,
     train_default_model,
 )
 from neardup.clustering import clusters_to_tsv
@@ -49,6 +50,10 @@ RUN_FULL_SMALL_K = (
     (1, 598, 349, 200, "4c9f0db3571687708a5b9d9bfee397c5fb837a73a2ad6654be554a4b1c90cb35"),
 )
 
+# the seeded fixture's trained model: its model file and its validation dict
+MODEL_FILE_SHA256 = "62d0057c51e4987d432a9857f5cbda46dd62f71d5df098c57718804679f1c6c4"
+MODEL_VALIDATION = {"size": 200, "threshold": 0.8235048195230601, "pr_auc": 0.9999999999999999, "roc_auc": 1.0}
+
 
 # evaluate_pipeline's label metrics for the second corpus against its truth
 EVALUATE_REPORT = {
@@ -69,16 +74,25 @@ def spec(seed, n_base):
 
 @pytest.fixture(scope="module")
 def seeded():
-    """A model trained with default settings on one corpus, and a second corpus."""
+    """A model trained with default settings on one corpus, a second corpus,
+    and the model's validation dict."""
     config = PipelineConfig()
     train_emb, train_truth = generate_corpus(spec(11, 300))
-    model = train_default_model(train_emb, train_truth, config)[0].model
+    trained = train_default_model(train_emb, train_truth, config)[0]
     emb, _ = generate_corpus(spec(12, 500))
-    return config, model, emb
+    return config, trained.model, emb, trained.validation
+
+
+def test_trained_model_digest(seeded, tmp_path):
+    _, model, _, validation = seeded
+    path = tmp_path / "model.ndml"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_FILE_SHA256
+    assert validation == MODEL_VALIDATION
 
 
 def test_run_full_cluster_tsv_digest(seeded, tmp_path):
-    config, model, emb = seeded
+    config, model, emb, _ = seeded
     path = tmp_path / "clusters.tsv"
     _, report = run_full(emb, model, config, path)
     assert (report["candidate_pairs"], report["edges"], report["non_singleton_clusters"]) == (1616, 1242, 215)
@@ -87,7 +101,7 @@ def test_run_full_cluster_tsv_digest(seeded, tmp_path):
 
 @pytest.mark.parametrize("k, pairs, edges, clusters, digest", RUN_FULL_SMALL_K)
 def test_run_full_digest_where_top_k_binds(seeded, tmp_path, k, pairs, edges, clusters, digest):
-    _, model, emb = seeded
+    _, model, emb, _ = seeded
     config = PipelineConfig.from_dict({"search": {"k": k}})
     path = tmp_path / "clusters.tsv"
     _, report = run_full(emb, model, config, path)
@@ -96,7 +110,7 @@ def test_run_full_digest_where_top_k_binds(seeded, tmp_path, k, pairs, edges, cl
 
 
 def test_evaluate_pipeline_report(seeded):
-    config, model, emb = seeded
+    config, model, emb, _ = seeded
     _, truth = generate_corpus(spec(12, 500))
     report = evaluate_pipeline(emb, truth, config, model=model)
     assert {key: report[key] for key in EVALUATE_REPORT} == EVALUATE_REPORT
@@ -105,7 +119,7 @@ def test_evaluate_pipeline_report(seeded):
 @pytest.fixture(scope="module")
 def ingested(seeded, tmp_path_factory):
     """The store left by ingesting the second corpus in three batches."""
-    config, model, emb = seeded
+    config, model, emb, _ = seeded
     directory = tmp_path_factory.mktemp("golden") / "store"
     perm = np.random.default_rng(12).permutation(len(emb))
     for rows in np.array_split(perm, 3):

@@ -19,6 +19,8 @@ from neardup import (
     static_clusters,
     train_default_model,
 )
+from neardup import pipeline
+from neardup.embeddings import derive_terms_matrix
 
 from conftest import popcount_model, star_set
 
@@ -157,8 +159,8 @@ def test_config_rejects_unknown_and_invalid():
         PipelineConfig.from_dict({"lsh": {"m": 10, "term_bits": 12}})  # m % g != 0
     with pytest.raises(DataError):
         PipelineConfig.from_dict({"classifier": {"threshold": 1.5}})
-    with pytest.raises(DataError):
-        PipelineConfig.from_dict({"classifier": {"model_path": "/nonexistent/m.ndml"}})
+    with pytest.raises(DataError, match="unknown keys in ClassifierSettings: \\['model_path'\\]"):
+        PipelineConfig.from_dict({"classifier": {"model_path": __file__}})  # evaluate takes --model
     with pytest.raises(DataError):
         PipelineConfig.from_dict({"search": {"k": 0}})
 
@@ -173,7 +175,7 @@ def test_config_rejects_unknown_and_invalid():
         {"classifier": {"hidden": [64, "32"]}},
         {"classifier": {"threshold": "0.5"}},
         {"augmentation": {"k_aug": True}},
-        {"classifier": {"model_path": 7}},
+        {"classifier": {"epochs": 2.5}},
         {"threads": 2},
     ],
 )
@@ -226,3 +228,32 @@ def test_train_default_model_clamps_to_available_positives():
     all_single = GroundTruth(ids, ids)
     with pytest.raises(DataError):
         train_default_model(emb, all_single, toy_config())
+
+
+def test_train_default_model_draws_hard_negatives_at_search_min_overlap(monkeypatch):
+    # 50 duplicate pairs whose six terms each take one of two values, so
+    # cross-group pairs share 0 to 6 terms; a duplicate differs from its
+    # base in one bit outside the terms
+    rng = np.random.default_rng(5)
+    values = rng.integers(0, 2, size=(2, 36), dtype=np.uint8)
+    pick = rng.integers(0, 2, size=(50, 6)).repeat(6, axis=1).astype(bool)
+    tails = rng.integers(0, 2, size=(50, D - 36), dtype=np.uint8)
+    bits = np.hstack([np.where(pick, values[1], values[0]), tails]).repeat(2, axis=0)
+    bits[1::2, -1] ^= 1
+    ids = np.arange(100, dtype=np.uint64)
+    emb, truth = EmbeddingSet.from_bits(ids, bits), GroundTruth(ids, ids // 2 * 2)
+    lsh = {"d": D, "m": 36, "term_bits": 6, "selected_bits": list(range(36))}
+    config = toy_config(lsh=lsh, search={"min_overlap": 5})
+
+    labelled = []
+    monkeypatch.setattr(pipeline, "train", lambda pairs, *_: labelled.extend(pairs))
+    train_default_model(emb, truth, config)
+
+    terms = derive_terms_matrix(emb.bits_matrix(), resolve_lsh_config(config, emb))
+    a, b = np.triu_indices(len(ids), 1)
+    hard = ((terms[a] == terms[b]).sum(axis=1) >= 5) & (a // 2 != b // 2)
+    hard = set(zip(a[hard].tolist(), b[hard].tolist()))
+    negatives = {(x, y) for x, y, label in labelled if label == 0}
+    # half the negatives come from index collisions: every hard pair fits
+    assert 0 < len(hard) < len(negatives) // 2
+    assert hard <= negatives
