@@ -11,10 +11,12 @@ predict_rows is the one scoring entry point. It scores row pairs in chunks
 of SCORE_CHUNK_ROWS, and forward_batch adds the bias and applies ReLU in
 place on each layer's product, so a chunk holds one activation array per
 layer. Scoring stays float64: float32 moves printed scores (see ROADMAP).
-A score is the same in either pair order, bit for bit. The other pairs in
-a call can move it in the last bits, as BLAS sums a call's last rows, and
-calls of a few rows, in another order; so a score is reused rather than
-computed again: the static pipeline hands its kept edge scores to k_cut.
+A score is the same in either pair order and whatever other pairs share
+its call, bit for bit: BLAS sums a call's last rows, and calls of a few
+rows, in another order, so predict_rows pads each chunk with zero rows to
+a multiple of SCORE_PAD_ROWS. A score made once is therefore reused, not
+computed again: the static pipeline hands its kept edge scores to k_cut,
+and merge keeps the head-match scores and choose_head's medoid scores.
 """
 
 import math
@@ -40,6 +42,18 @@ MODEL_VERSION = 1
 # bit-identical scores at every size. The best value follows the cache,
 # not the data or the caller, so it is a constant, not a knob.
 SCORE_CHUNK_ROWS = 1024
+
+# predict_rows pads each chunk with zero rows up to a multiple of this many
+# rows, so a pair's score does not depend on the call that computes it.
+# OpenBLAS 0.3.31 (Haswell kernels) sums a call of a few rows (up to 21
+# seen), and a call's last n mod 4 rows, in another order than the rest,
+# which moved scores by up to 4 units in the last place. With every chunk
+# a multiple of 32 rows, 264 subsets of 2,348 pairs, every size 1-40 among
+# them, scored bit for bit as in the full call under one and two BLAS
+# threads, where 139 of them moved unpadded. A 1-pair call then takes
+# 0.6-1.0 ms instead of 0.18 ms on a 2-vCPU Xeon. SCORE_CHUNK_ROWS is a
+# multiple of it, so only a call's last chunk is padded.
+SCORE_PAD_ROWS = 32
 
 # Share of the labelled pairs train holds out, and the recall the threshold
 # it chooses on them must reach.
@@ -283,9 +297,10 @@ def predict_rows(model: MlpModel, embeddings: EmbeddingSet, rows_a, rows_b) -> n
         raise DataError(f"rows must be in [0, {len(embeddings)})")
     out = np.empty(rows_a.size, dtype=np.float64)
     for s in range(0, rows_a.size, SCORE_CHUNK_ROWS):
-        stop = s + SCORE_CHUNK_ROWS
-        xor = np.bitwise_xor(embeddings.packed[rows_a[s:stop]], embeddings.packed[rows_b[s:stop]])
-        out[s : s + xor.shape[0]] = forward_batch(model, _unpack(xor, embeddings.d))
+        n = min(SCORE_CHUNK_ROWS, rows_a.size - s)
+        xor = np.zeros((n + -n % SCORE_PAD_ROWS, embeddings.packed.shape[1]), dtype=np.uint8)
+        np.bitwise_xor(embeddings.packed[rows_a[s : s + n]], embeddings.packed[rows_b[s : s + n]], out=xor[:n])
+        out[s : s + n] = forward_batch(model, _unpack(xor, embeddings.d))[:n]
     return out
 
 

@@ -185,9 +185,8 @@ def k_cut(
     aligned (a, b, score) id and score arrays of pairs already scored, as
     select_edges returns them; a (pivot, member) pair found there in either
     order takes that score, and only the others are scored. A fresh score of
-    such a pair could differ from the given one only by rounding in the last
-    bits (see classifier), so the clusters are the same either way unless a
-    score sits that close to the threshold.
+    such a pair would equal the given one bit for bit (see classifier), so
+    the reuse saves the call and changes no cluster.
     """
     if not 0.0 < threshold < 1.0:
         raise DataError(f"threshold must be in (0, 1), got {threshold}")
@@ -242,11 +241,13 @@ def _score_table(scored, embeddings: EmbeddingSet):
     return keys[order], score.astype(np.float64)[order]
 
 
-def choose_head(ids, sizes, model: MlpModel, embeddings: EmbeddingSet) -> np.ndarray:
-    """Medoid of each group by classifier score: the member with the largest
-    score sum against the others of its group, ties to the smallest id. ids
-    holds the groups one after another and sizes their lengths; all pairs
-    are scored in one call, and each sum adds in upper-triangle order.
+def choose_head(ids, sizes, model: MlpModel, embeddings: EmbeddingSet) -> ClusterTable:
+    """The groups as a ClusterTable, each headed by its medoid by classifier
+    score: the member with the largest score sum against the others of its
+    group, ties to the smallest id. ids holds the groups one after another
+    and sizes their lengths. The smallest member id names each cluster.
+    All pairs are scored in one call, and each sum adds in upper-triangle
+    order; a member's score against its head is taken from that call.
     """
     ids = np.asarray(ids, dtype=np.uint64).reshape(-1)
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
@@ -257,14 +258,21 @@ def choose_head(ids, sizes, model: MlpModel, embeddings: EmbeddingSet) -> np.nda
     if np.any((ids[1:] == ids[:-1]) & (group[1:] == group[:-1])):
         raise DataError("duplicate ids in head selection")
     ia, ib = pairs_within(sizes)
-    sums = np.zeros(ids.size)
+    scores, sums = np.zeros(0), np.zeros(ids.size)
     if ia.size:
         rows = embeddings.rows_of(ids)
         scores = predict_rows(model, embeddings, rows[ia], rows[ib])
         sums = np.bincount(np.concatenate((ia, ib)), np.concatenate((scores, scores)), ids.size)
     # within a group: largest sum first, equal sums keep ascending id order
-    best = np.lexsort((-sums, group))
-    return ids[best[np.cumsum(sizes) - sizes]]
+    first = np.cumsum(sizes) - sizes
+    head_at = np.lexsort((-sums, group))[first]
+    is_head = np.zeros(ids.size, dtype=bool)
+    is_head[head_at] = True
+    score = np.full(ids.size, np.nan)
+    # the pairs that hold a head: the other position is a member
+    a_head, b_head = ia == head_at[group[ia]], ib == head_at[group[ib]]
+    score[ib[a_head]], score[ia[b_head]] = scores[a_head], scores[b_head]
+    return ClusterTable(ids, ids[first][group], is_head, score)
 
 
 # -- cluster file -----------------------------------------------------------

@@ -176,6 +176,10 @@ class EmbeddingSet:
             raise DataError(f"unknown image id {int(wanted[~known][0])}")
         return order[pos].astype(np.intp)
 
+    def contains(self, image_ids) -> np.ndarray:
+        """A mask of the image_ids the set holds, by the sorted lookup of rows_of."""
+        return find_sorted(self._by_id[0], image_ids)[1]
+
     def subset(self, image_ids) -> "EmbeddingSet":
         rows = self.rows_of(image_ids)
         return EmbeddingSet(self.d, self.ids[rows], self.packed[rows])

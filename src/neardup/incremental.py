@@ -11,8 +11,10 @@ head index; new-vs-new runs the static pipeline inside the batch. Merge
 prefers old clusters: an image with a head match joins its matched
 cluster, the rest of its batch cluster follows the best-matched member,
 and only batch clusters with no matched member at all enter the store as
-new clusters (heads re-picked as medoids in one batched call, members
-rescored against them). Merge appends the batch's entries; a
+new clusters (heads re-picked as medoids in one batched call, which also
+gives each member's score against its head). Each pair is scored once: a
+head match keeps its verified score, and merge scores only the joiners no
+earlier call paired with their head. Merge appends the batch's entries; a
 joiner is a plain member, so augmentation lists stay frozen.
 
 On disk a store is a directory of append-only segment files listed by
@@ -167,7 +169,7 @@ class ClusterStore:
         twice = first_repeat(table.image)
         if twice:
             raise StoreError(f"image {table.image[twice[0]]} appears in more than one cluster")
-        stored = find_sorted(np.sort(embeddings.ids), table.image)[1]
+        stored = embeddings.contains(table.image)
         if not stored.all():
             raise StoreError(f"image {table.image[~stored][0]} is clustered but has no stored embedding")
         if table.image.size != len(embeddings):
@@ -456,7 +458,11 @@ def merge(
     pulled into an old cluster by a matched batch-mate, "nvn_new" for
     members of clusters entering the store. Joiners' stored scores are
     against the old cluster's head and may land below the match threshold.
-    Joiners are plain members: augmentation lists stay frozen.
+    A match won at the head keeps its score from nvo_matches, and an
+    entering member keeps its score against the medoid from choose_head's
+    call; only "nvn_mapped" joiners and matches won by an augmentation
+    member are scored here. Joiners are plain members: augmentation lists
+    stay frozen.
     """
     owner = np.repeat(np.arange(len(nvn)), nvn.sizes)
     at, matched = find_sorted(nvo_matches.query, nvn.image)
@@ -475,35 +481,28 @@ def merge(
     if join.size:
         image, direct = nvn.image[join], matched[join]
         target = best[owner[join]]
-        target[direct] = nvo_matches.cluster[at[join][direct]]
-        heads_at, _ = find_sorted(store.heads.cluster, target)
-        rows_h = combined.rows_of(store.heads.head[heads_at])
-        scores = predict_rows(model, combined, combined.rows_of(image), rows_h)
+        target[direct] = nvo_matches.cluster[at[join[direct]]]
+        head = store.heads.head[find_sorted(store.heads.cluster, target)[0]]
+        # a match won at the head holds the pair's score already; a batch-mate,
+        # or a match won by an augmentation member, is scored against the head
+        via_head = direct.copy()
+        via_head[direct] = nvo_matches.via[at[join[direct]]] == head[direct]
+        scores = np.empty(join.size)
+        scores[via_head] = nvo_matches.score[at[join[via_head]]]
+        if not via_head.all():
+            fresh = ~via_head
+            scores[fresh] = predict_rows(model, combined, combined.rows_of(image[fresh]), combined.rows_of(head[fresh]))
         parts.append((image, target, scores, np.full(join.size, MEMBER, dtype=np.uint8)))
         provenance = np.where(direct, "nvo", "nvn_mapped").tolist()
         assignments += zip(image.tolist(), target.tolist(), provenance)
 
     created = ClusterTable()
     if not joins.all():
-        # entering clusters: members by id, the smallest id names the cluster
-        enter = ~joins[owner]
-        sizes = nvn.sizes[~joins]
-        image = nvn.image[enter][np.lexsort((nvn.image[enter], owner[enter]))]
-        group = np.repeat(np.arange(sizes.size), sizes)
-        cid = image[np.cumsum(sizes) - sizes]
-        clash = np.isin(cid, store.heads.cluster)
+        created = choose_head(nvn.image[~joins[owner]], nvn.sizes[~joins], model, combined)
+        clash = np.isin(created.cluster_ids, store.heads.cluster)
         if clash.any():
-            raise StoreError(f"new cluster id {cid[clash][0]} collides with an existing cluster")
-        medoids = choose_head(image, sizes, model, combined)
-        is_head = image == medoids[group]
-        others, their_head = image[~is_head], medoids[group[~is_head]]
-        score = np.full(image.size, np.nan)
-        if others.size:
-            score[~is_head] = predict_rows(
-                model, combined, combined.rows_of(others), combined.rows_of(their_head)
-            )
-        created = ClusterTable(image, cid[group], is_head, score)
-        assignments += zip(created.image.tolist(), created.cluster.tolist(), ["nvn_new"] * image.size)
+            raise StoreError(f"new cluster id {created.cluster_ids[clash][0]} collides with an existing cluster")
+        assignments += zip(created.image.tolist(), created.cluster.tolist(), ["nvn_new"] * created.image.size)
     parts.append((created.image, created.cluster, created.score, _roles(created, store.k_aug)))
 
     image, cluster, score, role = map(np.concatenate, zip(*parts))
@@ -571,7 +570,7 @@ def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: 
     if len(new_embeddings) == 0:
         return store, [], []
 
-    known = find_sorted(np.sort(store.embeddings.ids), new_embeddings.ids)[1]
+    known = store.embeddings.contains(new_embeddings.ids)
     existing = store.cluster[store.embeddings.rows_of(new_embeddings.ids[known])]
     assignments = list(zip(new_embeddings.ids[known].tolist(), existing.tolist(), ["existing"] * existing.size))
     if known.all():

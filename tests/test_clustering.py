@@ -7,6 +7,7 @@ import pytest
 from neardup import (
     ClusterTable,
     DataError,
+    EmbeddingSet,
     choose_head,
     k_cut,
     read_clusters_tsv,
@@ -14,7 +15,7 @@ from neardup import (
 )
 from neardup import clustering
 from neardup.clustering import ClusterIndex, clusters_to_tsv
-from neardup.classifier import predict_rows
+from neardup.classifier import init_model, predict_rows
 from neardup.search import row_pair_keys
 from neardup.selection import select_edges
 from neardup.util import atomic_write_text
@@ -242,6 +243,22 @@ def choose_head_oracle(ids, model, emb):
     return best[1]
 
 
+def assert_medoid_table(table, groups, model, emb):
+    """table is the groups as clusters: named by the smallest member, headed
+    by the oracle's medoid, each member scored against it pair by pair."""
+    rows = []
+    for g in groups:
+        head = choose_head_oracle(g, model, emb)
+        rows.append((head, min(g), True, np.nan))
+        for m in g:
+            if m != head:
+                score = predict_rows(model, emb, emb.rows_of([m]), emb.rows_of([head]))[0]
+                rows.append((m, min(g), False, score))
+    want = ClusterTable(*zip(*rows))
+    for got_column, want_column in zip(table.columns, want.columns):
+        np.testing.assert_array_equal(got_column, want_column)
+
+
 def test_choose_head_is_score_medoid(rng):
     model = popcount_model(D, 9.5)
     for trial in range(8):
@@ -252,7 +269,7 @@ def test_choose_head_is_score_medoid(rng):
         ]
         emb = star_set(D, 100 + trial, members)
         ids = [i for i, _ in members]
-        assert choose_head(ids, [n], model, emb).tolist() == [choose_head_oracle(ids, model, emb)]
+        assert_medoid_table(choose_head(ids, [n], model, emb), [ids], model, emb)
 
 
 def test_choose_head_batches_groups_like_one_call_each(rng):
@@ -262,17 +279,35 @@ def test_choose_head_batches_groups_like_one_call_each(rng):
     model = popcount_model(D, 9.5)
     sizes = [1, 5, 2, 9, 1, 7, 3, 12]
     ids = rng.permutation(40)
-    groups = np.split(ids, np.cumsum(sizes)[:-1])
-    got = choose_head(ids, sizes, model, emb).tolist()
-    assert got == [choose_head_oracle(g.tolist(), model, emb) for g in groups]
+    groups = [g.tolist() for g in np.split(ids, np.cumsum(sizes)[:-1])]
+    assert_medoid_table(choose_head(ids, sizes, model, emb), groups, model, emb)
+
+
+def test_choose_head_member_scores_match_fresh_calls(rng):
+    # a trained-width model whose scores round differently with the shape
+    # of a BLAS call: the member scores taken from the one pairwise call
+    # equal the scores of the same pairs in calls of their own
+    emb = EmbeddingSet.from_bits(np.arange(60, dtype=np.uint64), rng.integers(0, 2, size=(60, 256), dtype=np.uint8))
+    model = init_model(256, seed=3)
+    for b in model.biases:
+        b += rng.normal(scale=0.1, size=b.shape)
+    sizes = [2, 7, 1, 13, 4, 33]
+    table = choose_head(rng.permutation(60), sizes, model, emb)
+    member = ~table.head
+    head = np.repeat(table.heads, table.sizes)[member]
+    one_call = predict_rows(model, emb, emb.rows_of(table.image[member]), emb.rows_of(head))
+    assert np.array_equal(table.score[member], one_call)
+    for m, h, score in zip(table.image[member].tolist(), head.tolist(), table.score[member].tolist()):
+        assert predict_rows(model, emb, emb.rows_of([h]), emb.rows_of([m]))[0] == score
 
 
 def test_choose_head_ties_and_errors():
     model = popcount_model(D, 9.5)
     # 1 and 2 are symmetric around 0: equal sums, smaller id wins
     emb = star_set(D, 53, [(0, []), (1, [0]), (2, [1])])
-    assert choose_head([2, 1, 0], [3], model, emb).tolist() == [0]
-    assert choose_head([7], [1], model, star_set(D, 53, [(7, [])])).tolist() == [7]
+    assert choose_head([2, 1, 0], [3], model, emb).heads.tolist() == [0]
+    single = choose_head([7], [1], model, star_set(D, 53, [(7, [])]))
+    assert (single.image.tolist(), single.cluster.tolist(), single.head.tolist()) == ([7], [7], [True])
     with pytest.raises(DataError):
         choose_head([], [], model, emb)
     with pytest.raises(DataError):

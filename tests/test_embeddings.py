@@ -243,6 +243,10 @@ def test_embedding_set_basics(rng):
     for bad in ([3, 12345], [2**64 - 1], [-1], [101]):
         with pytest.raises(DataError):
             es.rows_of(bad)
+    # contains: the same lookup as a mask, against the set of ids
+    probe = np.array([3, 12345, 100, 3, 0, 2**64 - 2, 101], dtype=np.uint64)
+    assert es.contains(probe).tolist() == [int(i) in row_of for i in probe]
+    assert es.contains(np.zeros(0, dtype=np.uint64)).tolist() == []
     with pytest.raises(DataError):
         EmbeddingSet.from_bits(np.array([1, 1], dtype=np.uint64), bits[:2])
 

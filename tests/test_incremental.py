@@ -625,6 +625,44 @@ def test_merge_picks_all_entering_heads_in_one_call(monkeypatch):
     assert len(next_store.table) == 5
 
 
+def test_merge_scores_only_mapped_joiners_and_augmentation_matches(model, monkeypatch):
+    from neardup import incremental
+
+    # cluster 1: head 1 and listed member 2, six bits apart
+    emb = star_set(D, SEED, [(1, []), (2, list(range(6)))])
+    store = ClusterStore.initialize(cluster_table([NearDupeCluster(1, 1, [(2, s(6))])]), emb, lshc())
+    # 100 matched head 1 and brings 101; 200 matched through member 2 (12
+    # bits from the head, 6 from 2); 300 and 301 enter as a new cluster
+    new = batch([(100, [50]), (101, [50, 51]), (200, list(range(12))), (300, [40]), (301, [40, 41])])
+    combined = store.embeddings.concat(new)
+    found = matches((100, 1, 1, s(1)), (200, 1, 2, s(6)))
+    nvn = cluster_table([
+        NearDupeCluster(100, 100, [(101, 0.9)]),
+        NearDupeCluster(200, 200, []),
+        NearDupeCluster(300, 300, [(301, 0.9)]),
+    ])
+    scored = []
+    real = incremental.predict_rows
+
+    def recording(model, embeddings, rows_a, rows_b):
+        scored.extend(zip(embeddings.ids[rows_a].tolist(), embeddings.ids[rows_b].tolist()))
+        return real(model, embeddings, rows_a, rows_b)
+
+    monkeypatch.setattr(incremental, "predict_rows", recording)
+    next_store, assignments = merge(store, found, nvn, model, combined)
+    # the head match and the entering members keep the scores already made
+    assert sorted(scored) == [(101, 1), (200, 1)]
+    assert sorted(assignments) == [
+        (100, 1, "nvo"), (101, 1, "nvn_mapped"), (200, 1, "nvo"), (300, 300, "nvn_new"), (301, 300, "nvn_new"),
+    ]
+    members = dict(next_store.clusters[1].members)
+    assert members[100] == s(1)  # the match score, as given
+    assert members[101] == pytest.approx(s(2))
+    # matched through member 2, stored against head 1: not the match's s(6)
+    assert members[200] == pytest.approx(s(12))
+    assert dict(next_store.clusters[300].members) == {301: pytest.approx(s(1))}
+
+
 def test_merge_rejects_cluster_id_collision(model):
     store = make_store()
     emb = batch([(300, [5])])
