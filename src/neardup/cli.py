@@ -23,6 +23,7 @@ from .corpus import (
     generate_corpus,
     load_corpus,
     read_labels_csv,
+    read_pairs_csv,
     save_corpus,
 )
 from .embeddings import EmbeddingSet
@@ -72,7 +73,7 @@ def cmd_gen_corpus(args) -> int:
     spec = SyntheticCorpusSpec(**kwargs)
     embeddings, truth = generate_corpus(spec)
     save_corpus(embeddings, truth, args.out, spec)
-    print(f"{len(embeddings)} images in {len(truth.groups())} groups -> {args.out}")
+    print(f"{len(embeddings)} images in {truth.group_sizes().size} groups -> {args.out}")
     return 0
 
 
@@ -82,7 +83,7 @@ def cmd_build_index(args) -> int:
     lsh = resolve_lsh_config(config, embeddings)
     if args.heads:
         head_ids = sorted(read_clusters_tsv(args.heads).heads.tolist())
-        index = build_index(embeddings.subset(head_ids), lsh, head_only=True)
+        index = build_index(embeddings.subset(head_ids), lsh)
     else:
         index = build_index(embeddings, lsh)
     atomic_write_bytes(args.out, serialize_index(index))
@@ -126,31 +127,10 @@ def cmd_train_classifier(args) -> int:
     return 0
 
 
-def _read_pairs_csv(path) -> list:
-    import csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["id_a", "id_b"]:
-            raise DataError(f"{path}: expected header id_a,id_b")
-        pairs = []
-        for ln, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{ln}: expected at least 2 columns")
-            try:
-                pairs.append((int(row[0]), int(row[1])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from None
-        return pairs
-
-
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     embeddings = _load_embeddings(args.embeddings)
-    pairs = _read_pairs_csv(args.pairs)
+    pairs = read_pairs_csv(args.pairs)
     rows_a = embeddings.rows_of([a for a, _ in pairs])
     rows_b = embeddings.rows_of([b for _, b in pairs])
     scores = predict_rows(model, embeddings, rows_a, rows_b)

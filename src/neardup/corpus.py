@@ -226,26 +226,45 @@ def write_labels_csv(pairs, path, source: str = None) -> None:
     atomic_write_text(path, buffer.getvalue())
 
 
-def read_labels_csv(path) -> list:
+def _read_int_csv(path, names: tuple, header_note: str = "", check=None) -> list:
+    """The int tuples of every non-blank row of a CSV whose header starts
+    with names: each row's first len(names) fields, later ones are carried,
+    not read. check(row) may return what is wrong with a parsed row. The
+    first bad line is a DataError naming <path>:<line>."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["id_a", "id_b", "label"]:
-            raise DataError(f"{path}: expected header id_a,id_b,label[,source]")
+        if header is None or [h.strip() for h in header[: len(names)]] != list(names):
+            raise DataError(f"{path}: expected header {','.join(names)}{header_note}")
         for ln, row in enumerate(reader, 2):
             if not row:
                 continue
-            if len(row) < 3:
-                raise DataError(f"{path}:{ln}: expected at least 3 columns")
+            if len(row) < len(names):
+                raise DataError(f"{path}:{ln}: expected at least {len(names)} columns")
             try:
-                id_a, id_b, label = int(row[0]), int(row[1]), int(row[2])
+                values = tuple(int(field) for field in row[: len(names)])
             except ValueError as exc:
                 raise DataError(f"{path}:{ln}: {exc}") from None
-            if label not in (0, 1):
-                raise DataError(f"{path}:{ln}: label must be 0 or 1")
-            out.append((id_a, id_b, label))
+            problem = check(values) if check is not None else None
+            if problem:
+                raise DataError(f"{path}:{ln}: {problem}")
+            out.append(values)
     return out
+
+
+def read_pairs_csv(path) -> list:
+    """The (id_a, id_b) rows of a CSV with header id_a,id_b."""
+    return _read_int_csv(path, ("id_a", "id_b"))
+
+
+def read_labels_csv(path) -> list:
+    return _read_int_csv(
+        path,
+        ("id_a", "id_b", "label"),
+        "[,source]",
+        check=lambda row: None if row[2] in (0, 1) else "label must be 0 or 1",
+    )
 
 
 # -- corpus directory --------------------------------------------------------

@@ -142,7 +142,7 @@ class ClusterStore:
         """The LSH index over the heads, dense ids in row order."""
         heads = self.role == HEAD
         heads_only = EmbeddingSet(self.embeddings.d, self.embeddings.ids[heads], self.embeddings.packed[heads])
-        return build_index(heads_only, self.lsh_config, head_only=True)
+        return build_index(heads_only, self.lsh_config)
 
     def __len__(self) -> int:
         return len(self.embeddings)
@@ -413,19 +413,17 @@ def run_nvo(
     store: ClusterStore,
     new_embeddings: EmbeddingSet,
     model: MlpModel,
-    threshold: float,
-    k: int = 20,
-    min_overlap: int = 2,
+    config: PipelineConfig,
     combined: EmbeddingSet = None,
 ) -> HeadMatches:
     """Match one batch against stored cluster heads, at most one match per
-    query."""
+    query, under config's search.k, search.min_overlap and classifier.threshold."""
     if len(new_embeddings) == 0 or store.heads.cluster.size == 0:
         return HeadMatches()
-    hits = batch_search(new_embeddings, store.head_index, k=k, min_overlap=min_overlap)
+    hits = batch_search(new_embeddings, store.head_index, k=config.search.k, min_overlap=config.search.min_overlap)
     if combined is None:
         combined = store.embeddings.concat(new_embeddings)
-    return select_candidates(hits, store.heads, model, combined, threshold, k_aug=store.k_aug)
+    return select_candidates(hits, store.heads, model, combined, config.classifier.threshold, k_aug=store.k_aug)
 
 
 def run_nvn(
@@ -579,10 +577,7 @@ def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: 
 
     fresh = new_embeddings.subset(new_embeddings.ids[~known])
     combined = store.embeddings.concat(fresh)
-    threshold = config.classifier.threshold
-    matches = run_nvo(
-        store, fresh, model, threshold, k=config.search.k, min_overlap=config.search.min_overlap, combined=combined
-    )
+    matches = run_nvo(store, fresh, model, config, combined=combined)
     labels = emit_augmentation_labels(matches, store.heads)
     t0 = _log_stage("nvo", t0, ": %d of %d new images match a head", len(matches), len(fresh))
     nvn = run_nvn(store, fresh, model, config)

@@ -9,7 +9,9 @@ is to undercut the naive 8-bytes-per-posting layout; `index_size_bytes`
 reports both sides.
 
 In memory the lists are CSR arrays (sorted terms, offsets, flat dense ids),
-and the file codec codes or decodes every list in one vectorised pass.
+and the file holds the same layout: the term, count and byte-length
+columns, then every list's payload back to back, so the codec codes or
+decodes every list in one vectorised pass.
 """
 
 import struct
@@ -22,7 +24,7 @@ from .errors import DimensionError, EncodingError, FormatError, IndexBuildError
 from .util import ByteReader, atomic_write_bytes
 
 INDEX_MAGIC = b"NDIX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 def _vb_encode_u64(values: np.ndarray):
@@ -89,7 +91,6 @@ class PostingIndex:
         terms: np.ndarray,
         offsets: np.ndarray,
         ids: np.ndarray,
-        head_only: bool = False,
     ):
         self.config = config
         self.dictionary = _frozen(dictionary, np.uint64)
@@ -98,7 +99,6 @@ class PostingIndex:
         self.ids = _frozen(ids, np.uint32)
         if self.offsets.shape != (self.terms.size + 1,) or self.offsets[-1] != self.ids.size:
             raise IndexBuildError("posting offsets do not match terms and ids")
-        self.head_only = head_only
 
     def posting_ids(self, term: int) -> np.ndarray:
         term = int(term)
@@ -131,7 +131,7 @@ def sorted_runs(sorted_keys: np.ndarray):
     return sorted_keys[starts], offsets
 
 
-def build_index(embeddings: EmbeddingSet, config: LshConfig, head_only: bool = False) -> PostingIndex:
+def build_index(embeddings: EmbeddingSet, config: LshConfig) -> PostingIndex:
     """Build a PostingIndex over an EmbeddingSet, deriving its terms under config.
 
     Dense ids follow the set's row order.
@@ -145,7 +145,7 @@ def build_index(embeddings: EmbeddingSet, config: LshConfig, head_only: bool = F
     key = np.min_scalar_type((config.term_count << config.term_bits) - 1)
     order = np.argsort(flat_terms.astype(key, copy=False), kind="stable")
     terms, offsets = sorted_runs(flat_terms[order])
-    return PostingIndex(config, embeddings.ids, terms, offsets, flat_dense[order], head_only=head_only)
+    return PostingIndex(config, embeddings.ids, terms, offsets, flat_dense[order])
 
 
 def _list_heads(offsets: np.ndarray) -> np.ndarray:
@@ -185,46 +185,30 @@ def index_size_bytes(index: PostingIndex) -> IndexSizes:
 
 # -- index file -------------------------------------------------------------
 #
-# magic "NDIX" | version u16 | head_only u8
+# magic "NDIX" | version u16
 # config block:   d u16 | term_bits u16 | m u16 | m * u16 selected bit indices
 # dictionary:     count u64 | count * u64 external ids (dense order)
-# postings:       n_terms u32 | per term: term u32 | count u32 | nbytes u32 | payload
+# postings:       n_terms u32 | terms u32[n] | counts u32[n] | nbytes u32[n] | payload
+# the payload is every term's varbyte list in term order, nbytes[i] bytes each;
 # all integers little-endian.
-
-_ENTRY = np.dtype([("term", "<u4"), ("count", "<u4"), ("nbytes", "<u4")])
-
-
-def _entry_mask(entry_starts: np.ndarray, size: int) -> np.ndarray:
-    """True at the bytes of the 12-byte entry headers in a postings body."""
-    mask = np.zeros(size, dtype=bool)
-    mask[(entry_starts[:, None] + np.arange(_ENTRY.itemsize)).reshape(-1)] = True
-    return mask
 
 
 def serialize_index(index: PostingIndex) -> bytes:
     cfg = index.config
     payload, term_nbytes = _encode_postings(index)
-    n_terms = index.terms.size
-    entries = np.empty(n_terms, dtype=_ENTRY)
-    entries["term"] = index.terms
-    entries["count"] = np.diff(index.offsets)
-    entries["nbytes"] = term_nbytes
-    # entry i starts after i earlier headers and the payloads of terms < i
-    entry_starts = _ENTRY.itemsize * np.arange(n_terms, dtype=np.int64) + np.cumsum(term_nbytes) - term_nbytes
-    body = np.empty(_ENTRY.itemsize * n_terms + payload.size, dtype=np.uint8)
-    is_entry = _entry_mask(entry_starts, body.size)
-    body[is_entry] = entries.view(np.uint8)
-    body[~is_entry] = payload
     return b"".join(
         [
             INDEX_MAGIC,
-            struct.pack("<HB", INDEX_VERSION, 1 if index.head_only else 0),
+            struct.pack("<H", INDEX_VERSION),
             struct.pack("<HHH", cfg.d, cfg.term_bits, cfg.m),
             np.array(cfg.selected_bits, dtype="<u2").tobytes(),
             struct.pack("<Q", len(index.dictionary)),
             index.dictionary.astype("<u8").tobytes(),
-            struct.pack("<I", n_terms),
-            body.tobytes(),
+            struct.pack("<I", index.terms.size),
+            index.terms.astype("<u4").tobytes(),
+            np.diff(index.offsets).astype("<u4").tobytes(),
+            term_nbytes.astype("<u4").tobytes(),
+            payload.tobytes(),
         ]
     )
 
@@ -239,9 +223,9 @@ def load_index(path) -> PostingIndex:
     if blob[:4] != INDEX_MAGIC:
         raise FormatError(f"{path}: bad magic, not an index file")
     r = ByteReader(blob, path, offset=4)
-    version, head_only = r.unpack("<HB")
+    (version,) = r.unpack("<H")
     if version != INDEX_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+        raise FormatError(f"{path}: unsupported version {version}, expected {INDEX_VERSION}")
     d, term_bits, m = r.unpack("<HHH")
     sel = r.array("<u2", m)
     try:
@@ -251,43 +235,24 @@ def load_index(path) -> PostingIndex:
     (n_images,) = r.unpack("<Q")
     external = r.array("<u8", n_images).copy()
     (n_terms,) = r.unpack("<I")
+    terms, counts, term_nbytes = [r.array("<u4", n_terms).astype(np.int64) for _ in range(3)]
+    # below 2^32 values of below 2^32 each: the u64 sum is exact
+    expected = int(term_nbytes.sum(dtype=np.uint64))
+    if expected != r.remaining:
+        raise FormatError(f"{path}: posting byte lengths sum to {expected}, payload holds {r.remaining} bytes")
     if np.unique(external).size != external.size:
         raise FormatError(f"{path}: duplicate external ids in dictionary")
     try:
-        terms, offsets, ids = _decode_postings(blob, r.offset, n_terms, n_images)
+        offsets, ids = _decode_postings(terms, counts, term_nbytes, r.array(np.uint8, r.remaining), n_images)
     except (EncodingError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return PostingIndex(config, external, terms, offsets, ids, head_only=bool(head_only))
+    return PostingIndex(config, external, terms, offsets, ids)
 
 
-def _decode_postings(blob: bytes, start: int, n_terms: int, n_images: int):
-    """The postings section blob[start:] as CSR arrays (terms, offsets, ids),
-    each posting list checked as a per-list decode would check it."""
-    size = len(blob) - start
-    if n_terms * _ENTRY.itemsize > size:
-        raise FormatError(f"truncated: {n_terms} posting entries cannot fit in {size} bytes")
-    # the only walk over entries: find where each one starts
-    entry_starts = []
-    pos, end = start, len(blob)
-    for _ in range(n_terms):
-        if pos + _ENTRY.itemsize > end:
-            raise FormatError(f"truncated: posting entry at offset {pos} runs past the end")
-        entry_starts.append(pos - start)
-        pos += _ENTRY.itemsize + struct.unpack_from("<I", blob, pos + 8)[0]
-    if pos > end:
-        raise FormatError(f"truncated: postings need {pos - end} more bytes")
-    if pos < end:
-        raise FormatError(f"{end - pos} trailing bytes")
-
-    body = np.frombuffer(blob, dtype=np.uint8)[start:]
-    entry_starts = np.array(entry_starts, dtype=np.int64)
-    is_entry = _entry_mask(entry_starts, size)
-    entries = body[is_entry].view(_ENTRY)
-    terms = entries["term"].astype(np.int64)
-    counts = entries["count"].astype(np.int64)
-    term_nbytes = entries["nbytes"].astype(np.int64)
-
-    payload = body[~is_entry]
+def _decode_postings(terms, counts, term_nbytes, payload, n_images: int):
+    """CSR offsets and ids of the posting lists in payload, term i's list
+    being its next term_nbytes[i] bytes; each list is checked as a per-list
+    decode would check it."""
     value_ends = (payload & 0x80) == 0
     byte_ends = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(term_nbytes)))
     nonempty = np.flatnonzero(term_nbytes)
@@ -299,7 +264,7 @@ def _decode_postings(blob: bytes, start: int, n_terms: int, n_images: int):
     bad = np.flatnonzero(decoded != counts)
     if bad.size:
         i = bad[0]
-        raise FormatError(f"posting list for term {terms[i]} decodes to {decoded[i]}, header says {counts[i]}")
+        raise FormatError(f"posting list for term {terms[i]} decodes to {decoded[i]}, count column says {counts[i]}")
 
     # every list ends on a value boundary, so one decode of the whole stream
     # splits values exactly as a per-list decode would
@@ -321,5 +286,5 @@ def _decode_postings(blob: bytes, start: int, n_terms: int, n_images: int):
         raise FormatError(f"posting ids are not strictly increasing at posting {bad[0] + 1}")
     if ids.size and ids.max() >= n_images:
         raise FormatError(f"a posting list holds dense id {ids.max()}, dictionary holds {n_images}")
-    return terms, offsets, ids
+    return offsets, ids
 

@@ -16,6 +16,7 @@ from neardup import (
     save_corpus,
     write_labels_csv,
 )
+from neardup.corpus import read_pairs_csv
 
 
 def hamming(emb, a, b):
@@ -232,6 +233,25 @@ def test_labels_csv_rejects_malformed(tmp_path):
     short_row.write_text("id_a,id_b,label\n1,2\n")
     with pytest.raises(DataError):
         read_labels_csv(short_row)
+    # the first bad line is named, whatever is wrong with a later one
+    first_bad = tmp_path / "f.csv"
+    first_bad.write_text("id_a,id_b,label\n1,2,7\n1,x,1\n")
+    with pytest.raises(DataError, match=f"^{first_bad}:2: label must be 0 or 1$"):
+        read_labels_csv(first_bad)
+
+
+def test_pairs_csv_reader(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("id_a,id_b,note\n1,2,x\n\n3,4\n")
+    assert read_pairs_csv(path) == [(1, 2), (3, 4)]  # blank lines skipped, extra columns carried
+    for text, message in (
+        ("a,b\n1,2\n", f"^{path}: expected header id_a,id_b$"),
+        ("id_a,id_b\n1,2\n\n5\n", f"^{path}:4: expected at least 2 columns$"),
+        ("id_a,id_b\n1,2\n3,b\n", f"^{path}:3: invalid literal"),
+    ):
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            read_pairs_csv(path)
 
 
 def test_corpus_directory_round_trip(tmp_path, small_corpus):

@@ -492,16 +492,16 @@ def test_second_writer_is_refused(tmp_path, model):
 
 def test_nvo_matches_a_duplicate_of_the_head(model):
     store = make_store()
-    found = run_nvo(store, batch([(100, [])]), model, threshold=0.5)
+    found = run_nvo(store, batch([(100, [])]), model, cfg())
     assert match_rows(found) == [(100, 1, 1, pytest.approx(s(0)))]
-    assert len(run_nvo(store, batch([]), model, 0.5)) == 0
+    assert len(run_nvo(store, batch([]), model, cfg())) == 0
 
 
 def test_nvo_uses_the_augmentation_list(model):
     # probe 200 is 12 bits from head 1 but only 6 from stored member 2
     emb = star_set(D, SEED, [(1, []), (2, list(range(6)))])
     store = ClusterStore.initialize(cluster_table([NearDupeCluster(1, 1, [(2, s(6))])]), emb, lshc())
-    ((_, cluster, via, score),) = match_rows(run_nvo(store, batch([(200, list(range(12)))]), model, threshold=0.5))
+    ((_, cluster, via, score),) = match_rows(run_nvo(store, batch([(200, list(range(12)))]), model, cfg()))
     assert cluster == 1
     assert via == 2
     assert score == pytest.approx(s(6))

@@ -73,17 +73,18 @@ CONFIG = LshConfig(d=64, selected_bits=tuple(range(36)), term_bits=6)
 def index_file(n_images, entries):
     """An index file over external ids 0..n_images-1 with hand-made posting
     entries (term, count, payload)."""
+    terms, counts, payloads = zip(*entries) if entries else ((), (), ())
     parts = [
         b"NDIX",
-        struct.pack("<HB", 1, 0),
+        struct.pack("<H", 2),
         struct.pack("<HHH", CONFIG.d, CONFIG.term_bits, CONFIG.m),
         np.array(CONFIG.selected_bits, dtype="<u2").tobytes(),
         struct.pack("<Q", n_images),
         np.arange(n_images, dtype="<u8").tobytes(),
         struct.pack("<I", len(entries)),
+        *(np.array(column, dtype="<u4").tobytes() for column in (terms, counts, [len(p) for p in payloads])),
+        *payloads,
     ]
-    for term, count, payload in entries:
-        parts.append(struct.pack("<III", term, count, len(payload)) + payload)
     return b"".join(parts)
 
 
@@ -94,7 +95,7 @@ def one_list(ids, n_images=1):
 
 def coded(ids, n_images=1):
     """The payload serialize_index writes for the posting list ids."""
-    start = len(index_file(n_images, [])) + 12  # one 12-byte entry header
+    start = len(index_file(n_images, [])) + 12  # one term's three u32 columns
     return serialize_index(one_list(ids, n_images))[start:]
 
 
@@ -231,8 +232,8 @@ def test_empty_index(lsh64):
     assert len(index.terms) == 0
     assert index.posting_count() == 0
     blob = serialize_index(index)
-    # magic 4 + version/head_only 3 + config 6 + 36 selected bits * 2 + count 8 + n_terms 4
-    assert len(blob) == 4 + 3 + 6 + 2 * 36 + 8 + 4
+    # magic 4 + version 2 + config 6 + 36 selected bits * 2 + count 8 + n_terms 4
+    assert len(blob) == 4 + 2 + 6 + 2 * 36 + 8 + 4
     back = load_index_from_bytes(blob)
     assert len(back.terms) == 0
     assert back.config == lsh64
@@ -257,16 +258,15 @@ def test_single_posting_payload_is_one_byte(lsh64, rng):
     # 6 terms, one dense id 0 each: 1 payload byte per posting vs 8 baseline
     assert sizes.payload == 6
     assert sizes.baseline == 48
-    # 97 header bytes + one dictionary id (8) + 6 entries of 12 header bytes + 1 payload byte
-    assert sizes.serialized == 97 + 8 + 6 * (12 + 1)
+    # 96 header bytes + one dictionary id (8) + 6 terms of three u32 columns + 1 payload byte
+    assert sizes.serialized == 96 + 8 + 6 * (12 + 1)
 
 
 def test_index_file_round_trip(small_set, lsh64, tmp_path):
-    index = build_index(small_set, lsh64, head_only=True)
+    index = build_index(small_set, lsh64)
     path = tmp_path / "x.ndix"
     save_index(index, path)
     back = load_index(path)
-    assert back.head_only is True
     assert back.config == index.config
     np.testing.assert_array_equal(back.dictionary, index.dictionary)
     assert back.terms.tolist() == index.terms.tolist()

@@ -1,9 +1,9 @@
 """Differential tests: the one-pass `.ndix` loader against a per-term loader.
 
-`load_index_oracle` is the loader that walked the postings one term at a
-time and decoded each list on its own. Its varbyte decode is written out
-here with Python integers, so the oracle shares no numpy code with the
-loader under test. On any blob, both loaders must raise FormatError, or
+`load_index_oracle` reads the term, count and byte-length columns, then
+walks the payload one term at a time and decodes each list on its own. Its
+varbyte decode is written out here with Python integers, so the oracle
+shares no numpy code with the loader under test. On any blob, both loaders must raise FormatError, or
 both must return the same config, dictionary, terms and posting lists.
 """
 
@@ -55,7 +55,7 @@ def load_index_oracle(blob: bytes, path="blob"):
     if blob[:4] != INDEX_MAGIC:
         raise FormatError(f"{path}: bad magic, not an index file")
     r = ByteReader(blob, path, offset=4)
-    version, head_only = r.unpack("<HB")
+    (version,) = r.unpack("<H")
     if version != INDEX_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     d, term_bits, m = r.unpack("<HHH")
@@ -67,10 +67,10 @@ def load_index_oracle(blob: bytes, path="blob"):
     (n_images,) = r.unpack("<Q")
     external = r.array("<u8", n_images).copy()
     (n_terms,) = r.unpack("<I")
+    columns = [r.unpack(f"<{n_terms}I") for _ in range(3)]
     postings = {}
     prev_term = -1
-    for _ in range(n_terms):
-        term, count, nbytes = r.unpack("<III")
+    for term, count, nbytes in zip(*columns):
         if term <= prev_term:
             raise FormatError(f"{path}: term {term} follows {prev_term}; terms must be strictly increasing")
         prev_term = term
@@ -87,7 +87,7 @@ def load_index_oracle(blob: bytes, path="blob"):
         raise FormatError(f"{path}: {r.remaining} trailing bytes")
     if len(set(external.tolist())) != len(external):
         raise FormatError(f"{path}: duplicate external ids in dictionary")
-    return config, bool(head_only), external.tolist(), postings
+    return config, external.tolist(), postings
 
 
 # -- comparison ---------------------------------------------------------------
@@ -111,7 +111,7 @@ def outcome_new(blob):
     postings = {int(t): index.posting_ids(t).tolist() for t in index.terms}
     assert len(postings) == len(index.terms)
     assert index.posting_count() == sum(len(v) for v in postings.values())
-    return index.config, index.head_only, index.dictionary.tolist(), postings
+    return index.config, index.dictionary.tolist(), postings
 
 
 def outcome_oracle(blob):
@@ -142,19 +142,20 @@ def vb_value(value: int, pad: int = 0) -> bytes:
     return bytes([g | 0x80 for g in groups[:-1]] + [groups[-1]])
 
 
-def raw_blob(external, entries, head_only=0):
+def raw_blob(external, entries):
     """An index file with hand-made posting entries (term, count, payload)."""
+    terms, counts, payloads = zip(*entries) if entries else ((), (), ())
     parts = [
         INDEX_MAGIC,
-        struct.pack("<HB", INDEX_VERSION, head_only),
+        struct.pack("<H", INDEX_VERSION),
         struct.pack("<HHH", CONFIG.d, CONFIG.term_bits, CONFIG.m),
         np.array(CONFIG.selected_bits, dtype="<u2").tobytes(),
         struct.pack("<Q", len(external)),
         np.array(external, dtype="<u8").tobytes(),
         struct.pack("<I", len(entries)),
+        *(np.array(column, dtype="<u4").tobytes() for column in (terms, counts, [len(p) for p in payloads])),
+        *payloads,
     ]
-    for term, count, payload in entries:
-        parts.append(struct.pack("<III", term, count, len(payload)) + payload)
     return b"".join(parts)
 
 
@@ -162,7 +163,7 @@ def index_blob(seed: int, n: int) -> bytes:
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(n, CONFIG.d), dtype=np.uint8)
     ids = rng.choice(2**40, size=n, replace=False).astype(np.uint64)
-    return serialize_index(build_index(EmbeddingSet.from_bits(ids, bits), CONFIG, head_only=bool(seed % 2)))
+    return serialize_index(build_index(EmbeddingSet.from_bits(ids, bits), CONFIG))
 
 
 # -- tests --------------------------------------------------------------------
@@ -249,3 +250,15 @@ def test_loaders_agree_on_hand_made_blobs(external, entries):
 def test_loaders_agree_on_named_blobs(name, entries, accepted):
     loaded = assert_loaders_agree(raw_blob([10, 11], entries))
     assert (loaded is not None) == accepted, name
+
+
+def test_version_1_file_is_refused():
+    # the first layout: a head-only byte after the version, and a 12-byte
+    # (term, count, nbytes) header before each term's payload
+    config_and_dictionary = raw_blob([10, 11], [])[6:-4]
+    blob = b"".join(
+        [INDEX_MAGIC, struct.pack("<HB", 1, 0), config_and_dictionary, struct.pack("<IIII", 1, 3, 2, 2), b"\x00\x01"]
+    )
+    with pytest.raises(FormatError, match="unsupported version 1,"):
+        load_from_bytes(blob)
+    assert outcome_oracle(blob) is None

@@ -261,7 +261,7 @@ def test_join_matches_brute_force(seed, n, n_bases, flip_p, case, k, min_overlap
         queries = indexed.subset(indexed.ids[::-1])
     elif case == "head_only":
         index_set = indexed.subset(rng.choice(indexed.ids, size=rng.integers(1, n + 1), replace=False))
-    index = build_index(index_set, LSH64, head_only=case == "head_only")
+    index = build_index(index_set, LSH64)
     # the half path is for the indexed set itself: same ids in dense order, same terms
     same = np.array_equal(queries.ids, index_set.ids) and np.array_equal(
         derive_terms_matrix(queries.bits_matrix(), LSH64),
