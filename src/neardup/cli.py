@@ -29,11 +29,11 @@ from .corpus import (
 from .embeddings import EmbeddingSet
 from .errors import DataError, NearDupError
 from .incremental import assignments_to_tsv, run_incremental
-from .index import build_index, index_size_bytes, load_index, serialize_index
+from .index import build_index, load_index, save_index
 from .pipeline import resolve_lsh_config, run_full
 from .search import SearchResultBatch, batch_search, unordered_pairs
 from .selection import ClusterHeads, emit_augmentation_labels, select_candidates, select_edges
-from .util import atomic_write_bytes, atomic_write_json, atomic_write_text, read_tsv
+from .util import atomic_write_json, atomic_write_text, read_tsv
 
 log = logging.getLogger("neardup")
 
@@ -86,8 +86,7 @@ def cmd_build_index(args) -> int:
         index = build_index(embeddings.subset(head_ids), lsh)
     else:
         index = build_index(embeddings, lsh)
-    atomic_write_bytes(args.out, serialize_index(index))
-    sizes = index_size_bytes(index)
+    sizes = save_index(index, args.out)
     print(
         f"{len(index.dictionary)} images, {index.posting_count()} postings, "
         f"{sizes.serialized} bytes ({sizes.payload} payload, {sizes.baseline} uncompressed) -> {args.out}"
@@ -173,12 +172,12 @@ def cmd_select(args) -> int:
             print(f"{len(labels)} augmentation labels -> {args.labels_out}")
     else:
         pairs_a, pairs_b = unordered_pairs(hits)
-        a, b, scores = select_edges(pairs_a, pairs_b, model, embeddings, threshold)
+        a, b, scores, pairs_scored = select_edges(pairs_a, pairs_b, model, embeddings, threshold)
         atomic_write_text(
             args.out,
             "".join(f"{x}\t{y}\t{s:.6f}\n" for x, y, s in zip(a.tolist(), b.tolist(), scores)),
         )
-        print(f"{a.size} edges from {pairs_a.size} candidate pairs -> {args.out}")
+        print(f"scored {pairs_scored} of {pairs_a.size} candidate pairs, kept {a.size} edges -> {args.out}")
     return 0
 
 

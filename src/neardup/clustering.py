@@ -159,6 +159,30 @@ def transitive_closure(edges) -> list:
     return sorted(groups, key=lambda g: int(g[0]))
 
 
+def merge_labels(label: np.ndarray, a, b) -> None:
+    """Join, in place, the components that the edges (a[i], b[i]) connect.
+
+    label[i] is the smallest index of i's component, so label[label] ==
+    label on entry and on return. Each round hooks the root of every edge
+    whose endpoints still differ to the smaller of their two roots, then
+    pointer-jumps to a fixed point; every round drops at least one root.
+    """
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    while True:
+        root_a, root_b = label[a], label[b]
+        split = root_a != root_b
+        if not split.any():
+            return
+        a, b, root_a, root_b = a[split], b[split], root_a[split], root_b[split]
+        np.minimum.at(label, root_a, root_b)
+        np.minimum.at(label, root_b, root_a)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label[:] = up
+
+
 def _runs(bounds: np.ndarray, size: int):
     starts = np.concatenate(([0], bounds))
     ends = np.append(bounds, size)
@@ -182,9 +206,9 @@ def k_cut(
 
     Deterministic for a fixed seed: each round draws the pivots of its groups,
     in input order, from one seeded generator. scored, if given, is the
-    aligned (a, b, score) id and score arrays of pairs already scored, as
-    select_edges returns them; a (pivot, member) pair found there in either
-    order takes that score, and only the others are scored. A fresh score of
+    aligned (a, b, score) id and score arrays of pairs already scored, such
+    as the edges select_edges keeps; a (pivot, member) pair found there in
+    either order takes that score, and only the others are scored. A fresh score of
     such a pair would equal the given one bit for bit (see classifier), so
     the reuse saves the call and changes no cluster.
     """

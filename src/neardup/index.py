@@ -177,10 +177,11 @@ def _encode_postings(index: PostingIndex):
 
 def index_size_bytes(index: PostingIndex) -> IndexSizes:
     """Report compressed payload, full serialized size, and the 8 B/posting baseline."""
-    payload = int(_encode_postings(index)[0].size)
-    serialized = len(serialize_index(index))
-    baseline = 8 * index.posting_count()
-    return IndexSizes(payload, serialized, baseline)
+    return _sizes(index, *_index_file(index))
+
+
+def _sizes(index: PostingIndex, head: bytes, payload: bytes) -> IndexSizes:
+    return IndexSizes(len(payload), len(head) + len(payload), 8 * index.posting_count())
 
 
 # -- index file -------------------------------------------------------------
@@ -193,10 +194,12 @@ def index_size_bytes(index: PostingIndex) -> IndexSizes:
 # all integers little-endian.
 
 
-def serialize_index(index: PostingIndex) -> bytes:
+def _index_file(index: PostingIndex):
+    """The index file as two byte strings: everything ahead of the payload,
+    and the payload."""
     cfg = index.config
     payload, term_nbytes = _encode_postings(index)
-    return b"".join(
+    head = b"".join(
         [
             INDEX_MAGIC,
             struct.pack("<H", INDEX_VERSION),
@@ -208,13 +211,21 @@ def serialize_index(index: PostingIndex) -> bytes:
             index.terms.astype("<u4").tobytes(),
             np.diff(index.offsets).astype("<u4").tobytes(),
             term_nbytes.astype("<u4").tobytes(),
-            payload.tobytes(),
         ]
     )
+    return head, payload.tobytes()
 
 
-def save_index(index: PostingIndex, path) -> None:
-    atomic_write_bytes(path, serialize_index(index))
+def serialize_index(index: PostingIndex) -> bytes:
+    return b"".join(_index_file(index))
+
+
+def save_index(index: PostingIndex, path) -> IndexSizes:
+    """Write the index file atomically; returns its sizes, from the one coding
+    of the postings the file needs."""
+    head, payload = _index_file(index)
+    atomic_write_bytes(path, head + payload)
+    return _sizes(index, head, payload)
 
 
 def load_index(path) -> PostingIndex:

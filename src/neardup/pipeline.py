@@ -34,6 +34,7 @@ class StaticRunResult:
     lsh_config: LshConfig
     edge_count: int = 0
     candidate_pairs: int = 0
+    pairs_scored: int = 0
     timings: dict = field(default_factory=dict)
 
     def assignment(self) -> dict:
@@ -82,11 +83,13 @@ def static_clusters(
 
     t0 = time.perf_counter()
     pairs_a, pairs_b = unordered_pairs(hits)
-    edges_a, edges_b, edge_scores = select_edges(
+    edges_a, edges_b, edge_scores, pairs_scored = select_edges(
         pairs_a, pairs_b, model, embeddings, config.classifier.threshold
     )
     timings["select"] = time.perf_counter() - t0
-    log.info("classifier kept %d of %d pairs", edges_a.size, pairs_a.size)
+    log.info(
+        "classifier scored %d of %d candidate pairs, kept %d edges", pairs_scored, pairs_a.size, edges_a.size
+    )
 
     t0 = time.perf_counter()
     groups = transitive_closure(np.column_stack((edges_a, edges_b)))
@@ -111,6 +114,7 @@ def static_clusters(
         lsh_config,
         edge_count=int(edges_a.size),
         candidate_pairs=int(pairs_a.size),
+        pairs_scored=pairs_scored,
         timings=timings,
     )
 
@@ -128,6 +132,7 @@ def run_full(embeddings: EmbeddingSet, model: MlpModel, config: PipelineConfig, 
         "clusters": len(result.clusters),
         "non_singleton_clusters": int((result.clusters.sizes > 1).sum()),
         "candidate_pairs": result.candidate_pairs,
+        "pairs_scored": result.pairs_scored,
         "edges": result.edge_count,
         "timings": {k: round(v, 6) for k, v in result.timings.items()},
     }
@@ -221,6 +226,7 @@ def evaluate_pipeline(
         "purity": purity(predicted, actual),
         "recall_at_distance": {"distance": distance_threshold, "value": r_at_d},
         "candidate_pairs": run.candidate_pairs,
+        "pairs_scored": run.pairs_scored,
         "edges": run.edge_count,
         "cluster_size_histogram": dict(zip(map(str, sizes.tolist()), counts.tolist())),
         "timings": {k: round(v, 6) for k, v in run.timings.items()},

@@ -1,8 +1,10 @@
 """Classifier pass over search candidates.
 
-Two flavors exist. The static pipeline scores each unordered candidate pair
-once, as a < b (scores are symmetric), and keeps those at or above the
-threshold as edges for clustering. The cluster-head flavor matches queries
+Two flavors exist. The static pipeline keeps as edges for clustering the
+candidate pairs scoring at or above the threshold that the closure needs:
+it scores pairs in ascending hamming order and skips each pair whose two
+images the edges kept so far already join, so every pair is scored at most
+once and many not at all. The cluster-head flavor matches queries
 against existing clusters: the head is scored first and, failing that, each
 frozen augmentation member in order; the first image at or above the
 threshold decides the match. A query matching several clusters keeps only
@@ -13,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classifier import MlpModel, predict_rows
-from .clustering import ClusterTable
-from .embeddings import EmbeddingSet
+from .classifier import SCORE_CHUNK_ROWS, MlpModel, predict_rows
+from .clustering import ClusterTable, merge_labels
+from .embeddings import EmbeddingSet, hamming_distance_matrix
 from .errors import DataError
 from .search import SearchResultBatch
 from .util import find_sorted
@@ -75,14 +77,34 @@ class HeadMatches:
 
 def select_edges(a, b, model: MlpModel, embeddings: EmbeddingSet, threshold: float):
     """Static-pipeline selection over aligned pair arrays, as unordered_pairs
-    returns them: the (a, b, score) arrays of the pairs scoring >= threshold,
-    in input order."""
+    returns them: the (a, b, score) arrays of the edges the closure needs,
+    in input order, and the number of pairs scored.
+
+    Clustering needs only connectivity, so a pair whose two images earlier
+    edges already join is not scored. The pairs go by ascending hamming
+    distance (ties in input order), which puts the likely edges first, in
+    windows of SCORE_CHUNK_ROWS: each window drops its pairs already joined,
+    scores the rest in one call and joins the endpoints of those scoring
+    >= threshold. The edges kept connect the same components as every pair
+    that scores >= threshold, and each keeps the score a call over every
+    pair gives it, bit for bit (see classifier).
+    """
     _check_threshold(threshold)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    scores = predict_rows(model, embeddings, embeddings.rows_of(a), embeddings.rows_of(b))
-    keep = scores >= threshold
-    return a[keep], b[keep], scores[keep]
+    rows_a, rows_b = embeddings.rows_of(a), embeddings.rows_of(b)
+    order = np.argsort(hamming_distance_matrix(embeddings, rows_a, embeddings, rows_b), kind="stable")
+    label = np.arange(len(embeddings))
+    keep, scores, scored = np.zeros(a.size, dtype=bool), np.empty(a.size), 0
+    for s in range(0, order.size, SCORE_CHUNK_ROWS):
+        window = order[s : s + SCORE_CHUNK_ROWS]
+        live = window[label[rows_a[window]] != label[rows_b[window]]]
+        scores[live] = predict_rows(model, embeddings, rows_a[live], rows_b[live])
+        edges = live[scores[live] >= threshold]
+        merge_labels(label, rows_a[edges], rows_b[edges])
+        keep[edges] = True
+        scored += live.size
+    return a[keep], b[keep], scores[keep], scored
 
 
 def select_candidates(

@@ -144,7 +144,7 @@ def test_k_cut_matches_per_group_oracle(case, below):
         take = rng.random(ia.size) < edge_share
         a.append(g[ia[take]])
         b.append(g[ib[take]])
-    scored = select_edges(np.concatenate(a), np.concatenate(b), model, emb, 0.8)
+    scored = select_edges(np.concatenate(a), np.concatenate(b), model, emb, 0.8)[:3]
     threshold = 0.3 if below else 0.8  # below the selection threshold, and equal to it
     for given_scores in (None, scored):
         got = as_tuples(k_cut(groups, model, emb, threshold, seed=seed, scored=given_scores))

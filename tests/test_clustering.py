@@ -164,7 +164,7 @@ def test_k_cut_with_edge_scores_matches_rescoring(rng, monkeypatch):
     ia, ib = np.triu_indices(50, k=1)
     take = rng.random(ia.size) < 0.6
     a, b = ia[take].astype(np.uint64), ib[take].astype(np.uint64)
-    edges_a, edges_b, edge_scores = select_edges(a, b, model, emb, 0.8)
+    edges_a, edges_b, edge_scores, _ = select_edges(a, b, model, emb, 0.8)
     # the lookup takes either order and any sequence: give about half the
     # edges as (b, a), all of them shuffled
     flip = rng.random(edges_a.size) < 0.5

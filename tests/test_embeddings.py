@@ -11,7 +11,7 @@ from neardup import (
     build_index,
     select_bits,
 )
-from neardup.embeddings import derive_terms_matrix, hamming_distance_matrix
+from neardup.embeddings import _POPCOUNT, derive_terms_matrix, hamming_distance_matrix
 from neardup.errors import DimensionError
 
 
@@ -353,3 +353,9 @@ def test_hamming_distance_matrix_matches_xor_count(rng):
     got = hamming_distance_matrix(es, rows_a, es, rows_b)
     want = [(bits[a] != bits[b]).sum() for a, b in zip(rows_a, rows_b)]
     assert got.tolist() == want
+
+
+def test_popcount_table_counts_the_set_bits_of_every_byte():
+    # the table stands in for np.bitwise_count, which NumPy 1.24 lacks
+    every_byte = np.arange(256, dtype=np.uint8)[:, None]
+    assert _POPCOUNT.tolist() == np.unpackbits(every_byte, axis=1).sum(axis=1).tolist()

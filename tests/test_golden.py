@@ -23,6 +23,12 @@ went to version 2: the head-only byte left the header and the term, count
 and byte-length columns moved ahead of one payload. The same postings
 written by the version-1 writer and laid out again as columns give the new
 digest byte for byte; the 11,881-byte payload did not change.
+
+The edge count of test_run_full_cluster_tsv_digest moved once, 1242 -> 836,
+when selection stopped scoring pairs whose images earlier edges already
+join: the count is of the edges the closure needed, not of every passing
+pair. The components, and so every digest, did not move. The top-K runs
+fit in one scoring window and kept their counts.
 """
 
 import hashlib
@@ -111,7 +117,7 @@ def test_run_full_cluster_tsv_digest(seeded, tmp_path):
     config, model, emb, _ = seeded
     path = tmp_path / "clusters.tsv"
     _, report = run_full(emb, model, config, path)
-    assert (report["candidate_pairs"], report["edges"], report["non_singleton_clusters"]) == (1616, 1242, 215)
+    assert (report["candidate_pairs"], report["edges"], report["non_singleton_clusters"]) == (1616, 836, 215)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == RUN_FULL_SHA256
 
 

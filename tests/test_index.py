@@ -265,7 +265,9 @@ def test_single_posting_payload_is_one_byte(lsh64, rng):
 def test_index_file_round_trip(small_set, lsh64, tmp_path):
     index = build_index(small_set, lsh64)
     path = tmp_path / "x.ndix"
-    save_index(index, path)
+    # the sizes come from the coding the file was written from
+    assert save_index(index, path) == index_size_bytes(index)
+    assert path.stat().st_size == index_size_bytes(index).serialized
     back = load_index(path)
     assert back.config == index.config
     np.testing.assert_array_equal(back.dictionary, index.dictionary)

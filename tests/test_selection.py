@@ -237,12 +237,13 @@ def test_select_edges_filters_at_threshold(model):
     hits = SearchResultBatch([0, 2], [0, 0, 0, 2], [1, 2, 3, 0], [6, 4, 2, 4], [0.5, 0.3, 0.1, 0.3])
     a, b = unordered_pairs(hits)
     assert list(zip(a.tolist(), b.tolist())) == [(0, 1), (0, 2), (0, 3)]
-    edges_a, edges_b, scores = select_edges(a, b, model, emb, threshold=0.5)
+    edges_a, edges_b, scores, scored = select_edges(a, b, model, emb, threshold=0.5)
     # hamming 2 and 8 pass theta 9.5, hamming 20 does not
     assert list(zip(edges_a.tolist(), edges_b.tolist())) == [(0, 1), (0, 2)]
     assert scores[0] == pytest.approx(score_at(2))
     assert scores[1] == pytest.approx(score_at(8))
+    assert scored == 3  # one window: nothing is joined before it is scored
     none = select_edges(*unordered_pairs(SearchResultBatch()), model, emb, 0.5)
-    assert [x.size for x in none] == [0, 0, 0]
+    assert [x.size for x in none[:3]] == [0, 0, 0] and none[3] == 0
     with pytest.raises(DataError):
         select_edges(a, b, model, emb, 0.0)
