@@ -1,14 +1,14 @@
 """Edge clustering: transitive closure, greedy threshold cut, head choice,
 and the cluster table.
 
-Transitive closure runs iterative minimum-label propagation over the edge
-set: each edge starts with its own id (the pair itself, compared
-lexicographically after normalizing to (min, max)), every round each edge
-adopts the smallest label incident to either endpoint, and the loop stops
-on a round with zero updates. Components therefore end up labeled by their
-minimum edge id, whose first element is the minimum member id; that value
-is the cluster id (it fits 64 bits, is unique per component and stable for
-identical input edge sets).
+Transitive closure maps the ids to their ranks among the sorted distinct
+ids and joins the edges' endpoints with merge_labels, the union routine
+lazy selection also uses: each round hooks every root an edge still spans
+to the smaller of its two roots, then pointer-jumps to a fixed point
+(Shiloach and Vishkin, "An O(log n) Parallel Connectivity Algorithm",
+J. Algorithms 1982). Every image then carries the rank of its component's
+smallest id, so one stable sort by that label lists the components
+ordered by minimum id, each in ascending id order.
 
 Closure groups can be loose, chains in particular, so a greedy cut then
 re-partitions each group: draw a random pivot, split off the pivot plus
@@ -128,35 +128,13 @@ def transitive_closure(edges) -> list:
     pairs = _normalized_edges(edges)
     if pairs.shape[0] == 0:
         return []
-
     nodes, dense = np.unique(pairs, return_inverse=True)
-    du = dense.reshape(-1, 2)[:, 0]
-    dv = dense.reshape(-1, 2)[:, 1]
-
-    # label = rank of the edge in (min, max) lexicographic order
-    edge_order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    labels = np.empty(pairs.shape[0], dtype=np.int64)
-    labels[edge_order] = np.arange(pairs.shape[0], dtype=np.int64)
-
-    sentinel = np.int64(pairs.shape[0])
-    while True:
-        node_min = np.full(nodes.size, sentinel, dtype=np.int64)
-        np.minimum.at(node_min, du, labels)
-        np.minimum.at(node_min, dv, labels)
-        new_labels = np.minimum(node_min[du], node_min[dv])
-        updated = int((new_labels != labels).sum())
-        labels = new_labels
-        if updated == 0:
-            break
-
-    node_label = np.full(nodes.size, sentinel, dtype=np.int64)
-    np.minimum.at(node_label, du, labels)
-    np.minimum.at(node_label, dv, labels)
-    order = np.argsort(node_label, kind="stable")
-    sorted_labels = node_label[order]
-    bounds = np.nonzero(np.diff(sorted_labels))[0] + 1
-    groups = [np.sort(nodes[order[s:e]]) for s, e in _runs(bounds, nodes.size)]
-    return sorted(groups, key=lambda g: int(g[0]))
+    dense = dense.reshape(-1, 2)
+    label = np.arange(nodes.size)
+    merge_labels(label, dense[:, 0], dense[:, 1])
+    # nodes ascend, so each label is the index of its component's smallest id
+    order = np.argsort(label, kind="stable")
+    return np.split(nodes[order], np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def merge_labels(label: np.ndarray, a, b) -> None:
@@ -166,6 +144,8 @@ def merge_labels(label: np.ndarray, a, b) -> None:
     label on entry and on return. Each round hooks the root of every edge
     whose endpoints still differ to the smaller of their two roots, then
     pointer-jumps to a fixed point; every round drops at least one root.
+    transitive_closure and select_edges' lazy selection both join through
+    this one routine.
     """
     a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
     while True:
@@ -181,12 +161,6 @@ def merge_labels(label: np.ndarray, a, b) -> None:
             if np.array_equal(up, label):
                 break
             label[:] = up
-
-
-def _runs(bounds: np.ndarray, size: int):
-    starts = np.concatenate(([0], bounds))
-    ends = np.append(bounds, size)
-    return zip(starts, ends)
 
 
 def _normalized_edges(edges) -> np.ndarray:
@@ -212,8 +186,7 @@ def k_cut(
     such a pair would equal the given one bit for bit (see classifier), so
     the reuse saves the call and changes no cluster.
     """
-    if not 0.0 < threshold < 1.0:
-        raise DataError(f"threshold must be in (0, 1), got {threshold}")
+    check_threshold(threshold)
     known_keys, known_scores = _score_table(scored, embeddings)
     rng = np.random.default_rng(seed)
     groups = [np.asarray(g, dtype=np.uint64).reshape(-1) for g in groups]
@@ -242,6 +215,12 @@ def k_cut(
         ids, sizes = rest[~passed], np.bincount(group[~passed], minlength=sizes.size)
         sizes = sizes[sizes > 0]
     return ClusterTable(*map(np.concatenate, zip(*parts)))
+
+
+def check_threshold(threshold: float) -> None:
+    """A DataError unless 0 < threshold < 1."""
+    if not 0.0 < threshold < 1.0:
+        raise DataError(f"threshold must be in (0, 1), got {threshold}")
 
 
 def add_singletons(table: ClusterTable, ids) -> ClusterTable:

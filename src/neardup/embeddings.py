@@ -236,11 +236,13 @@ class EmbeddingSet:
 
 
 def hamming_distance_matrix(a: EmbeddingSet, rows_a, b: EmbeddingSet, rows_b) -> np.ndarray:
-    """Exact hamming distances between selected rows, via a byte popcount table."""
+    """Exact hamming distances between selected rows, via a byte popcount
+    table, in the narrowest unsigned type that holds d: a stable sort of
+    16-bit or narrower keys takes NumPy's radix sort."""
     if a.d != b.d:
         raise DimensionError("mixed embedding widths")
     xor = np.bitwise_xor(a.packed[rows_a], b.packed[rows_b])
-    return _POPCOUNT[xor].sum(axis=-1, dtype=np.int64)
+    return _POPCOUNT[xor].sum(axis=-1, dtype=np.min_scalar_type(a.d))
 
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, LshConfig, hamming_distance_matrix
 from .errors import ConfigMismatchError, DataError
-from .index import PostingIndex, _list_heads, sorted_runs
+from .index import PostingIndex, _list_heads, build_index, sorted_runs
 from .util import pairs_within
 
 # Join keys one block materialises and sorts. A block holds every key of its
@@ -265,8 +265,6 @@ def recall_at_distance(
     group_of[i] is the ground-truth group of embeddings.ids[i]. Returns 1.0
     when no pair is within the threshold (nothing to miss).
     """
-    from .index import build_index
-
     if group_of.shape[0] != len(embeddings):
         raise DataError("group_of must align with embeddings")
     order = np.argsort(group_of, kind="stable")

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifier import SCORE_CHUNK_ROWS, MlpModel, predict_rows
-from .clustering import ClusterTable, merge_labels
+from .clustering import ClusterTable, check_threshold, merge_labels
 from .embeddings import EmbeddingSet, hamming_distance_matrix
 from .errors import DataError
 from .search import SearchResultBatch
@@ -89,7 +89,7 @@ def select_edges(a, b, model: MlpModel, embeddings: EmbeddingSet, threshold: flo
     that scores >= threshold, and each keeps the score a call over every
     pair gives it, bit for bit (see classifier).
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     rows_a, rows_b = embeddings.rows_of(a), embeddings.rows_of(b)
@@ -122,7 +122,7 @@ def select_candidates(
     first score >= threshold wins. Per query only the best-scoring cluster
     survives (ties: smaller cluster id).
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     if k_aug < 0:
         raise DataError(f"k_aug must be >= 0, got {k_aug}")
 
@@ -175,8 +175,3 @@ def emit_augmentation_labels(matches: HeadMatches, heads: ClusterHeads) -> list:
     head = heads.head[pos]
     aug = matches.via != head
     return [(q, h, 1) for q, h in zip(matches.query[aug].tolist(), head[aug].tolist())]
-
-
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold < 1.0:
-        raise DataError(f"threshold must be in (0, 1), got {threshold}")

@@ -1,6 +1,8 @@
 """Clustering tests: closure against a union-find oracle, k-cut invariants
 under the popcount model, head choice, and the cluster TSV format."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,32 @@ def test_closure_takes_id_arrays_and_rejects_other_shapes():
 def test_closure_groups_sorted_by_min_member():
     groups = transitive_closure([(30, 31), (1, 2), (10, 11), (2, 10)])
     assert as_lists(groups) == [[1, 2, 10, 11], [30, 31]]
+
+
+def closure_worst_cases(rng):
+    """Edge arrays by name: a long chain over shuffled ids, a star whose
+    centre has the largest id, and many two-node groups."""
+    ids = rng.permutation(20_000).astype(np.uint64) + np.uint64(7)
+    chain = np.column_stack((ids[:-1], ids[1:]))
+    leaves = rng.permutation(5_000).astype(np.uint64)
+    star = np.column_stack((np.full(leaves.size, 2**64 - 2, dtype=np.uint64), leaves))
+    pairs = rng.permutation(10_000).astype(np.uint64).reshape(-1, 2)
+    return {"chain": chain, "star": star, "pairs": pairs}
+
+
+@pytest.mark.parametrize("case", ["chain", "star", "pairs"])
+def test_closure_worst_cases_match_union_find(case):
+    edges = closure_worst_cases(np.random.default_rng(23))[case]
+    t0 = time.perf_counter()
+    groups = transitive_closure(edges)
+    elapsed = time.perf_counter() - t0
+    assert as_lists(groups) == union_find_oracle(edges.tolist())
+    for g in groups:
+        assert g.dtype == np.uint64 and np.all(g[1:] > g[:-1])
+    firsts = [int(g[0]) for g in groups]
+    assert firsts == sorted(firsts)
+    # a closure that needs a round per hop would take seconds on the chain's 19,999 hops
+    assert elapsed < 1.0
 
 
 D = 64

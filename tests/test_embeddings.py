@@ -353,6 +353,11 @@ def test_hamming_distance_matrix_matches_xor_count(rng):
     got = hamming_distance_matrix(es, rows_a, es, rows_b)
     want = [(bits[a] != bits[b]).sum() for a, b in zip(rows_a, rows_b)]
     assert got.tolist() == want
+    # narrow unsigned distances still compare right against any threshold,
+    # as recall_at_distance's dist <= distance_threshold needs
+    assert got.dtype == np.uint8
+    for threshold in (-1, 64, 65, 300):
+        assert (got <= threshold).tolist() == [w <= threshold for w in want]
 
 
 def test_popcount_table_counts_the_set_bits_of_every_byte():
