@@ -322,22 +322,15 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a model file")
-    r = ByteReader(blob, path, offset=4)
-    version, n_layers = r.unpack("<HH")
-    if version != MODEL_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    r = ByteReader.open(path, MODEL_MAGIC, MODEL_VERSION, "model")
+    (n_layers,) = r.unpack("<H")
     weights, biases = [], []
     for _ in range(n_layers):
         rows, cols = r.unpack("<II")
         weights.append(r.array("<f4", rows * cols).reshape(rows, cols))
         biases.append(r.array("<f4", rows))
     (threshold,) = r.unpack("<f")
-    if r.remaining:
-        raise FormatError(f"{path}: {r.remaining} trailing bytes after threshold")
+    r.done()
     if not (np.isfinite(threshold) and all(np.isfinite(a).all() for a in weights + biases)):
         raise FormatError(f"{path}: non-finite weight, bias or threshold")
     weights = [w.astype(np.float64) for w in weights]

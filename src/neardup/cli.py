@@ -25,6 +25,7 @@ from .corpus import (
     read_labels_csv,
     read_pairs_csv,
     save_corpus,
+    write_labels_csv,
 )
 from .embeddings import EmbeddingSet
 from .errors import DataError, NearDupError
@@ -165,10 +166,7 @@ def cmd_select(args) -> int:
         print(f"{len(matches)} matched queries -> {args.out}")
         if args.labels_out:
             labels = emit_augmentation_labels(matches, heads)
-            atomic_write_text(
-                args.labels_out,
-                "id_a,id_b,label\n" + "".join(f"{a},{b},{l}\n" for a, b, l in labels),
-            )
+            write_labels_csv(labels, args.labels_out)
             print(f"{len(labels)} augmentation labels -> {args.labels_out}")
     else:
         pairs_a, pairs_b = unordered_pairs(hits)
@@ -219,10 +217,7 @@ def cmd_incremental(args) -> int:
     if args.clusters_out:
         atomic_write_text(args.clusters_out, clusters_to_tsv(store.table))
     if args.labels_out:
-        atomic_write_text(
-            args.labels_out,
-            "id_a,id_b,label\n" + "".join(f"{a},{b},{l}\n" for a, b, l in labels),
-        )
+        write_labels_csv(labels, args.labels_out)
     by_prov = {}
     for _, _, prov in assignments:
         by_prov[prov] = by_prov.get(prov, 0) + 1

@@ -23,7 +23,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, LshConfig
 from .errors import DataError, SamplingError
-from .util import atomic_write_json, atomic_write_text, pairs_within, read_tsv
+from .util import atomic_write_json, atomic_write_text, find_sorted, pairs_within, read_tsv
 
 DEFAULT_DUPES_DIST = {0: 0.5, 1: 0.25, 2: 0.11, 3: 0.06, 4: 0.04, 6: 0.025, 9: 0.01, 16: 0.005}
 
@@ -67,12 +67,6 @@ class GroundTruth:
         self.group_of = np.ascontiguousarray(self.group_of, dtype=np.uint64)
         if self.ids.shape != self.group_of.shape:
             raise DataError("ids and group_of must align")
-
-    def groups(self) -> dict:
-        out = {}
-        for i, g in zip(self.ids, self.group_of):
-            out.setdefault(int(g), []).append(int(i))
-        return {g: sorted(v) for g, v in out.items()}
 
     def assignment(self) -> dict:
         return {int(i): int(g) for i, g in zip(self.ids, self.group_of)}
@@ -200,8 +194,11 @@ def _candidate_cross_group_pairs(truth: GroundTruth, embeddings: EmbeddingSet, l
         return []
     order = np.argsort(truth.ids)
     sorted_ids = truth.ids[order]
-    gq = truth.group_of[order[np.searchsorted(sorted_ids, ext_q)]]
-    gi = truth.group_of[order[np.searchsorted(sorted_ids, ext_i)]]
+    ext = np.concatenate((ext_q, ext_i))
+    pos, known = find_sorted(sorted_ids, ext)
+    if not known.all():
+        raise DataError(f"image {ext[~known][0]} has no ground-truth group")
+    gq, gi = np.split(truth.group_of[order[pos]], 2)
     cross = gq != gi
     a = np.minimum(ext_q[cross], ext_i[cross])
     b = np.maximum(ext_q[cross], ext_i[cross])
@@ -295,4 +292,10 @@ def load_corpus(directory):
     truth = GroundTruth(*read_tsv(path, [(int, np.uint64), (int, np.uint64)]))
     if truth.ids.size != len(embeddings):
         raise DataError(f"{directory}: ground truth covers {truth.ids.size} ids, embeddings {len(embeddings)}")
+    unknown = truth.ids[~embeddings.contains(truth.ids)]
+    if unknown.size:
+        raise DataError(f"{path}: image {unknown[0]} has a group but no embedding")
+    ungrouped = np.setdiff1d(embeddings.ids, truth.ids)
+    if ungrouped.size:
+        raise DataError(f"{path}: image {ungrouped[0]} has an embedding but no group")
     return embeddings, truth

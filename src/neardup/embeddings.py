@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, FormatError, NearDupError, SelectionError
-from .util import atomic_write_bytes, find_sorted
+from .util import ByteReader, atomic_write_bytes, find_sorted
 
 EMBEDDING_MAGIC = b"NDEM"
 EMBEDDING_VERSION = 1
@@ -211,38 +211,24 @@ class EmbeddingSet:
 
     @classmethod
     def load(cls, path) -> "EmbeddingSet":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:4] != EMBEDDING_MAGIC:
-            raise FormatError(f"{path}: bad magic, not an embedding file")
-        if len(blob) < 16:
-            raise FormatError(f"{path}: truncated header")
-        version, d, count = struct.unpack("<HHQ", blob[4:16])
-        if version != EMBEDDING_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        r = ByteReader.open(path, EMBEDDING_MAGIC, EMBEDDING_VERSION, "embedding")
+        d, count = r.unpack("<HQ")
         if d == 0 or d % 8 != 0:
             raise FormatError(f"{path}: invalid d={d}")
-        rec = np.dtype([("id", "<u8"), ("bits", np.uint8, (d // 8,))])
-        body = blob[16:]
-        if len(body) != count * rec.itemsize:
-            raise FormatError(
-                f"{path}: expected {count} records ({count * rec.itemsize} bytes), got {len(body)}"
-            )
-        record = np.frombuffer(body, dtype=rec)
+        record = r.array(np.dtype([("id", "<u8"), ("bits", np.uint8, (d // 8,))]), count)
+        r.done()
         try:
-            return cls(d, record["id"].copy(), record["bits"].copy().reshape(count, d // 8))
+            return cls(d, record["id"].copy(), record["bits"].copy())
         except NearDupError as exc:
             raise FormatError(f"{path}: {exc}") from exc
 
 
-def hamming_distance_matrix(a: EmbeddingSet, rows_a, b: EmbeddingSet, rows_b) -> np.ndarray:
-    """Exact hamming distances between selected rows, via a byte popcount
-    table, in the narrowest unsigned type that holds d: a stable sort of
-    16-bit or narrower keys takes NumPy's radix sort."""
-    if a.d != b.d:
-        raise DimensionError("mixed embedding widths")
-    xor = np.bitwise_xor(a.packed[rows_a], b.packed[rows_b])
-    return _POPCOUNT[xor].sum(axis=-1, dtype=np.min_scalar_type(a.d))
+def hamming_distance_matrix(embeddings: EmbeddingSet, rows_a, rows_b) -> np.ndarray:
+    """Exact hamming distances between pairs of rows of one set, via a byte
+    popcount table, in the narrowest unsigned type that holds d: a stable
+    sort of 16-bit or narrower keys takes NumPy's radix sort."""
+    xor = np.bitwise_xor(embeddings.packed[rows_a], embeddings.packed[rows_b])
+    return _POPCOUNT[xor].sum(axis=-1, dtype=np.min_scalar_type(embeddings.d))
 
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)

@@ -43,7 +43,6 @@ import json
 import logging
 import os
 import struct
-import time
 import zlib
 from typing import NamedTuple
 
@@ -53,12 +52,12 @@ from .classifier import MlpModel, predict_rows
 from .clustering import ClusterIndex, ClusterTable, choose_head
 from .config import PipelineConfig
 from .embeddings import EmbeddingSet, LshConfig
-from .errors import NearDupError, StoreError
+from .errors import FormatError, NearDupError, StoreError
 from .index import PostingIndex, build_index
 from .pipeline import resolve_lsh_config, static_clusters
 from .search import batch_search
 from .selection import ClusterHeads, HeadMatches, emit_augmentation_labels, select_candidates
-from .util import TEMP_PREFIX, atomic_write_bytes, atomic_write_text, find_sorted, first_repeat
+from .util import TEMP_PREFIX, ByteReader, StageTimer, atomic_write_bytes, atomic_write_text, find_sorted, first_repeat
 
 log = logging.getLogger("neardup")
 
@@ -256,12 +255,11 @@ class ClusterStore:
 # widest first so every column starts aligned; then a CRC32 (u32) of all
 # bytes before it. All little-endian. role is MEMBER, HEAD or LISTED.
 
-_HEADER = struct.Struct("<4sHHQ")
 _COLUMNS = (("ids", "<u8"), ("cluster", "<u8"), ("score", "<f8"), ("role", "u1"), ("packed", "u1"))
 
 
 def _encode_segment(d: int, columns: dict) -> bytes:
-    parts = [_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, d, columns["ids"].size)]
+    parts = [SEGMENT_MAGIC, struct.pack("<HHQ", SEGMENT_VERSION, d, columns["ids"].size)]
     parts += [np.ascontiguousarray(columns[name], dtype=dtype).tobytes() for name, dtype in _COLUMNS]
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
@@ -274,25 +272,18 @@ def _stored_crc(blob: bytes) -> int:
 def _decode_segment(blob: bytes, path) -> tuple:
     """(d, column name -> read-only array) of a segment file's bytes; any
     truncation, checksum mismatch or bad header is a StoreError."""
-    if len(blob) < _HEADER.size + 4:
-        raise StoreError(f"{path}: truncated segment of {len(blob)} bytes")
-    if zlib.crc32(memoryview(blob)[:-4]) != _stored_crc(blob):
+    body = memoryview(blob)[:-4]
+    if zlib.crc32(body).to_bytes(4, "little") != blob[-4:]:
         raise StoreError(f"{path}: segment checksum mismatch")
-    magic, version, d, images = _HEADER.unpack_from(blob)
-    if magic != SEGMENT_MAGIC:
-        raise StoreError(f"{path}: not a segment file")
-    if version != SEGMENT_VERSION:
-        raise StoreError(f"{path}: segment version {version}; this release reads version {SEGMENT_VERSION} only")
-    if d == 0 or d % 8:
-        raise StoreError(f"{path}: invalid d={d}")
-    counts = [images] * (len(_COLUMNS) - 1) + [images * (d // 8)]
-    size = _HEADER.size + sum(n * np.dtype(dtype).itemsize for n, (_, dtype) in zip(counts, _COLUMNS)) + 4
-    if size != len(blob):
-        raise StoreError(f"{path}: header describes {size} bytes, file holds {len(blob)}")
-    columns, offset = {}, _HEADER.size
-    for n, (name, dtype) in zip(counts, _COLUMNS):
-        columns[name] = np.frombuffer(blob, dtype=dtype, count=n, offset=offset)
-        offset += columns[name].nbytes
+    try:
+        r = ByteReader.open(path, SEGMENT_MAGIC, SEGMENT_VERSION, "segment", body)
+        d, images = r.unpack("<HQ")
+        if d == 0 or d % 8:
+            raise FormatError(f"{path}: invalid d={d}")
+        columns = {name: r.array(dtype, images * (d // 8 if name == "packed" else 1)) for name, dtype in _COLUMNS}
+        r.done()
+    except FormatError as exc:
+        raise StoreError(str(exc)) from exc
     return d, columns
 
 
@@ -524,13 +515,6 @@ def _roles(table: ClusterTable, k_aug: int) -> np.ndarray:
     return role
 
 
-def _log_stage(stage: str, t0: float, detail: str = "", *args) -> float:
-    """Log one stage's seconds since t0 at -v; returns the time now."""
-    now = time.perf_counter()
-    log.info("%s %.3fs" + detail, stage, now - t0, *args)
-    return now
-
-
 def run_incremental(store_or_directory, new_embeddings: EmbeddingSet, model: MlpModel, config: PipelineConfig = None):
     """One batch end to end: open or create the store, match, merge, persist.
 
@@ -555,7 +539,7 @@ def run_incremental(store_or_directory, new_embeddings: EmbeddingSet, model: Mlp
 
 
 def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: MlpModel, config: PipelineConfig):
-    t0 = time.perf_counter()
+    stage = StageTimer()
     if isinstance(store_or_directory, ClusterStore):
         store = store_or_directory
     elif os.path.exists(os.path.join(directory, MANIFEST_NAME)):
@@ -564,7 +548,7 @@ def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: 
         lsh_config = resolve_lsh_config(config, new_embeddings)
         empty = new_embeddings.subset([])
         store = ClusterStore(lsh_config, empty, k_aug=config.augmentation.k_aug, directory=directory)
-    t0 = _log_stage("open", t0, ": %d images in %d clusters", len(store), store.n_clusters)
+    stage("open", "%d images in %d clusters", len(store), store.n_clusters)
     if len(new_embeddings) == 0:
         return store, [], []
 
@@ -579,14 +563,14 @@ def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: 
     combined = store.embeddings.concat(fresh)
     matches = run_nvo(store, fresh, model, config, combined=combined)
     labels = emit_augmentation_labels(matches, store.heads)
-    t0 = _log_stage("nvo", t0, ": %d of %d new images match a head", len(matches), len(fresh))
+    stage("nvo", "%d of %d new images match a head", len(matches), len(fresh))
     nvn = run_nvn(store, fresh, model, config)
-    t0 = _log_stage("nvn", t0, ": %d batch clusters", len(nvn.clusters))
+    stage("nvn", "%d batch clusters", len(nvn.clusters))
     next_store, batch_assignments = merge(store, matches, nvn.clusters, model, combined)
-    t0 = _log_stage("merge", t0, ": store now %d clusters", next_store.n_clusters)
+    stage("merge", "store now %d clusters", next_store.n_clusters)
     if next_store.directory is not None:
         next_store.save()
-        _log_stage("save", t0, ": generation %d", next_store.batch_id)
+        stage("save", "generation %d", next_store.batch_id)
     return next_store, sorted(assignments + batch_assignments), labels
 
 

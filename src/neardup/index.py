@@ -229,14 +229,7 @@ def save_index(index: PostingIndex, path) -> IndexSizes:
 
 
 def load_index(path) -> PostingIndex:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != INDEX_MAGIC:
-        raise FormatError(f"{path}: bad magic, not an index file")
-    r = ByteReader(blob, path, offset=4)
-    (version,) = r.unpack("<H")
-    if version != INDEX_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}, expected {INDEX_VERSION}")
+    r = ByteReader.open(path, INDEX_MAGIC, INDEX_VERSION, "index")
     d, term_bits, m = r.unpack("<HHH")
     sel = r.array("<u2", m)
     try:
@@ -248,13 +241,12 @@ def load_index(path) -> PostingIndex:
     (n_terms,) = r.unpack("<I")
     terms, counts, term_nbytes = [r.array("<u4", n_terms).astype(np.int64) for _ in range(3)]
     # below 2^32 values of below 2^32 each: the u64 sum is exact
-    expected = int(term_nbytes.sum(dtype=np.uint64))
-    if expected != r.remaining:
-        raise FormatError(f"{path}: posting byte lengths sum to {expected}, payload holds {r.remaining} bytes")
+    payload = r.array(np.uint8, int(term_nbytes.sum(dtype=np.uint64)))
+    r.done()
     if np.unique(external).size != external.size:
         raise FormatError(f"{path}: duplicate external ids in dictionary")
     try:
-        offsets, ids = _decode_postings(terms, counts, term_nbytes, r.array(np.uint8, r.remaining), n_images)
+        offsets, ids = _decode_postings(terms, counts, term_nbytes, payload, n_images)
     except (EncodingError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return PostingIndex(config, external, terms, offsets, ids)

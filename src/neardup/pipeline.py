@@ -6,8 +6,6 @@ partition. Deterministic for fixed config + seed + input: same clusters,
 byte-identical cluster file.
 """
 
-import logging
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +21,7 @@ from .index import build_index
 from .metrics import pairwise_precision_recall, purity, rand_index
 from .search import batch_search, recall_at_distance, unordered_pairs
 from .selection import select_edges
-from .util import atomic_write_text, find_sorted
-
-log = logging.getLogger("neardup")
+from .util import StageTimer, atomic_write_text, find_sorted
 
 
 @dataclass
@@ -64,38 +60,29 @@ def static_clusters(
     config: PipelineConfig,
     lsh_config: LshConfig = None,
 ) -> StaticRunResult:
-    """Run the full static pipeline over one embedding set."""
-    timings = {}
+    """Run the full static pipeline over one embedding set; timings holds
+    the seconds of its five stages, which -v logs."""
     if len(embeddings) == 0:
         return StaticRunResult(ClusterTable(), lsh_config, timings={})
 
-    t0 = time.perf_counter()
+    stage = StageTimer()
     if lsh_config is None:
         lsh_config = resolve_lsh_config(config, embeddings)
     index = build_index(embeddings, lsh_config)
-    timings["index"] = time.perf_counter() - t0
-    log.info("indexed %d images, %d postings", len(embeddings), index.posting_count())
+    stage("index", "%d images, %d postings", len(embeddings), index.posting_count())
 
-    t0 = time.perf_counter()
     hits = batch_search(embeddings, index, k=config.search.k, min_overlap=config.search.min_overlap)
-    timings["search"] = time.perf_counter() - t0
-    log.info("search produced %d candidate pairs", hits.query.size)
+    stage("search", "%d candidate pairs", hits.query.size)
 
-    t0 = time.perf_counter()
     pairs_a, pairs_b = unordered_pairs(hits)
     edges_a, edges_b, edge_scores, pairs_scored = select_edges(
         pairs_a, pairs_b, model, embeddings, config.classifier.threshold
     )
-    timings["select"] = time.perf_counter() - t0
-    log.info(
-        "classifier scored %d of %d candidate pairs, kept %d edges", pairs_scored, pairs_a.size, edges_a.size
-    )
+    stage("select", "scored %d of %d candidate pairs, kept %d edges", pairs_scored, pairs_a.size, edges_a.size)
 
-    t0 = time.perf_counter()
     groups = transitive_closure(np.column_stack((edges_a, edges_b)))
-    timings["closure"] = time.perf_counter() - t0
+    stage("closure", "%d groups", len(groups))
 
-    t0 = time.perf_counter()
     # pivot pairs that are kept edges take their selection scores
     clusters = k_cut(
         groups,
@@ -106,8 +93,7 @@ def static_clusters(
         scored=(edges_a, edges_b, edge_scores),
     )
     clusters = add_singletons(clusters, embeddings.ids)
-    timings["cut"] = time.perf_counter() - t0
-    log.info("%d clusters (%d non-singleton)", len(clusters), int((clusters.sizes > 1).sum()))
+    stage("cut", "%d clusters (%d non-singleton)", len(clusters), int((clusters.sizes > 1).sum()))
 
     return StaticRunResult(
         clusters,
@@ -115,7 +101,7 @@ def static_clusters(
         edge_count=int(edges_a.size),
         candidate_pairs=int(pairs_a.size),
         pairs_scored=pairs_scored,
-        timings=timings,
+        timings=stage.seconds,
     )
 
 
@@ -188,16 +174,16 @@ def evaluate_pipeline(
 
     training = None
     if model is None:
-        t0 = time.perf_counter()
+        stage = StageTimer()
         result, n_pairs = train_default_model(embeddings, truth, config, lsh_config)
+        stage("train", "%d pairs", n_pairs)
         model = result.model
         training = {
             "pairs": n_pairs,
             "epoch_losses": [round(x, 6) for x in result.epoch_losses],
             "validation": result.validation,
-            "seconds": round(time.perf_counter() - t0, 3),
+            "seconds": round(stage.seconds["train"], 3),
         }
-        log.info("trained model on %d pairs in %.1fs", n_pairs, training["seconds"])
 
     run = static_clusters(embeddings, model, config, lsh_config=lsh_config)
     # the truth group of each table row, by one sorted lookup

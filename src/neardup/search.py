@@ -270,7 +270,7 @@ def recall_at_distance(
     order = np.argsort(group_of, kind="stable")
     ia, ib = pairs_within(np.unique(group_of, return_counts=True)[1])
     rows_a, rows_b = order[ia], order[ib]
-    dist = hamming_distance_matrix(embeddings, rows_a, embeddings, rows_b)
+    dist = hamming_distance_matrix(embeddings, rows_a, rows_b)
     close = dist <= distance_threshold
     rows_a, rows_b = rows_a[close], rows_b[close]
     if rows_a.size == 0:

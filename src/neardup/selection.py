@@ -93,7 +93,7 @@ def select_edges(a, b, model: MlpModel, embeddings: EmbeddingSet, threshold: flo
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     rows_a, rows_b = embeddings.rows_of(a), embeddings.rows_of(b)
-    order = np.argsort(hamming_distance_matrix(embeddings, rows_a, embeddings, rows_b), kind="stable")
+    order = np.argsort(hamming_distance_matrix(embeddings, rows_a, rows_b), kind="stable")
     label = np.arange(len(embeddings))
     keep, scores, scored = np.zeros(a.size, dtype=bool), np.empty(a.size), 0
     for s in range(0, order.size, SCORE_CHUNK_ROWS):

@@ -1,25 +1,56 @@
 """Atomic file writes, a bounds-checked reader for binary files, a column
-reader for tab-separated files, lookups in sorted arrays, and the pairs
-within groups."""
+reader for tab-separated files, lookups in sorted arrays, the pairs within
+groups, and the stage timer behind -v."""
 
 import json
+import logging
 import os
 import struct
 import tempfile
+import time
 
 import numpy as np
 
 from .errors import DataError, FormatError
 
+log = logging.getLogger("neardup")
+
 
 class ByteReader:
-    """Sequential reads from a file's bytes; running past the end is a
-    FormatError naming the file, never a struct or numpy error."""
+    """Sequential reads from a file's bytes; running past the end, or
+    stopping short of it, is a FormatError naming the file, never a struct
+    or numpy error."""
 
     def __init__(self, blob: bytes, path, offset: int = 0):
         self.blob = blob
         self.path = path
         self.offset = offset
+
+    @classmethod
+    def open(cls, path, magic: bytes, version: int, kind: str, blob=None) -> "ByteReader":
+        """A reader of path's bytes, or of blob when given, positioned after
+        the file's magic and u16 version; FormatError unless both are the
+        ones given."""
+        if blob is None:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        if blob[: len(magic)] != magic:
+            raise FormatError(f"{path}: bad magic, expected {magic!r} ({kind} file)")
+        r = cls(blob, path, len(magic))
+        (found,) = r.unpack("<H")
+        if found != version:
+            raise FormatError(
+                f"{path}: unsupported version {found}, expected {version}; "
+                f"this release cannot read {kind} version {found}"
+            )
+        return r
+
+    def done(self) -> None:
+        """FormatError if any byte is left unread."""
+        if self.remaining:
+            raise FormatError(
+                f"{self.path}: {self.remaining} bytes left over after the {self.offset} the header describes"
+            )
 
     @property
     def remaining(self) -> int:
@@ -46,6 +77,22 @@ class ByteReader:
         """A read-only view of the next count items."""
         start = self._advance(np.dtype(dtype).itemsize * count)
         return np.frombuffer(self.blob, dtype=dtype, count=count, offset=start)
+
+
+class StageTimer:
+    """The stage log of -v: each call logs "<stage> <s>s: <detail>" at INFO
+    for the seconds since the previous call, or since the timer was made,
+    and keeps them in seconds under the stage's name."""
+
+    def __init__(self):
+        self.seconds = {}
+        self._t0 = time.perf_counter()
+
+    def __call__(self, stage: str, detail: str, *args) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._t0
+        log.info("%s %.3fs: " + detail, stage, self.seconds[stage], *args)
+        self._t0 = now
 
 
 TEMP_PREFIX = ".tmp-"

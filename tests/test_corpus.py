@@ -25,6 +25,12 @@ def hamming(emb, a, b):
     return int(np.sum(xa != xb))
 
 
+def groups_of(truth):
+    """(group id, its member ids ascending) of every group, from ids and group_of."""
+    for g in np.unique(truth.group_of).tolist():
+        yield g, sorted(truth.ids[truth.group_of == g].tolist())
+
+
 def test_no_dupes_means_all_singletons():
     spec = SyntheticCorpusSpec(seed=1, n_base=50, d=64, dupes_per_base={0: 1.0})
     emb, truth = generate_corpus(spec)
@@ -39,7 +45,7 @@ def test_zero_flips_are_exact_duplicates():
     )
     emb, truth = generate_corpus(spec)
     assert len(emb) == 60
-    for g, members in truth.groups().items():
+    for g, members in groups_of(truth):
         assert members[0] == g  # group id is the base image id
         for m in members[1:]:
             assert hamming(emb, g, m) == 0
@@ -50,7 +56,7 @@ def test_flip_counts_respect_bounds():
         seed=3, n_base=40, d=128, dupes_per_base={1: 0.5, 3: 0.5}, flip_min=2, flip_max=9
     )
     emb, truth = generate_corpus(spec)
-    for g, members in truth.groups().items():
+    for g, members in groups_of(truth):
         for m in members[1:]:
             assert 2 <= hamming(emb, g, m) <= 9
 
@@ -59,7 +65,7 @@ def test_ids_sequential_and_groups_contiguous():
     spec = SyntheticCorpusSpec(seed=4, n_base=30, d=64, dupes_per_base={0: 0.5, 2: 0.5})
     emb, truth = generate_corpus(spec)
     assert np.array_equal(emb.ids, np.arange(len(emb), dtype=np.uint64))
-    for g, members in truth.groups().items():
+    for g, members in groups_of(truth):
         assert members == list(range(g, g + len(members)))
 
 
@@ -106,7 +112,6 @@ def test_groundtruth_helpers():
         np.array([0, 1, 2, 3, 4], dtype=np.uint64),
         np.array([0, 0, 2, 2, 2], dtype=np.uint64),
     )
-    assert truth.groups() == {0: [0, 1], 2: [2, 3, 4]}
     assert truth.assignment() == {0: 0, 1: 0, 2: 2, 3: 2, 4: 2}
     assert sorted(truth.group_sizes()) == [2, 3]
     assert truth.within_group_pairs() == [(0, 1), (2, 3), (2, 4), (3, 4)]
@@ -184,6 +189,19 @@ def test_hard_negatives_collide_in_index(lsh64):
     assert len(neg) == 3
     sets = term_sets(emb, lsh64)
     assert all(len(sets[a] & sets[b]) >= 2 for a, b in neg)
+
+
+@pytest.mark.parametrize("ungrouped", [1, 11])
+def test_hard_negatives_refuse_an_image_without_a_group(lsh64, ungrouped):
+    # the image colliding with every other has no ground-truth row: an
+    # inner id once took its neighbour's group, the largest id ran off the end
+    from conftest import star_set
+
+    emb = star_set(64, 13, [(0, []), (1, [0]), (10, [1]), (11, [2])])
+    keep = np.array([0, 1, 10, 11], dtype=np.uint64) != ungrouped
+    truth = GroundTruth(np.array([0, 1, 10, 11], dtype=np.uint64)[keep], np.array([0, 0, 10, 10], dtype=np.uint64)[keep])
+    with pytest.raises(DataError, match=f"image {ungrouped} has no ground-truth group"):
+        generate_labels(truth, emb, n_pos=1, n_neg=3, seed=5, lsh_config=lsh64, hard_negative_fraction=1.0)
 
 
 def test_generate_labels_shortfalls(small_corpus):
@@ -272,4 +290,22 @@ def test_corpus_directory_rejects_mismatch(tmp_path, small_corpus):
     lines = gt.read_text().splitlines()
     gt.write_text("\n".join(lines[:-1]) + "\n")  # drop one image
     with pytest.raises(DataError):
+        load_corpus(tmp_path / "corpus")
+
+
+@pytest.mark.parametrize(
+    "replace, message",
+    [("1000000", "image 1000000 has a group but no embedding"), ("4", "image 3 has an embedding but no group")],
+)
+def test_corpus_directory_rejects_ids_without_a_partner(tmp_path, small_corpus, replace, message):
+    # as many ground-truth rows as embeddings, but image 3's row names
+    # another id: one the embeddings lack, or image 4 a second time
+    emb, truth = small_corpus
+    save_corpus(emb, truth, tmp_path / "corpus")
+    gt = tmp_path / "corpus" / "groundtruth.tsv"
+    lines = gt.read_text().splitlines()
+    assert lines[3].startswith("3\t")
+    lines[3] = replace + lines[3][1:]
+    gt.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"groundtruth.tsv: {message}"):
         load_corpus(tmp_path / "corpus")

@@ -350,7 +350,7 @@ def test_hamming_distance_matrix_matches_xor_count(rng):
     es = EmbeddingSet.from_bits(np.arange(10, dtype=np.uint64), bits)
     rows_a = np.array([0, 3, 5])
     rows_b = np.array([1, 3, 9])
-    got = hamming_distance_matrix(es, rows_a, es, rows_b)
+    got = hamming_distance_matrix(es, rows_a, rows_b)
     want = [(bits[a] != bits[b]).sum() for a, b in zip(rows_a, rows_b)]
     assert got.tolist() == want
     # narrow unsigned distances still compare right against any threshold,

@@ -101,6 +101,19 @@ def test_output_is_a_partition():
         assert c.cluster_id == min(c.image_ids)
 
 
+def test_static_clusters_logs_and_times_its_five_stages(caplog):
+    emb, _ = three_group_corpus()
+    with caplog.at_level("INFO", logger="neardup"):
+        result = static_clusters(emb, popcount_model(D, 9.5), toy_config())
+    timed = [re.fullmatch(r"(\w+) (\d+\.\d{3})s: .+", r.getMessage()) for r in caplog.records]
+    assert all(timed)
+    stages = ["index", "search", "select", "closure", "cut"]
+    assert [m.group(1) for m in timed] == stages
+    assert list(result.timings) == stages
+    for m in timed:
+        assert float(m.group(2)) == pytest.approx(result.timings[m.group(1)], abs=6e-4)
+
+
 def test_resolve_lsh_config_auto_vs_explicit(rng):
     bits = rng.integers(0, 2, size=(200, D), dtype=np.uint8)
     emb = EmbeddingSet.from_bits(np.arange(200, dtype=np.uint64), bits)

@@ -1,26 +1,34 @@
 """Atomic writes: what reaches the disk, and in which order, for every
-file writer; and the pairs-within-groups enumeration."""
+file writer; the one reader every binary file is loaded through; and the
+pairs-within-groups enumeration."""
 
+import json
 import os
+import re
 import stat
+import zlib
 
 import numpy as np
 import pytest
 
 from neardup import (
+    ClusterStore,
     EmbeddingSet,
     GroundTruth,
     LshConfig,
     SyntheticCorpusSpec,
     build_index,
+    load_index,
+    load_model,
     save_corpus,
     save_index,
     save_model,
     util,
     write_labels_csv,
 )
+from neardup.errors import FormatError, StoreError
 
-from conftest import popcount_model
+from conftest import cluster_table, popcount_model
 
 
 def test_atomic_write_fsyncs_file_then_renames_then_fsyncs_directory(tmp_path, monkeypatch):
@@ -94,6 +102,56 @@ def test_text_writers_keep_their_line_ends(tmp_path):
     save_corpus(EmbeddingSet.from_bits([3, 1], np.eye(2, 8, dtype=np.uint8)), GroundTruth([3, 1], [3, 3]), tmp_path)
     assert (tmp_path / "groundtruth.tsv").read_bytes() == b"3\t3\n1\t3\n"
     assert sorted(os.listdir(tmp_path)) == ["embeddings.ndem", "groundtruth.tsv", "labels.csv"]
+
+
+def _binary_file(suffix, directory):
+    """(bytes to cut, load(bytes), the error a refusal raises) of one small
+    file of the format. A segment's bytes exclude its CRC: load writes them
+    back under a fresh CRC, named by the manifest, so only reading the
+    columns can refuse them."""
+    emb = EmbeddingSet.from_bits([3, 1, 7], np.tri(3, 16, dtype=np.uint8))
+    path = directory / f"file.{suffix}"
+
+    def load_through(loader):
+        def load(blob):
+            path.write_bytes(blob)
+            return loader(path)
+        return load
+
+    if suffix == "ndem":
+        emb.save(path)
+        return path.read_bytes(), load_through(EmbeddingSet.load), FormatError
+    if suffix == "ndix":
+        save_index(build_index(emb, LshConfig(16, (0, 1, 2, 3), 2)), path)
+        return path.read_bytes(), load_through(load_index), FormatError
+    if suffix == "ndml":
+        save_model(popcount_model(16, 2.5), path)
+        return path.read_bytes(), load_through(load_model), FormatError
+    store = directory / "store"
+    table = cluster_table([(3, 3, [(1, 0.9)]), (7, 7, [])])
+    ClusterStore.initialize(table, emb, LshConfig(16, (0, 1, 2, 3), 2), directory=store)
+    manifest = json.loads((store / "manifest.json").read_text())
+    (ref,) = manifest["segments"]
+    path = store / f"segment-{ref['first_batch']}-{ref['last_batch']}.ndsg"
+
+    def load_segment(body):
+        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        ref["crc32"] = zlib.crc32(body)
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        return ClusterStore.open(store)
+
+    return path.read_bytes()[:-4], load_segment, StoreError
+
+
+@pytest.mark.parametrize("suffix", ["ndem", "ndix", "ndml", "ndsg"])
+def test_binary_files_refuse_every_prefix_and_a_trailing_byte(tmp_path, suffix):
+    blob, load, error = _binary_file(suffix, tmp_path)
+    load(blob)
+    for bad in [blob[:n] for n in range(len(blob))] + [blob + b"\x00"]:
+        with pytest.raises(error) as refusal:
+            load(bad)
+        # refused by the shared reader, before any check of the values read
+        assert re.search(r"bad magic|truncated|left over", str(refusal.value)), str(refusal.value)
 
 
 @pytest.mark.parametrize("sizes", [[], [1], [2], [5], [1, 1, 3], [4, 1, 2, 6], [0, 3, 0, 2]])
