@@ -34,7 +34,7 @@ from .classifier import MlpModel, predict_rows
 from .embeddings import EmbeddingSet
 from .errors import DataError
 from .search import row_pair_keys
-from .util import find_sorted, first_repeat, pairs_within, parse_column
+from .util import find_sorted, first_repeat, pairs_within, parse_column, top_in_groups
 
 
 class NearDupeCluster(NamedTuple):
@@ -266,16 +266,14 @@ def choose_head(ids, sizes, model: MlpModel, embeddings: EmbeddingSet) -> Cluste
         rows = embeddings.rows_of(ids)
         scores = predict_rows(model, embeddings, rows[ia], rows[ib])
         sums = np.bincount(np.concatenate((ia, ib)), np.concatenate((scores, scores)), ids.size)
-    # within a group: largest sum first, equal sums keep ascending id order
-    first = np.cumsum(sizes) - sizes
-    head_at = np.lexsort((-sums, group))[first]
+    head_at = top_in_groups(group, sums, ids, 1)
     is_head = np.zeros(ids.size, dtype=bool)
     is_head[head_at] = True
     score = np.full(ids.size, np.nan)
     # the pairs that hold a head: the other position is a member
     a_head, b_head = ia == head_at[group[ia]], ib == head_at[group[ib]]
     score[ib[a_head]], score[ia[b_head]] = scores[a_head], scores[b_head]
-    return ClusterTable(ids, ids[first][group], is_head, score)
+    return ClusterTable(ids, ids[np.cumsum(sizes) - sizes][group], is_head, score)
 
 
 # -- cluster file -----------------------------------------------------------

@@ -208,18 +208,15 @@ def _candidate_cross_group_pairs(truth: GroundTruth, embeddings: EmbeddingSet, l
 
 # -- labeled pair CSV --------------------------------------------------------
 #
-# header id_a,id_b,label[,source]; label is 0/1.
+# header id_a,id_b,label; label is 0/1. A reader carries any later column,
+# such as a source tag, without reading it.
 
 
-def write_labels_csv(pairs, path, source: str = None) -> None:
+def write_labels_csv(pairs, path) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer)  # rows end in \r\n, the csv module's default
-    if source is None:
-        writer.writerow(["id_a", "id_b", "label"])
-        writer.writerows((a, b, l) for a, b, l in pairs)
-    else:
-        writer.writerow(["id_a", "id_b", "label", "source"])
-        writer.writerows((a, b, l, source) for a, b, l in pairs)
+    writer.writerow(["id_a", "id_b", "label"])
+    writer.writerows((a, b, l) for a, b, l in pairs)
     atomic_write_text(path, buffer.getvalue())
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, FormatError, NearDupError, SelectionError
-from .util import ByteReader, atomic_write_bytes, find_sorted
+from .util import ByteReader, atomic_write_bytes, find_sorted, top_in_groups
 
 EMBEDDING_MAGIC = b"NDEM"
 EMBEDDING_VERSION = 1
@@ -89,8 +89,7 @@ def select_bits(sample: np.ndarray, d: int, m: int) -> list:
         raise SelectionError(f"m must be in [1, d]; got m={m}, d={d}")
     ones = sample.sum(axis=0, dtype=np.int64)
     key = ones * (n - ones)  # monotone in variance, exact
-    order = np.lexsort((np.arange(d), -key))
-    return [int(i) for i in order[:m]]
+    return top_in_groups(np.zeros(d), key, np.arange(d), m).tolist()
 
 
 def derive_terms_matrix(bits: np.ndarray, config: LshConfig) -> np.ndarray:
@@ -138,7 +137,6 @@ class EmbeddingSet:
         self.ids = ids
         self.packed = packed
         self._by_id = (ids[order], order)  # sorted ids and their rows, for rows_of
-        self._unpacked = None
         self._terms = None  # (LshConfig, its read-only term matrix), for terms
 
     def __len__(self) -> int:
@@ -150,9 +148,9 @@ class EmbeddingSet:
         return cls(bits.shape[1], np.asarray(ids, dtype=np.uint64), np.packbits(bits, axis=1))
 
     def bits_matrix(self) -> np.ndarray:
-        if self._unpacked is None:
-            self._unpacked = np.unpackbits(self.packed, axis=1)[:, : self.d]
-        return self._unpacked
+        """The (n, d) 0/1 matrix, unpacked on each call and not kept: it
+        takes eight times the packed bytes."""
+        return np.unpackbits(self.packed, axis=1)
 
     def terms(self, config: LshConfig) -> np.ndarray:
         """derive_terms_matrix of the set's bits, read-only; the last

@@ -57,7 +57,8 @@ from .index import PostingIndex, build_index
 from .pipeline import resolve_lsh_config, static_clusters
 from .search import batch_search
 from .selection import ClusterHeads, HeadMatches, emit_augmentation_labels, select_candidates
-from .util import TEMP_PREFIX, ByteReader, StageTimer, atomic_write_bytes, atomic_write_text, find_sorted, first_repeat
+from .util import TEMP_PREFIX, ByteReader, StageTimer, atomic_write_bytes, atomic_write_text
+from .util import find_sorted, first_repeat, top_in_groups
 
 log = logging.getLogger("neardup")
 
@@ -96,6 +97,8 @@ class ClusterStore:
     map of cluster id -> NearDupeCluster view) and head_index are derived
     from them on first use. segments lists the segments of directory that
     hold the first stored images, in row order; save writes the rest.
+    A new store holds no images and has no lsh_config (None) until its first
+    non-empty batch picks the bits.
     """
 
     def __init__(
@@ -180,18 +183,13 @@ class ClusterStore:
             store.save()
         return store
 
-    def save(self, directory=None) -> None:
+    def save(self) -> None:
         """Append a segment of the images past the persisted prefix (if any),
-        compact, swap the manifest, then delete unreferenced segments.
-
-        Saving into another directory than the store's writes every image.
-        """
-        directory = self.directory if directory is None else directory
-        if directory is None:
+        compact, swap the manifest, then delete unreferenced segments."""
+        if self.directory is None:
             raise StoreError("store has no directory to save into")
-        directory = os.fspath(directory)
-        same = self.directory is not None and os.path.abspath(directory) == os.path.abspath(self.directory)
-        segments = list(self.segments) if same else []
+        directory = os.fspath(self.directory)
+        segments = list(self.segments)
         persisted = sum(ref.images for ref in segments)
         if persisted > len(self):
             raise StoreError(f"{directory}: segments hold {persisted} images, the store {len(self)}")
@@ -405,15 +403,14 @@ def run_nvo(
     new_embeddings: EmbeddingSet,
     model: MlpModel,
     config: PipelineConfig,
-    combined: EmbeddingSet = None,
+    combined: EmbeddingSet,
 ) -> HeadMatches:
     """Match one batch against stored cluster heads, at most one match per
-    query, under config's search.k, search.min_overlap and classifier.threshold."""
+    query, under config's search.k, search.min_overlap and classifier.threshold.
+    combined is the store's embeddings followed by the batch's."""
     if len(new_embeddings) == 0 or store.heads.cluster.size == 0:
         return HeadMatches()
     hits = batch_search(new_embeddings, store.head_index, k=config.search.k, min_overlap=config.search.min_overlap)
-    if combined is None:
-        combined = store.embeddings.concat(new_embeddings)
     return select_candidates(hits, store.heads, model, combined, config.classifier.threshold, k_aug=store.k_aug)
 
 
@@ -457,8 +454,7 @@ def merge(
     at, matched = find_sorted(nvo_matches.query, nvn.image)
     # each batch cluster's best match: highest score, then smallest cluster id
     hit = np.flatnonzero(matched)
-    hit = hit[np.lexsort((nvo_matches.cluster[at[hit]], -nvo_matches.score[at[hit]], owner[hit]))]
-    hit = hit[np.unique(owner[hit], return_index=True)[1]]
+    hit = hit[top_in_groups(owner[hit], nvo_matches.score[at[hit]], nvo_matches.cluster[at[hit]], 1)]
     best = np.zeros(len(nvn), dtype=np.uint64)
     best[owner[hit]] = nvo_matches.cluster[at[hit]]
     joins = np.zeros(len(nvn), dtype=bool)
@@ -545,9 +541,10 @@ def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: 
     elif os.path.exists(os.path.join(directory, MANIFEST_NAME)):
         store = ClusterStore.open(directory)
     else:
+        store = ClusterStore(None, new_embeddings.subset([]), k_aug=config.augmentation.k_aug, directory=directory)
+    if store.lsh_config is None and len(new_embeddings):
         lsh_config = resolve_lsh_config(config, new_embeddings)
-        empty = new_embeddings.subset([])
-        store = ClusterStore(lsh_config, empty, k_aug=config.augmentation.k_aug, directory=directory)
+        store = ClusterStore(lsh_config, store.embeddings, k_aug=store.k_aug, directory=directory)
     stage("open", "%d images in %d clusters", len(store), store.n_clusters)
     if len(new_embeddings) == 0:
         return store, [], []
@@ -561,7 +558,7 @@ def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: 
 
     fresh = new_embeddings.subset(new_embeddings.ids[~known])
     combined = store.embeddings.concat(fresh)
-    matches = run_nvo(store, fresh, model, config, combined=combined)
+    matches = run_nvo(store, fresh, model, config, combined)
     labels = emit_augmentation_labels(matches, store.heads)
     stage("nvo", "%d of %d new images match a head", len(matches), len(fresh))
     nvn = run_nvn(store, fresh, model, config)

@@ -137,15 +137,20 @@ def build_index(embeddings: EmbeddingSet, config: LshConfig) -> PostingIndex:
     Dense ids follow the set's row order.
     """
     term_matrix = embeddings.terms(config)
-    n, t = term_matrix.shape
-    flat_terms = term_matrix.reshape(-1)
-    flat_dense = np.repeat(np.arange(n, dtype=np.uint32), t)
-    # flat_dense never decreases, so a stable sort by term alone orders each
-    # list by dense id; keys of 16 bits or fewer take NumPy's radix sort
+    order = posting_order(term_matrix, config)
+    terms, offsets = sorted_runs(term_matrix.reshape(-1)[order])
+    return PostingIndex(config, embeddings.ids, terms, offsets, order // term_matrix.shape[1])
+
+
+def posting_order(term_matrix: np.ndarray, config: LshConfig) -> np.ndarray:
+    """The cells of an (n, t) term matrix, as flat positions, in posting
+    order: by term, each term's cells by row.
+
+    Flat positions rise with the row, so a stable sort by term alone orders
+    each list by row; keys of 16 bits or fewer take NumPy's radix sort.
+    """
     key = np.min_scalar_type((config.term_count << config.term_bits) - 1)
-    order = np.argsort(flat_terms.astype(key, copy=False), kind="stable")
-    terms, offsets = sorted_runs(flat_terms[order])
-    return PostingIndex(config, embeddings.ids, terms, offsets, flat_dense[order])
+    return np.argsort(term_matrix.reshape(-1).astype(key, copy=False), kind="stable")
 
 
 def _list_heads(offsets: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ def resolve_lsh_config(config: PipelineConfig, embeddings: EmbeddingSet) -> LshC
     if lsh.selected_bits is not None:
         bits = [int(b) for b in lsh.selected_bits]
     else:
-        sample = embeddings.bits_matrix()[: lsh.select_sample]
+        sample = np.unpackbits(embeddings.packed[: lsh.select_sample], axis=1)
         bits = select_bits(sample, lsh.d, lsh.m)
     return LshConfig(d=lsh.d, selected_bits=tuple(bits), term_bits=lsh.term_bits)
 

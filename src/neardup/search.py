@@ -25,8 +25,8 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, LshConfig, hamming_distance_matrix
 from .errors import ConfigMismatchError, DataError
-from .index import PostingIndex, _list_heads, build_index, sorted_runs
-from .util import pairs_within
+from .index import PostingIndex, build_index, posting_order, sorted_runs
+from .util import pairs_within, top_in_groups
 
 # Join keys one block materialises and sorts. A block holds every key of its
 # query rows, so its count is exact. overlap_pairs self-join, 2-vCPU Xeon
@@ -134,30 +134,23 @@ def join_blocks(row_keys: np.ndarray, budget: int) -> list:
 
 def _self_join_lists(queries: EmbeddingSet, q_terms: np.ndarray, index: PostingIndex):
     """The posting position of every query cell (row, term column) when the
-    queries are the indexed set, as an (n, t) array; else None.
-
-    They are when the query ids are the dictionary in dense order and the
-    query-side (term, row) lists equal the index's lists: every list rises
-    strictly, and each posting (term, dense id) is the term that query row
-    holds in the term's group. Distinct postings then fill distinct cells,
-    and as many postings as cells means every cell is filled once.
-    """
+    index holds exactly the lists build_index makes of the query terms, as
+    an (n, t) array; else None. Each list then rises strictly and holds
+    every query row with its term, so a row's later postings are the pairs
+    it leads."""
     n, t = q_terms.shape
-    ids = index.ids
-    if ids.size != n * t or not np.array_equal(queries.ids, index.dictionary):
+    if index.ids.size != n * t or not np.array_equal(queries.ids, index.dictionary):
         return None
-    lengths = np.diff(index.offsets)
-    posting_terms = np.repeat(index.terms, lengths)
-    group = (posting_terms >> np.uint32(index.config.term_bits)).astype(np.int64)
-    if ids.max() >= n or group.max() >= t:
-        return None
-    if not ((ids[1:] > ids[:-1]) | _list_heads(index.offsets)[1:]).all():
-        return None
-    cells = ids.astype(np.int64) * t + group
-    if (q_terms.reshape(-1)[cells] != posting_terms).any():
+    order = posting_order(q_terms, index.config)
+    terms, offsets = sorted_runs(q_terms.reshape(-1)[order])
+    if not (
+        np.array_equal(index.terms, terms)
+        and np.array_equal(index.offsets, offsets)
+        and np.array_equal(index.ids, order // t)
+    ):
         return None
     position = np.empty(n * t, dtype=np.int64)
-    position[cells] = np.arange(ids.size, dtype=np.int64)
+    position[order] = np.arange(n * t, dtype=np.int64)
     return position.reshape(n, t)
 
 
@@ -237,17 +230,10 @@ def batch_search(queries: EmbeddingSet, index: PostingIndex, k: int = 20, min_ov
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     ext_q, ext_i, counts = overlap_pairs(queries, index, min_overlap=min_overlap)
-    # sort by (query, -overlap, index id), then keep each query's first k
-    order = np.lexsort((ext_i, -counts, ext_q))
-    ext_q, ext_i, counts = ext_q[order], ext_i[order], counts[order]
-    offsets = sorted_runs(ext_q)[1]
-    rank = np.arange(ext_q.size) - np.repeat(offsets[:-1], np.diff(offsets))
-    keep = rank < k
-    counts = counts[keep]
+    top = top_in_groups(ext_q, counts, ext_i, k)
+    counts = counts[top]
     t = index.config.term_count
-    return SearchResultBatch(
-        queries.ids, ext_q[keep], ext_i[keep], counts, counts / (2 * t - counts)
-    )
+    return SearchResultBatch(queries.ids, ext_q[top], ext_i[top], counts, counts / (2 * t - counts))
 
 
 def recall_at_distance(

@@ -20,7 +20,7 @@ from .clustering import ClusterTable, check_threshold, merge_labels
 from .embeddings import EmbeddingSet, hamming_distance_matrix
 from .errors import DataError
 from .search import SearchResultBatch
-from .util import find_sorted
+from .util import find_sorted, top_in_groups
 
 
 class ClusterHeads(NamedTuple):
@@ -49,13 +49,10 @@ class ClusterHeads(NamedTuple):
         if listed is not None:
             on_list = find_sorted(np.sort(np.asarray(listed, dtype=np.uint64)), image)[1]
             owner, image, score = owner[on_list], image[on_list], score[on_list]
-        order = np.lexsort((image, -score, owner))
-        owner, image, score = owner[order], image[order], score[order]
-        rank = np.arange(owner.size) - np.searchsorted(owner, owner)
-        if listed is not None and np.any(rank >= k_aug):
-            cluster = table.cluster_ids[owner[rank >= k_aug][0]]
-            raise DataError(f"cluster {cluster}: more than k_aug={k_aug} listed members")
-        keep = rank < k_aug
+            crowded = np.flatnonzero(np.bincount(owner, minlength=len(table)) > k_aug)
+            if crowded.size:
+                raise DataError(f"cluster {table.cluster_ids[crowded[0]]}: more than k_aug={k_aug} listed members")
+        keep = top_in_groups(owner, score, image, k_aug)
         counts = np.bincount(owner[keep], minlength=len(table))
         offsets = np.concatenate(([0], np.cumsum(counts)))
         return cls(table.cluster_ids, table.heads, offsets, image[keep], score[keep])
@@ -153,12 +150,12 @@ def select_candidates(
         via[pending[won]], score[pending[won]] = target[won], scores[won]
         pending = pending[~won & (n_aug[pending] > rank)]
 
-    # best per query: highest score, then smallest cluster id
+    # best per query: highest score, then smallest cluster id; a query whose
+    # best is -inf matched nothing
     cluster = heads.cluster[cand]
-    order = np.lexsort((cluster, -score, query))
-    order = order[np.isfinite(score[order])]
-    order = order[np.unique(query[order], return_index=True)[1]]
-    return HeadMatches(query[order], cluster[order], via[order], score[order])
+    best = top_in_groups(query, score, cluster, 1)
+    best = best[np.isfinite(score[best])]
+    return HeadMatches(query[best], cluster[best], via[best], score[best])
 
 
 def emit_augmentation_labels(matches: HeadMatches, heads: ClusterHeads) -> list:

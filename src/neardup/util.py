@@ -1,6 +1,6 @@
 """Atomic file writes, a bounds-checked reader for binary files, a column
 reader for tab-separated files, lookups in sorted arrays, the pairs within
-groups, and the stage timer behind -v."""
+groups, the k best rows of each group, and the stage timer behind -v."""
 
 import json
 import logging
@@ -197,6 +197,19 @@ def pairs_within(sizes) -> tuple:
     ia = np.repeat(np.arange(later.size), later)
     ib = ia + 1 + np.arange(ia.size) - np.repeat(np.cumsum(later) - later, later)
     return ia, ib
+
+
+def top_in_groups(group, score, tie, k: int) -> np.ndarray:
+    """Positions of each group's k highest-scoring rows, equal scores going
+    to the smaller tie, in (group, rank) order. Scores are signed integers
+    or floats, compared as numbers."""
+    group = np.asarray(group)
+    order = np.lexsort((tie, -np.asarray(score), group))
+    group = group[order]
+    first = np.r_[True, group[1:] != group[:-1]][: order.size]
+    rank = np.arange(order.size)
+    rank -= np.maximum.accumulate(np.where(first, rank, 0))
+    return order[rank < k]
 
 
 def first_repeat(values: np.ndarray) -> list:

@@ -396,6 +396,22 @@ def test_incremental_clusters_out_and_writer_lock(workspace, tmp_path, capsys):
     assert (tmp_path / "clusters.tsv").read_bytes() == clusters_to_tsv(store.table).encode()
 
 
+def test_incremental_empty_first_batch_is_a_noop(workspace, tmp_path, capsys):
+    embeddings, _ = load_corpus(workspace / "corpus")
+    embeddings.subset([]).save(tmp_path / "empty.ndem")
+    assert main([
+        "incremental",
+        "--store", str(tmp_path / "store"),
+        "--new", str(tmp_path / "empty.ndem"),
+        "--model", str(workspace / "model.ndml"),
+        "--config", str(workspace / "config.json"),
+        "--clusters-out", str(tmp_path / "clusters.tsv"),
+    ]) == 0
+    assert "empty batch; store now 0 images in 0 clusters" in capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["lock"]  # no manifest, no segment
+    assert (tmp_path / "clusters.tsv").read_text() == ""
+
+
 def test_evaluate_reports_metrics(workspace):
     root = workspace
     assert main(

@@ -183,7 +183,11 @@ def test_reopened_store_writes_the_same_bytes(tmp_path):
     assert augmentation(store.heads, 1) == [(2, s(1))]
     again = ClusterStore.open(tmp_path / "store")
     assert head_rows(again.heads) == head_rows(store.heads)
-    again.save(tmp_path / "copy")
+    copy = ClusterStore(
+        again.lsh_config, again.embeddings, again.cluster, again.score, again.role,
+        again.k_aug, again.batch_id, tmp_path / "copy",
+    )
+    copy.save()
     for name in ("manifest.json", "segment-0-0.ndsg"):
         assert (tmp_path / "copy" / name).read_bytes() == (tmp_path / "store" / name).read_bytes()
     # saving again with nothing new rewrites only an identical manifest
@@ -492,16 +496,18 @@ def test_second_writer_is_refused(tmp_path, model):
 
 def test_nvo_matches_a_duplicate_of_the_head(model):
     store = make_store()
-    found = run_nvo(store, batch([(100, [])]), model, cfg())
+    probe = batch([(100, [])])
+    found = run_nvo(store, probe, model, cfg(), store.embeddings.concat(probe))
     assert match_rows(found) == [(100, 1, 1, pytest.approx(s(0)))]
-    assert len(run_nvo(store, batch([]), model, cfg())) == 0
+    assert len(run_nvo(store, batch([]), model, cfg(), store.embeddings)) == 0
 
 
 def test_nvo_uses_the_augmentation_list(model):
     # probe 200 is 12 bits from head 1 but only 6 from stored member 2
     emb = star_set(D, SEED, [(1, []), (2, list(range(6)))])
     store = ClusterStore.initialize(cluster_table([NearDupeCluster(1, 1, [(2, s(6))])]), emb, lshc())
-    ((_, cluster, via, score),) = match_rows(run_nvo(store, batch([(200, list(range(12)))]), model, cfg()))
+    probe = batch([(200, list(range(12)))])
+    ((_, cluster, via, score),) = match_rows(run_nvo(store, probe, model, cfg(), store.embeddings.concat(probe)))
     assert cluster == 1
     assert via == 2
     assert score == pytest.approx(s(6))
@@ -755,6 +761,18 @@ def test_run_incremental_empty_batch_is_a_noop(model):
     out, assignments, labels = run_incremental(store, batch([]), model, cfg())
     assert out is store
     assert assignments == [] and labels == []
+
+
+def test_run_incremental_empty_first_batch_writes_no_store(model, tmp_path):
+    out, assignments, labels = run_incremental(tmp_path / "store", batch([]), model, cfg())
+    assert len(out) == 0 and out.n_clusters == 0
+    assert assignments == [] and labels == []
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["lock"]
+    # the first non-empty batch picks the LSH bits, as into a fresh directory
+    later, _, _ = run_incremental(out, batch([(100, [1])]), model, cfg())
+    fresh, _, _ = run_incremental(tmp_path / "other", batch([(100, [1])]), model, cfg())
+    assert later.lsh_config == fresh.lsh_config
+    assert ClusterStore.open(tmp_path / "store").batch_id == 1
 
 
 def test_run_incremental_logs_each_stage(model, tmp_path, caplog):

@@ -13,8 +13,10 @@ from neardup import (
     PostingIndex,
     batch_search,
     build_index,
+    load_index,
     overlap_pairs,
     recall_at_distance,
+    save_index,
     search,
     unordered_pairs,
 )
@@ -340,6 +342,22 @@ def test_unsorted_posting_list_is_not_self_joined(lsh64, rng):
         got = overlap_pairs(indexed, shuffled, min_overlap=m)
         want = overlap_pairs(indexed, index, min_overlap=m)
         for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_loaded_index_takes_the_half_join(lsh64, rng, tmp_path, monkeypatch):
+    # search --index reads its index from a file: read back, the index still
+    # holds exactly the lists build_index makes, so the half join applies
+    indexed = clustered_set(rng, 50, 3, 0.05)
+    save_index(build_index(indexed, lsh64), tmp_path / "self.ndix")
+    loaded = load_index(tmp_path / "self.ndix")
+    # the same ids in another dictionary order are not the indexed set
+    save_index(build_index(indexed.subset(indexed.ids[::-1]), lsh64), tmp_path / "reversed.ndix")
+    assert takes_half_path(indexed, loaded) and not takes_half_path(indexed, load_index(tmp_path / "reversed.ndix"))
+    half = [overlap_pairs(indexed, loaded, min_overlap=m) for m in (1, 2, 3)]
+    monkeypatch.setattr(search, "_self_join_lists", lambda *args: None)
+    for m, got in zip((1, 2, 3), half):
+        for g, w in zip(got, overlap_pairs(indexed, loaded, min_overlap=m)):
             np.testing.assert_array_equal(g, w)
 
 

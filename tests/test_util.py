@@ -1,6 +1,6 @@
 """Atomic writes: what reaches the disk, and in which order, for every
-file writer; the one reader every binary file is loaded through; and the
-pairs-within-groups enumeration."""
+file writer; the one reader every binary file is loaded through; the
+pairs-within-groups enumeration; and the k best rows of each group."""
 
 import json
 import os
@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neardup import (
     ClusterStore,
@@ -167,3 +169,23 @@ def test_pairs_within_matches_per_group_upper_triangles(sizes):
     for g, w in zip(got, want):
         assert g.dtype == np.int64
         np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_top_in_groups_matches_a_sorted_oracle(data):
+    n = data.draw(st.integers(0, 30))
+    group = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))  # in any order
+    if data.draw(st.booleans()):
+        score = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=np.int64)
+    else:
+        value = st.one_of(st.sampled_from([-np.inf, -0.5, 0.25, 1.0]), st.floats(-1e6, 1e6))
+        score = np.array(data.draw(st.lists(value, min_size=n, max_size=n)), dtype=np.float64)
+    tie = 7 * np.array(data.draw(st.permutations(range(n))), dtype=np.uint64)  # distinct, not in row order
+    k = data.draw(st.integers(0, 4))
+    got = util.top_in_groups(np.array(group, dtype=np.uint64), score, tie, k)
+    want = []
+    for g in sorted(set(group)):
+        rows = [i for i in range(n) if group[i] == g]
+        want += sorted(rows, key=lambda i: (-score[i], tie[i]))[:k]
+    assert got.tolist() == want
