@@ -172,9 +172,9 @@ def _unpack(packed: np.ndarray, d: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1)[:, :d].astype(np.float64)
 
 
-def train(pairs, embeddings: EmbeddingSet, config: PipelineConfig) -> TrainResult:
-    """Train a fresh model on (id_a, id_b, label) triples, with the settings
-    of config.classifier.
+def train(pairs: np.ndarray, embeddings: EmbeddingSet, config: PipelineConfig) -> TrainResult:
+    """Train a fresh model on an (n, 3) array of (id_a, id_b, label) rows,
+    with the settings of config.classifier.
 
     Deterministic under config.seed: initialization, the validation split
     and per-epoch shuffles all draw from one seeded generator. The decision
@@ -182,11 +182,11 @@ def train(pairs, embeddings: EmbeddingSet, config: PipelineConfig) -> TrainResul
     cut with recall >= MIN_RECALL.
     """
     settings = config.classifier
-    pairs = list(pairs)
-    if not pairs:
+    pairs = np.asarray(pairs, dtype=np.uint64).reshape(-1, 3)
+    if not len(pairs):
         raise TrainingError("empty training set")
-    labels = np.array([int(p[2]) for p in pairs], dtype=np.float64)
-    if set(np.unique(labels)) - {0.0, 1.0}:
+    labels = pairs[:, 2].astype(np.float64)
+    if (labels > 1).any():
         raise TrainingError("labels must be 0 or 1")
     if labels.min() == labels.max():
         raise TrainingError("training set must contain both classes")
@@ -205,8 +205,8 @@ def train(pairs, embeddings: EmbeddingSet, config: PipelineConfig) -> TrainResul
         train_rows = perm
 
     # packed XOR rows are 8x smaller than float features; unpack per batch
-    rows_a = embeddings.rows_of([p[0] for p in pairs])
-    rows_b = embeddings.rows_of([p[1] for p in pairs])
+    rows_a = embeddings.rows_of(pairs[:, 0])
+    rows_b = embeddings.rows_of(pairs[:, 1])
     xor_packed = np.bitwise_xor(embeddings.packed[rows_a], embeddings.packed[rows_b])
 
     m_w = [np.zeros_like(w) for w in model.weights]

@@ -34,7 +34,7 @@ from .index import build_index, load_index, save_index
 from .pipeline import resolve_lsh_config, run_full
 from .search import SearchResultBatch, batch_search, unordered_pairs
 from .selection import ClusterHeads, emit_augmentation_labels, select_candidates, select_edges
-from .util import atomic_write_json, atomic_write_text, read_tsv
+from .util import U64, atomic_write_json, atomic_write_text, read_columns
 
 log = logging.getLogger("neardup")
 
@@ -60,7 +60,7 @@ def cmd_gen_corpus(args) -> int:
         try:
             raw = json.loads(args.dupes_dist)
             dupes = {int(k): float(v) for k, v in raw.items()}
-        except (ValueError, AttributeError) as exc:
+        except (ValueError, AttributeError, TypeError) as exc:
             raise DataError(f"--dupes-dist must be a JSON object of count: weight: {exc}")
     kwargs = dict(
         seed=args.seed,
@@ -131,11 +131,9 @@ def cmd_classify(args) -> int:
     model = load_model(args.model)
     embeddings = _load_embeddings(args.embeddings)
     pairs = read_pairs_csv(args.pairs)
-    rows_a = embeddings.rows_of([a for a, _ in pairs])
-    rows_b = embeddings.rows_of([b for _, b in pairs])
-    scores = predict_rows(model, embeddings, rows_a, rows_b)
+    scores = predict_rows(model, embeddings, embeddings.rows_of(pairs[:, 0]), embeddings.rows_of(pairs[:, 1]))
     body = "id_a,id_b,score\n" + "".join(
-        f"{a},{b},{s:.9f}\n" for (a, b), s in zip(pairs, scores)
+        f"{a},{b},{s:.9f}\n" for (a, b), s in zip(pairs.tolist(), scores)
     )
     atomic_write_text(args.out, body)
     print(f"scored {len(pairs)} pairs -> {args.out}")
@@ -145,9 +143,7 @@ def cmd_classify(args) -> int:
 def _read_hits_tsv(path) -> SearchResultBatch:
     """The hits of a search output file, sorted by query id, file order kept
     within a query."""
-    query, hit, overlap, jaccard = read_tsv(
-        path, [(int, np.uint64), (int, np.uint64), (int, np.int64), (float, np.float64)]
-    )
+    query, hit, overlap, jaccard = read_columns(path, [U64, U64, (int, np.int64), (float, np.float64)])
     order = np.argsort(query, kind="stable")
     return SearchResultBatch(np.unique(query), *(a[order] for a in (query, hit, overlap, jaccard)))
 
@@ -183,7 +179,7 @@ def cmd_cluster(args) -> int:
     model = load_model(args.model)
     embeddings = _load_embeddings(args.embeddings)
     config = _load_config(args.config)
-    edges = read_tsv(args.edges, [(int, np.uint64), (int, np.uint64)], exact=False)
+    edges = read_columns(args.edges, [U64, U64], exact=False)
     groups = transitive_closure(np.column_stack(edges))
     # the edges file rounds scores, so the pivot pairs are scored afresh
     clusters = k_cut(groups, model, embeddings, config.classifier.threshold, seed=config.seed)

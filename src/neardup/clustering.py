@@ -25,7 +25,6 @@ the store to the cluster file; NearDupeCluster is a read-only view.
 """
 
 from collections.abc import Mapping
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +33,7 @@ from .classifier import MlpModel, predict_rows
 from .embeddings import EmbeddingSet
 from .errors import DataError
 from .search import row_pair_keys
-from .util import find_sorted, first_repeat, pairs_within, parse_column, top_in_groups
+from .util import TEXT, U64, find_sorted, first_repeat, pairs_within, parse_column, read_columns, top_in_groups
 
 
 class NearDupeCluster(NamedTuple):
@@ -299,39 +298,26 @@ def read_clusters_tsv(path) -> ClusterTable:
     cluster, or an image already on an earlier row. So are member rows of a
     cluster without a head row.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().split("\n")
-    lines = list(filter(None, raw))
-    # the first bad row and its message; the checks go in the order they
-    # apply to one line, each over the rows before the first bad one so far
-    bad = [len(lines), ""]
 
-    def flag(rows, message):
-        if len(rows) and rows[0] < bad[0]:
-            bad[:] = [int(rows[0]), message(int(rows[0]))]
+    def check(columns, flag):
+        image, cluster, role, text = columns
+        is_head = np.array([r == "head" for r in role], dtype=bool)
+        is_member = np.array([r == "member" for r in role], dtype=bool)
+        members = np.flatnonzero(is_member)
+        score = np.full(is_head.size, np.nan)
+        parsed = parse_column(
+            [text[r] for r in members.tolist()], float, np.float64, lambda rows, m: flag(members[rows], m)
+        )
+        score[members[: parsed.size]] = parsed
+        flag(np.flatnonzero(~(is_head | is_member)), lambda r: f"unknown role {role[r]!r}")
+        heads = np.flatnonzero(is_head)
+        flag(heads[first_repeat(cluster[heads])[:1]], lambda r: f"duplicate head for cluster {cluster[r]}")
+        twice = first_repeat(image)
+        flag(twice[:1], lambda r: f"image {image[r]} already in cluster {cluster[twice[1]]}")
+        return image, cluster, is_head, score
 
-    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=len(lines))
-    flag(np.flatnonzero(tabs != 3), lambda r: "expected 4 tab-separated fields")
-    fields = "\t".join(lines[: bad[0]]).split("\t") if bad[0] else []
-    image = parse_column(fields[0::4], int, np.uint64, flag)
-    cluster = parse_column(fields[1::4], int, np.uint64, flag)
-    is_head = np.array([role == "head" for role in fields[2::4]], dtype=bool)
-    is_member = np.array([role == "member" for role in fields[2::4]], dtype=bool)
-    members = np.flatnonzero(is_member[: bad[0]])
-    score = np.full(is_head.size, np.nan)
-    parsed = parse_column(
-        [fields[4 * r + 3] for r in members.tolist()], float, np.float64, lambda rows, m: flag(members[rows], m)
-    )
-    score[members[: parsed.size]] = parsed
-    flag(np.flatnonzero(~(is_head | is_member)[: bad[0]]), lambda r: f"unknown role {fields[4 * r + 2]!r}")
-    heads = np.flatnonzero(is_head[: bad[0]])
-    flag(heads[first_repeat(cluster[heads])[:1]], lambda r: f"duplicate head for cluster {cluster[r]}")
-    twice = first_repeat(image[: bad[0]])
-    flag(twice[:1], lambda r: f"image {image[r]} already in cluster {cluster[twice[1]]}")
-    if bad[1]:
-        line_no = [n for n, line in enumerate(raw, 1) if line][bad[0]]
-        raise DataError(f"{path}:{line_no}: {bad[1]}")
-    orphans = cluster[is_member & ~np.isin(cluster, cluster[is_head])]
+    image, cluster, is_head, score = read_columns(path, [U64, U64, TEXT, TEXT], check=check)
+    orphans = cluster[~is_head & ~np.isin(cluster, cluster[is_head])]
     if orphans.size:
         raise DataError(f"{path}: member rows for clusters without heads: {np.unique(orphans).tolist()}")
     return ClusterTable(image, cluster, is_head, score)

@@ -121,7 +121,7 @@ class PipelineConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
                 raise DataError(f"{path}: invalid JSON: {exc}") from exc
         return cls.from_dict(payload)
 

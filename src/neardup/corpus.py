@@ -23,7 +23,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, LshConfig
 from .errors import DataError, SamplingError
-from .util import atomic_write_json, atomic_write_text, find_sorted, pairs_within, read_tsv
+from .util import U64, atomic_write_json, atomic_write_text, find_sorted, pairs_within, read_columns
 
 DEFAULT_DUPES_DIST = {0: 0.5, 1: 0.25, 2: 0.11, 3: 0.06, 4: 0.04, 6: 0.025, 9: 0.01, 16: 0.005}
 
@@ -47,8 +47,8 @@ class SyntheticCorpusSpec:
                 f"flip range [{self.flip_min}, {self.flip_max}] invalid for d={self.d}"
             )
         dist = {int(k): float(v) for k, v in self.dupes_per_base.items()}
-        if not dist or any(k < 0 for k in dist) or any(v < 0 for v in dist.values()):
-            raise DataError("dupes_per_base must map counts >= 0 to weights >= 0")
+        if not dist or any(k < 0 for k in dist) or not all(0 <= v < float("inf") for v in dist.values()):
+            raise DataError("dupes_per_base must map counts >= 0 to finite weights >= 0")
         total = sum(dist.values())
         if total <= 0:
             raise DataError("dupes_per_base weights sum to zero")
@@ -75,16 +75,16 @@ class GroundTruth:
         _, counts = np.unique(self.group_of, return_counts=True)
         return counts
 
-    def within_group_pairs(self) -> list:
-        """Every (id, id) pair inside a group: groups in order of first
-        appearance in ids, members in id order, pairs in upper-triangle order."""
+    def within_group_pairs(self) -> np.ndarray:
+        """Every (id, id) pair inside a group, an (n, 2) array: groups in order
+        of first appearance in ids, members in id order, pairs in upper-triangle order."""
         _, first, inverse, sizes = np.unique(
             self.group_of, return_index=True, return_inverse=True, return_counts=True
         )
         order = np.lexsort((self.ids, first[inverse.reshape(-1)]))
         ia, ib = pairs_within(sizes[np.argsort(first)])
         ids = self.ids[order]
-        return list(zip(ids[ia].tolist(), ids[ib].tolist()))
+        return np.stack((ids[ia], ids[ib]), axis=1)
 
 
 def generate_corpus(spec: SyntheticCorpusSpec):
@@ -129,8 +129,9 @@ def generate_labels(
     lsh_config: LshConfig = None,
     hard_negative_fraction: float = 0.5,
     min_overlap: int = 2,
-) -> list:
-    """Sample (id_a, id_b, label) triples from ground truth.
+) -> np.ndarray:
+    """Sample labelled pairs from ground truth: an (n, 3) uint64 array of
+    (id_a, id_b, label) rows, the positives first.
 
     Positives are uniform over within-group pairs without replacement.
     Negatives are cross-group; when lsh_config is given, up to
@@ -143,16 +144,11 @@ def generate_labels(
     rng = np.random.default_rng(seed)
 
     pos_pairs = truth.within_group_pairs()
-    if n_pos > 0 and not pos_pairs:
+    if n_pos > 0 and not len(pos_pairs):
         raise SamplingError("ground truth has no within-group pairs (all singletons)")
     if n_pos > len(pos_pairs):
         raise SamplingError(f"requested {n_pos} positives, only {len(pos_pairs)} exist")
     pos_idx = rng.choice(len(pos_pairs), size=n_pos, replace=False) if n_pos else []
-    out = [(pos_pairs[i][0], pos_pairs[i][1], 1) for i in pos_idx]
-
-    if n_neg == 0:
-        return out
-    group = truth.assignment()
     chosen = set()
 
     n_hard = int(round(n_neg * hard_negative_fraction)) if lsh_config is not None else 0
@@ -160,12 +156,11 @@ def generate_labels(
         hard = _candidate_cross_group_pairs(truth, embeddings, lsh_config, min_overlap)
         take = min(n_hard, len(hard))
         if take:
-            for i in rng.choice(len(hard), size=take, replace=False):
-                chosen.add(hard[i])
+            chosen.update(map(tuple, hard[rng.choice(len(hard), size=take, replace=False)].tolist()))
 
-    ids = truth.ids
-    n = ids.size
-    if n < 2:
+    ids, group = truth.ids.tolist(), truth.group_of.tolist()
+    n = len(ids)
+    if n < 2 and n_neg:
         raise SamplingError("need at least two images for negatives")
     attempts = 0
     while len(chosen) < n_neg:
@@ -173,25 +168,25 @@ def generate_labels(
         if attempts > 200 * n_neg + 1000:
             raise SamplingError("cannot sample enough distinct cross-group negatives")
         i, j = rng.integers(n), rng.integers(n)
-        a, b = int(ids[i]), int(ids[j])
-        if a == b or group[a] == group[b]:
+        a, b = ids[i], ids[j]
+        if a == b or group[i] == group[j]:
             continue
         pair = (a, b) if a < b else (b, a)
         chosen.add(pair)
 
-    out.extend((a, b, 0) for a, b in sorted(chosen))
-    return out
+    pairs = np.concatenate((pos_pairs[pos_idx], np.array(sorted(chosen), dtype=np.uint64).reshape(-1, 2)))
+    return np.column_stack((pairs, np.arange(len(pairs)) < n_pos))
 
 
-def _candidate_cross_group_pairs(truth: GroundTruth, embeddings: EmbeddingSet, lsh_config, min_overlap: int) -> list:
-    """Sorted unordered cross-group pairs that the index surfaces as candidates."""
+def _candidate_cross_group_pairs(
+    truth: GroundTruth, embeddings: EmbeddingSet, lsh_config, min_overlap: int
+) -> np.ndarray:
+    """Sorted unordered cross-group pairs, (n, 2), that the index surfaces as candidates."""
     from .index import build_index
     from .search import overlap_pairs
 
     index = build_index(embeddings, lsh_config)
     ext_q, ext_i, _ = overlap_pairs(embeddings, index, min_overlap=min_overlap)
-    if ext_q.size == 0:
-        return []
     order = np.argsort(truth.ids)
     sorted_ids = truth.ids[order]
     ext = np.concatenate((ext_q, ext_i))
@@ -202,8 +197,7 @@ def _candidate_cross_group_pairs(truth: GroundTruth, embeddings: EmbeddingSet, l
     cross = gq != gi
     a = np.minimum(ext_q[cross], ext_i[cross])
     b = np.maximum(ext_q[cross], ext_i[cross])
-    uniq = np.unique(np.stack([a, b], axis=1), axis=0)
-    return [(int(x), int(y)) for x, y in uniq]
+    return np.unique(np.stack([a, b], axis=1), axis=0)
 
 
 # -- labeled pair CSV --------------------------------------------------------
@@ -212,53 +206,29 @@ def _candidate_cross_group_pairs(truth: GroundTruth, embeddings: EmbeddingSet, l
 # such as a source tag, without reading it.
 
 
-def write_labels_csv(pairs, path) -> None:
+def write_labels_csv(pairs: np.ndarray, path) -> None:
+    """The labels CSV of an (n, 3) array of (id_a, id_b, label) rows."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)  # rows end in \r\n, the csv module's default
     writer.writerow(["id_a", "id_b", "label"])
-    writer.writerows((a, b, l) for a, b, l in pairs)
+    writer.writerows(np.asarray(pairs).tolist())
     atomic_write_text(path, buffer.getvalue())
 
 
-def _read_int_csv(path, names: tuple, header_note: str = "", check=None) -> list:
-    """The int tuples of every non-blank row of a CSV whose header starts
-    with names: each row's first len(names) fields, later ones are carried,
-    not read. check(row) may return what is wrong with a parsed row. The
-    first bad line is a DataError naming <path>:<line>."""
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[: len(names)]] != list(names):
-            raise DataError(f"{path}: expected header {','.join(names)}{header_note}")
-        for ln, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) < len(names):
-                raise DataError(f"{path}:{ln}: expected at least {len(names)} columns")
-            try:
-                values = tuple(int(field) for field in row[: len(names)])
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from None
-            problem = check(values) if check is not None else None
-            if problem:
-                raise DataError(f"{path}:{ln}: {problem}")
-            out.append(values)
-    return out
+def read_pairs_csv(path) -> np.ndarray:
+    """The (id_a, id_b) rows of a CSV with header id_a,id_b: an (n, 2) uint64 array."""
+    return np.column_stack(read_columns(path, [U64, U64], exact=False, header=("id_a", "id_b")))
 
 
-def read_pairs_csv(path) -> list:
-    """The (id_a, id_b) rows of a CSV with header id_a,id_b."""
-    return _read_int_csv(path, ("id_a", "id_b"))
+def read_labels_csv(path) -> np.ndarray:
+    """The (id_a, id_b, label) rows of a labels CSV: an (n, 3) uint64 array."""
 
+    def check(columns, flag):
+        flag(np.flatnonzero(columns[2] > 1), lambda r: "label must be 0 or 1")
+        return columns
 
-def read_labels_csv(path) -> list:
-    return _read_int_csv(
-        path,
-        ("id_a", "id_b", "label"),
-        "[,source]",
-        check=lambda row: None if row[2] in (0, 1) else "label must be 0 or 1",
-    )
+    header = ("id_a", "id_b", "label")
+    return np.column_stack(read_columns(path, [U64, U64, U64], exact=False, header=header, check=check))
 
 
 # -- corpus directory --------------------------------------------------------
@@ -286,7 +256,7 @@ def save_corpus(embeddings: EmbeddingSet, truth: GroundTruth, directory, spec: S
 def load_corpus(directory):
     embeddings = EmbeddingSet.load(os.path.join(directory, "embeddings.ndem"))
     path = os.path.join(directory, "groundtruth.tsv")
-    truth = GroundTruth(*read_tsv(path, [(int, np.uint64), (int, np.uint64)]))
+    truth = GroundTruth(*read_columns(path, [U64, U64]))
     if truth.ids.size != len(embeddings):
         raise DataError(f"{directory}: ground truth covers {truth.ids.size} ids, embeddings {len(embeddings)}")
     unknown = truth.ids[~embeddings.contains(truth.ids)]

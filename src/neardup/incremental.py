@@ -418,10 +418,9 @@ def run_nvn(
     store: ClusterStore,
     new_embeddings: EmbeddingSet,
     model: MlpModel,
-    config: PipelineConfig = None,
+    config: PipelineConfig,
 ):
     """Cluster a batch internally: the static pipeline under the store's LSH config."""
-    config = config if config is not None else PipelineConfig()
     return static_clusters(new_embeddings, model, config, lsh_config=store.lsh_config)
 
 
@@ -511,21 +510,21 @@ def _roles(table: ClusterTable, k_aug: int) -> np.ndarray:
     return role
 
 
-def run_incremental(store_or_directory, new_embeddings: EmbeddingSet, model: MlpModel, config: PipelineConfig = None):
+def run_incremental(store_or_directory, new_embeddings: EmbeddingSet, model: MlpModel, config: PipelineConfig):
     """One batch end to end: open or create the store, match, merge, persist.
 
     Returns (store, assignments, labels). assignments holds one
     (image_id, cluster_id, provenance) row per input image; ids already in
     the store short-circuit with provenance "existing" and change nothing,
-    so re-ingesting a batch is a no-op. labels are positive (query, head, 1)
-    training pairs emitted when a match needed the augmentation list.
+    so re-ingesting a batch is a no-op. labels is an (n, 3) uint64 array of
+    positive (query, head, 1) training pairs, emitted when a match needed
+    the augmentation list.
 
     The input store object is never mutated; a fresh store is returned (and
     saved when it has a directory). An empty batch is a no-op. With -v, each
     stage (open, nvo, nvn, merge, save) logs its seconds. A store directory
     is locked against other writers from open through save.
     """
-    config = config if config is not None else PipelineConfig()
     if isinstance(store_or_directory, ClusterStore):
         directory = store_or_directory.directory
     else:
@@ -547,14 +546,14 @@ def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: 
         store = ClusterStore(lsh_config, store.embeddings, k_aug=store.k_aug, directory=directory)
     stage("open", "%d images in %d clusters", len(store), store.n_clusters)
     if len(new_embeddings) == 0:
-        return store, [], []
+        return store, [], np.zeros((0, 3), dtype=np.uint64)
 
     known = store.embeddings.contains(new_embeddings.ids)
     existing = store.cluster[store.embeddings.rows_of(new_embeddings.ids[known])]
     assignments = list(zip(new_embeddings.ids[known].tolist(), existing.tolist(), ["existing"] * existing.size))
     if known.all():
         log.info("batch of %d: all ids already stored, nothing to do", len(new_embeddings))
-        return store, sorted(assignments), []
+        return store, sorted(assignments), np.zeros((0, 3), dtype=np.uint64)
 
     fresh = new_embeddings.subset(new_embeddings.ids[~known])
     combined = store.embeddings.concat(fresh)

@@ -37,6 +37,9 @@ from .util import pairs_within, top_in_groups
 # the cache, not the data or the caller, so it is a constant, not a knob.
 JOIN_KEY_BUDGET = 1 << 16
 
+# hits per query recall_at_distance retrieves, in either direction of a pair
+RECALL_K = 100
+
 
 class SearchHit(NamedTuple):
     index_image: int
@@ -241,7 +244,6 @@ def recall_at_distance(
     group_of: np.ndarray,
     config: LshConfig,
     distance_threshold: int,
-    k: int = 100,
     min_overlap: int = 2,
 ) -> float:
     """Fraction of same-group pairs within hamming distance_threshold that
@@ -263,7 +265,7 @@ def recall_at_distance(
         return 1.0
 
     index = build_index(embeddings, config)
-    got_a, got_b = unordered_pairs(batch_search(embeddings, index, k=k, min_overlap=min_overlap))
+    got_a, got_b = unordered_pairs(batch_search(embeddings, index, k=RECALL_K, min_overlap=min_overlap))
     got = row_pair_keys(embeddings.rows_of(got_a), embeddings.rows_of(got_b))
     wanted = row_pair_keys(rows_a, rows_b)
     return int(np.isin(wanted, got).sum()) / rows_a.size

@@ -158,8 +158,9 @@ def select_candidates(
     return HeadMatches(query[best], cluster[best], via[best], score[best])
 
 
-def emit_augmentation_labels(matches: HeadMatches, heads: ClusterHeads) -> list:
-    """Positive (query, head, 1) labels for matches won by an augmentation member.
+def emit_augmentation_labels(matches: HeadMatches, heads: ClusterHeads) -> np.ndarray:
+    """Positive (query, head, 1) labels, an (n, 3) uint64 array, for matches
+    won by an augmentation member.
 
     These are exactly the adversarial pairs the classifier got wrong at the
     head: select_candidates tries the head first, so a match won by a member
@@ -171,4 +172,4 @@ def emit_augmentation_labels(matches: HeadMatches, heads: ClusterHeads) -> list:
         raise DataError(f"match names unknown cluster {matches.cluster[~found][0]}")
     head = heads.head[pos]
     aug = matches.via != head
-    return [(q, h, 1) for q, h in zip(matches.query[aug].tolist(), head[aug].tolist())]
+    return np.column_stack((matches.query[aug], head[aug], np.ones(aug.sum(), dtype=np.uint64)))

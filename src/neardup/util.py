@@ -1,13 +1,17 @@
 """Atomic file writes, a bounds-checked reader for binary files, a column
-reader for tab-separated files, lookups in sorted arrays, the pairs within
-groups, the k best rows of each group, and the stage timer behind -v."""
+reader for tab-separated and CSV files, lookups in sorted arrays, the pairs
+within groups, the k best rows of each group, and the stage timer behind
+-v."""
 
+import csv
 import json
 import logging
 import os
 import struct
 import tempfile
 import time
+import warnings
+from itertools import repeat
 
 import numpy as np
 
@@ -133,49 +137,89 @@ def atomic_write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def read_tsv(path, columns, exact: bool = True) -> list:
-    """The leading fields of a headerless tab-separated file, one array per
-    (parse, dtype) of columns, in file order; blank lines are skipped.
+# column specs of read_columns: an unsigned 64-bit id, and a field kept as text
+U64 = (int, np.uint64)
+TEXT = (None, None)
 
-    The first bad line is a DataError naming <path>:<line>: a field count
-    other than len(columns) (below it, when exact is false), or a field that
-    parse or dtype rejects, the first such field on the line.
+
+def read_columns(path, columns, exact: bool = True, header: tuple = None, check=None) -> list:
+    """One array per (parse, dtype) of columns from the leading fields of
+    every non-blank row, in file order; a column whose parse is None comes
+    back as its list of field strings.
+
+    The rows are the lines of a headerless tab-separated file or, when
+    header is given, the csv module's rows after a header row that starts
+    with those names. check(columns, flag) may flag the rows it rejects
+    through flag(positions, message), positions ascending and message(p)
+    the text for position p, and returns the columns to give back.
+
+    Undecodable bytes are a DataError naming the file. So is the first bad
+    row, as <path>:<line>: a field count other than len(columns) (below it,
+    when exact is false), a field that parse or dtype rejects (the first on
+    its row), or a row check flags.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [(n, line.split("\t")) for n, line in enumerate(fh.read().split("\n"), 1) if line]
+    k = len(columns)
+    try:
+        with open(path, "r", encoding="utf-8", newline=None if header is None else "") as fh:
+            raw = fh.read().split("\n") if header is None else list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if header is None:
+        first, noun = 1, "tab-separated fields"
+        rows = list(filter(None, raw))
+        width = np.fromiter(map(str.count, rows, repeat("\t")), dtype=np.int64, count=len(rows)) + 1
+        if not exact:  # rows may hold more fields than are read
+            rows = [line.split("\t", k) for line in rows]
+    else:
+        if not raw or [h.strip() for h in raw[0][:k]] != list(header):
+            raise DataError(f"{path}: expected header {','.join(header)}")
+        first, noun, raw = 2, "columns", raw[1:]
+        rows = list(filter(None, raw))
+        width = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     bad = [len(rows), ""]  # the first bad row and its message
 
     def flag(at, message):
         if len(at) and at[0] < bad[0]:
             bad[:] = [int(at[0]), message(int(at[0]))]
 
-    width = np.fromiter((len(fields) for _, fields in rows), dtype=np.int64, count=len(rows))
-    wrong = width != len(columns) if exact else width < len(columns)
-    need = f"{'' if exact else 'at least '}{len(columns)}"
-    flag(np.flatnonzero(wrong), lambda r: f"expected {need} tab-separated fields")
-    arrays = [
-        parse_column([fields[c] for _, fields in rows[: bad[0]]], parse, dtype, flag)
+    need = f"{'' if exact else 'at least '}{k} {noun}"
+    flag(np.flatnonzero(width != k if exact else width < k), lambda r: f"expected {need}")
+    if header is None and exact:
+        fields = "\t".join(rows[: bad[0]]).split("\t") if bad[0] else []
+    else:
+        fields = [field for row in rows[: bad[0]] for field in row[:k]]
+    out = [
+        fields[c::k] if parse is None else parse_column(fields[c::k], parse, dtype, flag)
         for c, (parse, dtype) in enumerate(columns)
     ]
+    if bad[1]:  # the rows before the first bad one, in every column
+        out = [column[: bad[0]] for column in out]
+    if check is not None:
+        out = check(out, flag)
     if bad[1]:
-        raise DataError(f"{path}:{rows[bad[0]][0]}: {bad[1]}")
-    return arrays
+        line_no = [n for n, row in enumerate(raw, first) if row][bad[0]]
+        raise DataError(f"{path}:{line_no}: {bad[1]}")
+    return out
 
 
 def parse_column(values: list, parse, dtype, flag) -> np.ndarray:
-    """values through parse into a dtype array. The first value that fails
-    is flagged with its row and message, and only the rows before it come
-    back."""
-    try:
-        return np.fromiter(map(parse, values), dtype=dtype, count=len(values))
-    except (ValueError, OverflowError):
-        pass
-    for row, value in enumerate(values):
+    """values through parse into a dtype array. The first value that fails,
+    or that dtype cannot hold, is flagged with its row and message, and only
+    the rows before it come back."""
+    with warnings.catch_warnings():
+        # NumPy 1.x wraps a negative int into an unsigned dtype with a
+        # DeprecationWarning where NumPy 2 raises OverflowError
+        warnings.simplefilter("error", DeprecationWarning)
         try:
-            np.array([parse(value)], dtype=dtype)
-        except (ValueError, OverflowError) as exc:
-            flag([row], lambda r: str(exc))
-            return np.fromiter(map(parse, values[:row]), dtype=dtype, count=row)
+            return np.fromiter(map(parse, values), dtype=dtype, count=len(values))
+        except (ValueError, OverflowError, DeprecationWarning):
+            pass
+        for row, value in enumerate(values):
+            try:
+                np.array([parse(value)], dtype=dtype)
+            except (ValueError, OverflowError, DeprecationWarning) as exc:
+                flag([row], lambda r: str(exc))
+                return np.fromiter(map(parse, values[:row]), dtype=dtype, count=row)
 
 
 def find_sorted(keys: np.ndarray, wanted) -> tuple:

@@ -512,6 +512,67 @@ def test_select_clusters_with_an_image_on_two_rows_exit_one(workspace, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def _bad_byte_argv(root, tmp_path, flag):
+    """argv whose file at flag holds a byte that is not UTF-8, and that file."""
+    emb, model = emb_path(root), str(root / "model.ndml")
+    (tmp_path / "hits.tsv").write_text("")
+    out = ["--out", str(tmp_path / "o")]
+    bad = tmp_path / "bad"
+    if flag == "groundtruth.tsv":
+        bad.mkdir()
+        (bad / "embeddings.ndem").write_bytes((root / "corpus" / "embeddings.ndem").read_bytes())
+        (bad / "groundtruth.tsv").write_bytes(b"0\t0\n1\t\xff\n")
+        return ["evaluate", "--corpus", str(bad), "--model", model], bad / "groundtruth.tsv"
+    bad.write_bytes({
+        "--config": b"\xff\xfe{}",
+        "--clusters": b"1\t1\thead\t\n\xff\t1\tmember\t0.5\n",
+        "--heads": b"1\t1\thead\t\n\xff\t1\tmember\t0.5\n",
+        "--hits": b"1\t2\t3\t0.5\n1\t\xff\t3\t0.5\n",
+        "--edges": b"1\t2\t0.9\n\xff\t3\t0.9\n",
+        "--labels": b"id_a,id_b,label\n1,2,1\n\xff,3,0\n",
+        "--pairs": b"id_a,id_b\n1,2\n\xe9,3\n",
+    }[flag])
+    argv = {
+        "--config": ["evaluate", "--corpus", str(root / "corpus"), "--model", model],
+        "--clusters": ["select", "--hits", str(tmp_path / "hits.tsv"), "--model", model, "--embeddings", emb, *out],
+        "--heads": ["build-index", "--embeddings", emb, "--config", str(root / "config.json"), *out],
+        "--hits": ["select", "--model", model, "--embeddings", emb, *out],
+        "--edges": ["cluster", "--model", model, "--embeddings", emb, *out],
+        "--labels": ["train-classifier", "--embeddings", emb, *out],
+        "--pairs": ["classify", "--model", model, "--embeddings", emb, *out],
+    }[flag]
+    return [*argv, flag, str(bad)], bad
+
+
+@pytest.mark.parametrize(
+    "flag", ["--config", "--clusters", "--heads", "--hits", "--edges", "--labels", "--pairs", "groundtruth.tsv"]
+)
+def test_text_input_that_is_not_utf8_exits_one_naming_the_file(workspace, tmp_path, capsys, flag):
+    argv, bad = _bad_byte_argv(workspace, tmp_path, flag)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error in {argv[0]}: {bad}: " in err and "can't decode byte" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        ('{"1": null}', "--dupes-dist must be a JSON object of count: weight"),
+        ('{"1": [1]}', "--dupes-dist must be a JSON object of count: weight"),
+        ('{"1": "nan"}', "dupes_per_base must map counts >= 0 to finite weights >= 0"),
+        ('{"1": 1e999}', "dupes_per_base must map counts >= 0 to finite weights >= 0"),
+    ],
+)
+def test_gen_corpus_dupes_dist_with_a_non_number_weight_exits_one(tmp_path, capsys, dist, message):
+    assert main(["gen-corpus", "--out", str(tmp_path / "c"), "--dupes-dist", dist]) == 1
+    err = capsys.readouterr().err
+    assert f"error in gen-corpus: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_truncated_model_exits_one_without_traceback(workspace, tmp_path, capsys):
     blob = (workspace / "model.ndml").read_bytes()
     cut = tmp_path / "cut.ndml"

@@ -1,7 +1,12 @@
 """Synthetic corpus generation and label sampling."""
 
+import csv
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from neardup import (
@@ -114,7 +119,7 @@ def test_groundtruth_helpers():
     )
     assert truth.assignment() == {0: 0, 1: 0, 2: 2, 3: 2, 4: 2}
     assert sorted(truth.group_sizes()) == [2, 3]
-    assert truth.within_group_pairs() == [(0, 1), (2, 3), (2, 4), (3, 4)]
+    assert truth.within_group_pairs().tolist() == [[0, 1], [2, 3], [2, 4], [3, 4]]
     with pytest.raises(DataError):
         GroundTruth(np.array([0, 1], dtype=np.uint64), np.array([0], dtype=np.uint64))
 
@@ -130,7 +135,7 @@ def within_group_pairs_oracle(truth):
         members = sorted(members)
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
+                pairs.append([members[i], members[j]])
     return pairs
 
 
@@ -139,9 +144,9 @@ def test_within_group_pairs_matches_loop_oracle(rng):
         n = int(rng.integers(0, 30))
         ids = rng.permutation(1000)[:n].astype(np.uint64)
         truth = GroundTruth(ids, rng.integers(0, 6, size=n).astype(np.uint64))
-        assert truth.within_group_pairs() == within_group_pairs_oracle(truth)
+        assert truth.within_group_pairs().tolist() == within_group_pairs_oracle(truth)
     _, truth = generate_corpus(SyntheticCorpusSpec(seed=8, n_base=300))
-    assert truth.within_group_pairs() == within_group_pairs_oracle(truth)
+    assert truth.within_group_pairs().tolist() == within_group_pairs_oracle(truth)
 
 
 @pytest.fixture
@@ -156,8 +161,9 @@ def test_generate_labels_counts_and_classes(small_corpus):
     emb, truth = small_corpus
     group = truth.assignment()
     labels = generate_labels(truth, emb, n_pos=20, n_neg=30, seed=1)
-    pos = [(a, b) for a, b, l in labels if l == 1]
-    neg = [(a, b) for a, b, l in labels if l == 0]
+    assert labels.shape == (50, 3) and labels.dtype == np.uint64
+    pos = [(a, b) for a, b, l in labels.tolist() if l == 1]
+    neg = [(a, b) for a, b, l in labels.tolist() if l == 0]
     assert (len(pos), len(neg)) == (20, 30)
     assert all(group[a] == group[b] for a, b in pos)
     assert all(group[a] != group[b] for a, b in neg)
@@ -168,8 +174,8 @@ def test_generate_labels_counts_and_classes(small_corpus):
 def test_generate_labels_deterministic(small_corpus):
     emb, truth = small_corpus
     a = generate_labels(truth, emb, 10, 10, seed=3)
-    assert a == generate_labels(truth, emb, 10, 10, seed=3)
-    assert a != generate_labels(truth, emb, 10, 10, seed=4)
+    assert np.array_equal(a, generate_labels(truth, emb, 10, 10, seed=3))
+    assert not np.array_equal(a, generate_labels(truth, emb, 10, 10, seed=4))
 
 
 def test_hard_negatives_collide_in_index(lsh64):
@@ -185,7 +191,7 @@ def test_hard_negatives_collide_in_index(lsh64):
         truth, emb, n_pos=1, n_neg=3, seed=5,
         lsh_config=lsh64, hard_negative_fraction=1.0,
     )
-    neg = [(a, b) for a, b, l in labels if l == 0]
+    neg = [(a, b) for a, b, l in labels.tolist() if l == 0]
     assert len(neg) == 3
     sets = term_sets(emb, lsh64)
     assert all(len(sets[a] & sets[b]) >= 2 for a, b in neg)
@@ -224,15 +230,16 @@ def test_generate_labels_shortfalls(small_corpus):
 
 
 def test_labels_csv_round_trip(tmp_path):
-    pairs = [(3, 9, 1), (2, 14, 0)]
+    pairs = np.array([[3, 9, 1], [2, 14, 0]], dtype=np.uint64)
     plain = tmp_path / "plain.csv"
     write_labels_csv(pairs, plain)
-    assert plain.read_text().splitlines()[0] == "id_a,id_b,label"
-    assert read_labels_csv(plain) == pairs
+    assert plain.read_bytes() == b"id_a,id_b,label\r\n3,9,1\r\n2,14,0\r\n"
+    back = read_labels_csv(plain)
+    assert back.dtype == np.uint64 and np.array_equal(back, pairs)
 
     tagged = tmp_path / "tagged.csv"
     tagged.write_text("id_a,id_b,label,source\n3,9,1,augmentation\n2,14,0,augmentation\n")
-    assert read_labels_csv(tagged) == pairs  # source column is carried, not parsed
+    assert np.array_equal(read_labels_csv(tagged), pairs)  # source column is carried, not parsed
 
 
 def test_labels_csv_rejects_malformed(tmp_path):
@@ -258,7 +265,7 @@ def test_labels_csv_rejects_malformed(tmp_path):
 def test_pairs_csv_reader(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("id_a,id_b,note\n1,2,x\n\n3,4\n")
-    assert read_pairs_csv(path) == [(1, 2), (3, 4)]  # blank lines skipped, extra columns carried
+    assert read_pairs_csv(path).tolist() == [[1, 2], [3, 4]]  # blank lines skipped, extra columns carried
     for text, message in (
         ("a,b\n1,2\n", f"^{path}: expected header id_a,id_b$"),
         ("id_a,id_b\n1,2\n\n5\n", f"^{path}:4: expected at least 2 columns$"),
@@ -267,6 +274,101 @@ def test_pairs_csv_reader(tmp_path):
         path.write_text(text)
         with pytest.raises(DataError, match=message):
             read_pairs_csv(path)
+
+
+def read_int_csv_oracle(path, names: tuple, check=None) -> list:
+    """The per-row CSV reader: the int tuples of every non-blank row of a CSV
+    whose header starts with names, each row's first len(names) fields, ids
+    in [0, 2^64). check(row) may return what is wrong with a parsed row. The
+    first bad line is a DataError naming <path>:<line>."""
+    out = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[: len(names)]] != list(names):
+            raise DataError(f"{path}: expected header {','.join(names)}")
+        for ln, row in enumerate(reader, 2):
+            if not row:
+                continue
+            if len(row) < len(names):
+                raise DataError(f"{path}:{ln}: expected at least {len(names)} columns")
+            try:
+                values = tuple(int(field) for field in row[: len(names)])
+            except ValueError as exc:
+                raise DataError(f"{path}:{ln}: {exc}") from None
+            if not all(0 <= v < 2**64 for v in values):
+                raise DataError(f"{path}:{ln}: out of range")
+            problem = check(values) if check is not None else None
+            if problem:
+                raise DataError(f"{path}:{ln}: {problem}")
+            out.append(values)
+    return out
+
+
+CSV_READERS = {
+    ("id_a", "id_b"): (read_pairs_csv, None),
+    ("id_a", "id_b", "label"): (read_labels_csv, lambda row: None if row[2] in (0, 1) else "label must be 0 or 1"),
+}
+
+
+@st.composite
+def int_csvs(draw):
+    """A pairs or labels CSV: mostly valid rows, some blank, short, with
+    extra or quoted columns, a non-integer field, an id below 0 or at 2^64
+    and more, or a label other than 0/1."""
+    names = draw(st.sampled_from(sorted(CSV_READERS)))
+    k = len(names)
+    header = ",".join(names)
+    lines = [draw(st.sampled_from([header, header + ",source", f" {header}", "a,b,c", ""]))]
+    for _ in range(draw(st.integers(0, 8))):
+        fields = [str(draw(st.integers(0, 2**64 - 1))) for _ in range(k - 1)] + [str(draw(st.integers(0, 1)))]
+        at = draw(st.integers(0, k - 1))
+        kinds = ["blank", "short", "extra", "quoted", "word", "negative", "huge", "label"]
+        kind = draw(st.sampled_from(["ok"] * 5 + kinds))
+        if kind == "blank":
+            fields = []
+        elif kind == "short":
+            fields = fields[: draw(st.integers(1, k - 1))]
+        elif kind == "extra":
+            fields += draw(st.lists(st.sampled_from(["augmentation", "", "7", '"x,y"']), min_size=1, max_size=2))
+        elif kind == "quoted":
+            fields[at] = '"' + draw(st.sampled_from([fields[at], "1,2", "", f" {fields[at]} ", "3\n4"])) + '"'
+        elif kind == "word":
+            fields[at] = draw(st.sampled_from(["x", "1.5", "", "0x1", "1e3", "--1"]))
+        elif kind == "negative":
+            fields[at] = str(draw(st.integers(-(2**65), -1)))
+        elif kind == "huge":
+            fields[at] = str(draw(st.integers(2**64, 2**70)))
+        elif kind == "label":
+            fields[-1] = str(draw(st.integers(2, 2**64 - 1)))
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return names, newline.join(lines) + newline
+
+
+def _csv_outcome(read, path):
+    try:
+        return "ok", read(path)
+    except DataError as exc:
+        found = re.match(re.escape(str(path)) + r":(\d+): ", str(exc))
+        return "error", int(found.group(1)) if found else None
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(int_csvs())
+def test_csv_readers_match_per_row_oracle(tmp_path, case):
+    names, text = case
+    read, check = CSV_READERS[names]
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(text.encode())
+    want = _csv_outcome(lambda p: read_int_csv_oracle(p, names, check), path)
+    got = _csv_outcome(read, path)
+    assert got[0] == want[0]
+    if want[0] == "error":
+        assert got[1] == want[1]  # the same line, or both name none
+    else:
+        assert got[1].dtype == np.uint64 and got[1].shape == (len(want[1]), len(names))
+        assert got[1].tolist() == [list(row) for row in want[1]]
 
 
 def test_corpus_directory_round_trip(tmp_path, small_corpus):

@@ -715,7 +715,7 @@ def test_run_incremental_joins_via_heads(model, tmp_path):
     dup = batch([(100, [1])])  # 2 bits from head 1
     next_store, assignments, labels = run_incremental(tmp_path / "store", dup, model, cfg())
     assert assignments == [(100, 1, "nvo")]
-    assert labels == []  # matched at the head, no augmentation label
+    assert labels.tolist() == []  # matched at the head, no augmentation label
     assert next_store.batch_id == 1
     assert 100 in dict(next_store.clusters[1].members)
     # the first segment stays; the batch went into a segment of its own
@@ -731,7 +731,7 @@ def test_run_incremental_emits_augmentation_labels(model):
     probe = batch([(200, list(range(12)))])  # 12 bits from the head, 6 from member 2
     next_store, assignments, labels = run_incremental(store, probe, model, cfg())
     assert assignments == [(200, 1, "nvo")]
-    assert labels == [(200, 1, 1)]  # the head pair the classifier missed
+    assert labels.tolist() == [[200, 1, 1]]  # the head pair the classifier missed
 
 
 def test_run_incremental_is_idempotent(model, tmp_path):
@@ -740,7 +740,7 @@ def test_run_incremental_is_idempotent(model, tmp_path):
     run_incremental(tmp_path / "store", dup, model, cfg())
     again, assignments, labels = run_incremental(tmp_path / "store", dup, model, cfg())
     assert assignments == [(100, 1, "existing")]
-    assert labels == []
+    assert labels.tolist() == []
     assert again.batch_id == 1  # nothing was written
     assert len(again) == 5
 
@@ -760,13 +760,13 @@ def test_run_incremental_empty_batch_is_a_noop(model):
     store = make_store()
     out, assignments, labels = run_incremental(store, batch([]), model, cfg())
     assert out is store
-    assert assignments == [] and labels == []
+    assert assignments == [] and labels.shape == (0, 3)
 
 
 def test_run_incremental_empty_first_batch_writes_no_store(model, tmp_path):
     out, assignments, labels = run_incremental(tmp_path / "store", batch([]), model, cfg())
     assert len(out) == 0 and out.n_clusters == 0
-    assert assignments == [] and labels == []
+    assert assignments == [] and labels.shape == (0, 3)
     assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["lock"]
     # the first non-empty batch picks the LSH bits, as into a fresh directory
     later, _, _ = run_incremental(out, batch([(100, [1])]), model, cfg())

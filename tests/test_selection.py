@@ -190,7 +190,7 @@ def test_augmentation_match_emits_head_label(store, model, monkeypatch):
     monkeypatch.setattr(selection, "predict_rows", no_scoring)
     labels = emit_augmentation_labels(matches, heads)
     # only the aug-won match produces a label, and it points at the head
-    assert labels == [(200, 100, 1)]
+    assert labels.tolist() == [[200, 100, 1]]
     with pytest.raises(DataError):
         emit_augmentation_labels(matches, ClusterHeads.from_table(ClusterTable(), 0))
 
@@ -199,8 +199,8 @@ def test_no_labels_when_heads_match(store, model):
     emb, heads = store
     hits = hits_of(hit(201, 100))
     matches = select_candidates(hits, heads, model, emb, threshold=0.5)
-    assert emit_augmentation_labels(matches, heads) == []
-    assert emit_augmentation_labels(HeadMatches(), heads) == []
+    assert emit_augmentation_labels(matches, heads).shape == (0, 3)
+    assert emit_augmentation_labels(HeadMatches(), heads).shape == (0, 3)
 
 
 def test_heads_from_table_keep_top_k_by_score_then_id(rng):
