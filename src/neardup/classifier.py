@@ -16,7 +16,8 @@ its call, bit for bit: BLAS sums a call's last rows, and calls of a few
 rows, in another order, so predict_rows pads each chunk with zero rows to
 a multiple of SCORE_PAD_ROWS. A score made once is therefore reused, not
 computed again: the static pipeline hands its kept edge scores to k_cut,
-and merge keeps the head-match scores and choose_head's medoid scores.
+ingest hands the batch's kept edge and cut scores to choose_head, and
+merge keeps the head-match scores and choose_head's medoid scores.
 """
 
 import math
@@ -45,14 +46,16 @@ SCORE_CHUNK_ROWS = 1024
 
 # predict_rows pads each chunk with zero rows up to a multiple of this many
 # rows, so a pair's score does not depend on the call that computes it.
-# OpenBLAS 0.3.31 (Haswell kernels) sums a call of a few rows (up to 21
-# seen), and a call's last n mod 4 rows, in another order than the rest,
-# which moved scores by up to 4 units in the last place. With every chunk
-# a multiple of 32 rows, 264 subsets of 2,348 pairs, every size 1-40 among
-# them, scored bit for bit as in the full call under one and two BLAS
-# threads, where 139 of them moved unpadded. A 1-pair call then takes
-# 0.6-1.0 ms instead of 0.18 ms on a 2-vCPU Xeon. SCORE_CHUNK_ROWS is a
-# multiple of it, so only a call's last chunk is padded.
+# Measured on a 2-vCPU AVX-512 Xeon, where OpenBLAS 0.3.31 runs its
+# SkylakeX kernels (the core scipy_openblas_get_corename64_() names): it
+# sums a call of a few rows (up to 21 seen), and a call's last n mod 4
+# rows, in another order than the rest, which moved scores by up to 4
+# units in the last place. With every chunk a multiple of 32 rows, 264
+# subsets of 2,348 pairs, every size 1-40 among them, scored bit for bit
+# as in the full call under one and two BLAS threads, where 139 of them
+# moved unpadded. A 1-pair call then takes 0.6-1.0 ms instead of 0.18 ms.
+# SCORE_CHUNK_ROWS is a multiple of it, so only a call's last chunk is
+# padded.
 SCORE_PAD_ROWS = 32
 
 # Share of the labelled pairs train holds out, and the recall the threshold

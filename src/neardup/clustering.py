@@ -186,7 +186,7 @@ def k_cut(
     the reuse saves the call and changes no cluster.
     """
     check_threshold(threshold)
-    known_keys, known_scores = _score_table(scored, embeddings)
+    known = _score_table(scored, embeddings)
     rng = np.random.default_rng(seed)
     groups = [np.asarray(g, dtype=np.uint64).reshape(-1) for g in groups]
     sizes = np.array([g.size for g in groups], dtype=np.int64)
@@ -199,13 +199,7 @@ def k_cut(
         pivots, rest = ids[pivot_at], np.delete(ids, pivot_at)
         group = np.repeat(np.arange(sizes.size), sizes - 1)
         # one lookup and at most one scoring call for every group of the round
-        rows_q, rows_p = embeddings.rows_of(rest), embeddings.rows_of(pivots)[group]
-        pos, found = find_sorted(known_keys, row_pair_keys(rows_q, rows_p))
-        scores = np.empty(rest.size, dtype=np.float64)
-        scores[found] = known_scores[pos[found]]
-        if not found.all():
-            missing = ~found
-            scores[missing] = predict_rows(model, embeddings, rows_q[missing], rows_p[missing])
+        scores = _score_rows(known, model, embeddings, embeddings.rows_of(rest), embeddings.rows_of(pivots)[group])
         passed = scores >= threshold
         cluster = pivots.copy()  # the smallest id of pivot and passing members
         np.minimum.at(cluster, group[passed], rest[passed])
@@ -243,13 +237,29 @@ def _score_table(scored, embeddings: EmbeddingSet):
     return keys[order], score.astype(np.float64)[order]
 
 
-def choose_head(ids, sizes, model: MlpModel, embeddings: EmbeddingSet) -> ClusterTable:
+def _score_rows(known, model: MlpModel, embeddings: EmbeddingSet, rows_a, rows_b) -> np.ndarray:
+    """The scores of the row pairs (rows_a[i], rows_b[i]): a pair in known,
+    the (keys, scores) of _score_table, takes its score there, and the rest
+    are scored in one call."""
+    keys, known_scores = known
+    pos, found = find_sorted(keys, row_pair_keys(rows_a, rows_b))
+    scores = np.empty(pos.size, dtype=np.float64)
+    scores[found] = known_scores[pos[found]]
+    if not found.all():
+        missing = ~found
+        scores[missing] = predict_rows(model, embeddings, rows_a[missing], rows_b[missing])
+    return scores
+
+
+def choose_head(ids, sizes, model: MlpModel, embeddings: EmbeddingSet, scored=None) -> ClusterTable:
     """The groups as a ClusterTable, each headed by its medoid by classifier
     score: the member with the largest score sum against the others of its
     group, ties to the smallest id. ids holds the groups one after another
     and sizes their lengths. The smallest member id names each cluster.
-    All pairs are scored in one call, and each sum adds in upper-triangle
-    order; a member's score against its head is taken from that call.
+    scored, if given, is the aligned (a, b, score) arrays of pairs already
+    scored, as in k_cut: a pair found there takes that score. The other
+    pairs are scored in one call, and each sum adds in upper-triangle
+    order; a member's score against its head is taken from these scores.
     """
     ids = np.asarray(ids, dtype=np.uint64).reshape(-1)
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
@@ -263,7 +273,7 @@ def choose_head(ids, sizes, model: MlpModel, embeddings: EmbeddingSet) -> Cluste
     scores, sums = np.zeros(0), np.zeros(ids.size)
     if ia.size:
         rows = embeddings.rows_of(ids)
-        scores = predict_rows(model, embeddings, rows[ia], rows[ib])
+        scores = _score_rows(_score_table(scored, embeddings), model, embeddings, rows[ia], rows[ib])
         sums = np.bincount(np.concatenate((ia, ib)), np.concatenate((scores, scores)), ids.size)
     head_at = top_in_groups(group, sums, ids, 1)
     is_head = np.zeros(ids.size, dtype=bool)

@@ -60,6 +60,8 @@ class ClassifierSettings:
             raise DataError(f"classifier.threshold must be in (0, 1), got {self.threshold}")
         if not self.hidden or any(int(h) < 1 for h in self.hidden):
             raise DataError("classifier.hidden must be positive layer widths")
+        if max(self.hidden) >= 2**32:  # a model file holds each layer dimension as a u32
+            raise DataError(f"classifier.hidden width {max(self.hidden)} is over the 2^32 - 1 a model file can hold")
         for name in ("learning_rate", "beta1", "beta2", "eps"):
             if getattr(self, name) <= 0:
                 raise DataError(f"classifier.{name} must be positive")

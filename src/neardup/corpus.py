@@ -23,6 +23,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, LshConfig
 from .errors import DataError, SamplingError
+from .index import MAX_IMAGES
 from .util import U64, atomic_write_json, atomic_write_text, find_sorted, pairs_within, read_columns
 
 DEFAULT_DUPES_DIST = {0: 0.5, 1: 0.25, 2: 0.11, 3: 0.06, 4: 0.04, 6: 0.025, 9: 0.01, 16: 0.005}
@@ -52,6 +53,12 @@ class SyntheticCorpusSpec:
         total = sum(dist.values())
         if total <= 0:
             raise DataError("dupes_per_base weights sum to zero")
+        largest = max(k for k, v in dist.items() if v > 0)
+        if self.n_base * (1 + largest) > MAX_IMAGES:
+            raise DataError(
+                f"n_base {self.n_base} with a dupes_per_base count of {largest} can make "
+                f"{self.n_base * (1 + largest)} images; an index holds at most 2^32"
+            )
         object.__setattr__(self, "dupes_per_base", {k: v / total for k, v in sorted(dist.items())})
 
 

@@ -13,27 +13,31 @@ cluster, the rest of its batch cluster follows the best-matched member,
 and only batch clusters with no matched member at all enter the store as
 new clusters (heads re-picked as medoids in one batched call, which also
 gives each member's score against its head). Each pair is scored once: a
-head match keeps its verified score, and merge scores only the joiners no
-earlier call paired with their head. Merge appends the batch's entries; a
+head match keeps its verified score, the medoid choice takes the scores of
+the edges and cut pairs new-vs-new kept, and merge scores only the joiners
+no earlier call paired with their head. Merge appends the batch's entries; a
 joiner is a plain member, so augmentation lists stay frozen.
 
 On disk a store is a directory of append-only segment files listed by
 manifest.json, which also holds the LSH config, k_aug and the batch id. A
 segment holds the entries and embeddings of the images first stored in it,
 as raw little-endian columns under a CRC32; an image's entry never changes
-once stored. No postings are stored: the head index is a function of the
-heads' embeddings and the LSH config. Stored rows follow segment order. A
-save writes one segment for the images past the persisted prefix and then
-replaces the manifest; no segment file is ever rewritten. While the newest
-segment holds at least half as many images as the one before it, the two
-are compacted into a new file, so a store of n batches has O(log n)
-segments. A segment file is deleted once neither the manifest nor the one
-it replaced names it, so a reader of the previous generation never loses
-its files. Every file is fsynced before its rename and its directory after,
-so a crash at any point leaves the last manifest and all it names readable.
-run_incremental on a directory holds an flock on <store>/lock from open
-through save: a second writer gets a StoreError, and the kernel drops the
-lock of a process that dies.
+once stored. A segment stores no value a row implies: no score on a head,
+and no cluster id on a row whose own image id names its cluster (a bit of
+its role byte says so); open rebuilds both full columns. No postings are
+stored: the head index is a function of the heads' embeddings and the LSH
+config. Stored rows follow segment order. A save writes one segment for
+the images past the persisted prefix and then replaces the manifest; no
+segment file is ever rewritten. While the newest segment holds at least
+half as many images as the one before it, the two are compacted into a new
+file, so a store of n batches has O(log n) segments. A segment file is
+deleted once neither the manifest nor the one it replaced names it, so a
+reader of the previous generation never loses its files. Every file is
+fsynced before its rename and its directory after, so a crash at any point
+leaves the last manifest and all it names readable. run_incremental on a
+directory holds an flock on <store>/lock from open through save: a second
+writer gets a StoreError, and the kernel drops the lock of a process that
+dies.
 """
 
 import contextlib
@@ -66,10 +70,13 @@ MANIFEST_NAME = "manifest.json"
 LOCK_NAME = "lock"
 STORE_VERSION = 2
 SEGMENT_MAGIC = b"NDSG"
-SEGMENT_VERSION = 3
+SEGMENT_VERSION = 4
 # a stored image's role: a member, its cluster's head, or a member on its
 # cluster's frozen augmentation list
 MEMBER, HEAD, LISTED = 0, 1, 2
+# a segment's role byte holds the role in its low two bits, and SELF_NAMED
+# on an image whose own id names its cluster; its other bits are zero
+ROLE_BITS, SELF_NAMED = 0b011, 0b100
 
 
 class SegmentRef(NamedTuple):
@@ -189,6 +196,10 @@ class ClusterStore:
         if self.directory is None:
             raise StoreError("store has no directory to save into")
         directory = os.fspath(self.directory)
+        scored_head = (self.role == HEAD) & ~np.isnan(self.score)
+        if scored_head.any():  # a segment stores no score for a head
+            head = self.embeddings.ids[scored_head][0]
+            raise StoreError(f"{directory}: head {head} has score {self.score[scored_head][0]}; a head has none")
         segments = list(self.segments)
         persisted = sum(ref.images for ref in segments)
         if persisted > len(self):
@@ -248,18 +259,33 @@ class ClusterStore:
 
 # -- segment file -----------------------------------------------------------
 #
-# magic "NDSG" | version u16 | d u16 | images u64
-# then the columns below, one entry per image (packed: d/8 bytes each),
-# widest first so every column starts aligned; then a CRC32 (u32) of all
-# bytes before it. All little-endian. role is MEMBER, HEAD or LISTED.
+# magic "NDSG" | version u16 | d u16 | images u64 | named u64 | scored u64
+# then five columns, widest first so every column starts aligned:
+#   ids      u64 per image
+#   cluster  u64 per image whose cluster id is not its own id (named of them)
+#   score    f64 per image that is not a head (scored of them)
+#   role     u1 per image: MEMBER, HEAD or LISTED, | SELF_NAMED when the
+#            image's own id is its cluster id
+#   packed   d/8 bytes per image
+# then a CRC32 (u32) of all bytes before it. All little-endian.
 
+# the full columns of a store's rows, as segments are read into and written from
 _COLUMNS = (("ids", "<u8"), ("cluster", "<u8"), ("score", "<f8"), ("role", "u1"), ("packed", "u1"))
 
 
 def _encode_segment(d: int, columns: dict) -> bytes:
-    parts = [SEGMENT_MAGIC, struct.pack("<HHQ", SEGMENT_VERSION, d, columns["ids"].size)]
-    parts += [np.ascontiguousarray(columns[name], dtype=dtype).tobytes() for name, dtype in _COLUMNS]
-    body = b"".join(parts)
+    """A segment file of full columns; a head's score is not written."""
+    ids, cluster, score, role, packed = (np.ascontiguousarray(columns[name], dtype=dtype) for name, dtype in _COLUMNS)
+    # the columns are written as given, so a test can write a segment whose
+    # ids and cluster differ in length; a row past the shorter one is not
+    # self-named
+    n = min(ids.size, cluster.size)
+    own = np.zeros(cluster.size, dtype=bool)
+    own[:n] = cluster[:n] == ids[:n]
+    scored = role != HEAD
+    flags = role | np.where(own, SELF_NAMED, 0).astype(np.uint8)
+    header = struct.pack("<HHQQQ", SEGMENT_VERSION, d, ids.size, np.count_nonzero(~own), np.count_nonzero(scored))
+    body = b"".join([SEGMENT_MAGIC, header] + [a.tobytes() for a in (ids, cluster[~own], score[scored], flags, packed)])
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -268,21 +294,38 @@ def _stored_crc(blob: bytes) -> int:
 
 
 def _decode_segment(blob: bytes, path) -> tuple:
-    """(d, column name -> read-only array) of a segment file's bytes; any
-    truncation, checksum mismatch or bad header is a StoreError."""
+    """(d, column name -> full column) of a segment file's bytes; any
+    truncation, checksum mismatch, bad header or role byte, or sparse column
+    the role column does not call for is a StoreError."""
     body = memoryview(blob)[:-4]
     if zlib.crc32(body).to_bytes(4, "little") != blob[-4:]:
         raise StoreError(f"{path}: segment checksum mismatch")
     try:
         r = ByteReader.open(path, SEGMENT_MAGIC, SEGMENT_VERSION, "segment", body)
-        d, images = r.unpack("<HQ")
+        d, images, named, scored = r.unpack("<HQQQ")
         if d == 0 or d % 8:
             raise FormatError(f"{path}: invalid d={d}")
-        columns = {name: r.array(dtype, images * (d // 8 if name == "packed" else 1)) for name, dtype in _COLUMNS}
+        counts = (images, named, scored, images, images * (d // 8))
+        ids, cluster, score, flags, packed = (r.array(dtype, n) for (_, dtype), n in zip(_COLUMNS, counts))
         r.done()
     except FormatError as exc:
         raise StoreError(str(exc)) from exc
-    return d, columns
+    reserved = (flags & ~np.uint8(ROLE_BITS | SELF_NAMED)) != 0
+    if reserved.any():
+        raise StoreError(f"{path}: image {ids[reserved][0]}: reserved bits set in role byte {flags[reserved][0]:#04x}")
+    role = flags & ROLE_BITS
+    if role.max(initial=0) > LISTED:
+        raise StoreError(f"{path}: image {ids[role > LISTED][0]}: role 3 is not 0, 1 or 2")
+    has_cluster, has_score = (flags & SELF_NAMED) == 0, role != HEAD
+    if named != np.count_nonzero(has_cluster) or scored != np.count_nonzero(has_score):
+        raise StoreError(
+            f"{path}: {named} cluster ids and {scored} scores, where the role column calls for "
+            f"{np.count_nonzero(has_cluster)} and {np.count_nonzero(has_score)}"
+        )
+    full_cluster, full_score = ids.copy(), np.full(images, np.nan)
+    full_cluster[has_cluster] = cluster
+    full_score[has_score] = score
+    return d, {"ids": ids, "cluster": full_cluster, "score": full_score, "role": role, "packed": packed}
 
 
 def _read_segment(directory, ref: SegmentRef, config: LshConfig) -> dict:
@@ -430,11 +473,15 @@ def merge(
     nvn: ClusterTable,
     model: MlpModel,
     combined: EmbeddingSet,
+    scored=None,
 ):
     """Fold one batch's matches and internal clusters into the clustering.
 
     combined is the store's embeddings followed by the batch's, and nvn the
-    batch's ClusterTable over exactly those batch images. Returns
+    batch's ClusterTable over exactly those batch images. scored, if given,
+    is the (a, b, score) arrays of batch pairs already scored, such as
+    StaticRunResult.scored_pairs() of the batch's own clustering;
+    choose_head takes their scores instead of scoring them again. Returns
     (next_store, assignments): the store's entries plus the batch's at
     batch_id + 1, not yet saved, and one (image_id, cluster_id, provenance)
     row per batch image. The store itself is left untouched.
@@ -444,8 +491,8 @@ def merge(
     members of clusters entering the store. Joiners' stored scores are
     against the old cluster's head and may land below the match threshold.
     A match won at the head keeps its score from nvo_matches, and an
-    entering member keeps its score against the medoid from choose_head's
-    call; only "nvn_mapped" joiners and matches won by an augmentation
+    entering member keeps its score against the medoid from choose_head;
+    only "nvn_mapped" joiners and matches won by an augmentation
     member are scored here. Joiners are plain members: augmentation lists
     stay frozen.
     """
@@ -482,7 +529,7 @@ def merge(
 
     created = ClusterTable()
     if not joins.all():
-        created = choose_head(nvn.image[~joins[owner]], nvn.sizes[~joins], model, combined)
+        created = choose_head(nvn.image[~joins[owner]], nvn.sizes[~joins], model, combined, scored)
         clash = np.isin(created.cluster_ids, store.heads.cluster)
         if clash.any():
             raise StoreError(f"new cluster id {created.cluster_ids[clash][0]} collides with an existing cluster")
@@ -562,7 +609,7 @@ def _ingest(store_or_directory, directory, new_embeddings: EmbeddingSet, model: 
     stage("nvo", "%d of %d new images match a head", len(matches), len(fresh))
     nvn = run_nvn(store, fresh, model, config)
     stage("nvn", "%d batch clusters", len(nvn.clusters))
-    next_store, batch_assignments = merge(store, matches, nvn.clusters, model, combined)
+    next_store, batch_assignments = merge(store, matches, nvn.clusters, model, combined, nvn.scored_pairs())
     stage("merge", "store now %d clusters", next_store.n_clusters)
     if next_store.directory is not None:
         next_store.save()

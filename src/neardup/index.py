@@ -25,6 +25,8 @@ from .util import ByteReader, atomic_write_bytes
 
 INDEX_MAGIC = b"NDIX"
 INDEX_VERSION = 2
+# a posting holds its image's dense id as a u32
+MAX_IMAGES = 2**32
 
 
 def _vb_encode_u64(values: np.ndarray):
@@ -282,7 +284,7 @@ def _decode_postings(terms, counts, term_nbytes, payload, n_images: int):
     running = np.cumsum(deltas, dtype=np.uint64)
     before = np.concatenate((np.zeros(1, dtype=np.uint64), running))[offsets[:-1]]
     ids = running - np.repeat(before, counts)
-    if ids.size and ids.max() > np.uint64(2**32 - 1):
+    if ids.size and ids.max() >= np.uint64(MAX_IMAGES):
         raise EncodingError("decoded posting id overflows 32 bits")
     ids = ids.astype(np.int64)
     bad = np.flatnonzero(terms[1:] <= terms[:-1])

@@ -26,15 +26,30 @@ from .util import StageTimer, atomic_write_text, find_sorted
 
 @dataclass
 class StaticRunResult:
+    """clusters, the LSH config used, and edges: the (a, b, score) id and
+    score arrays of the edges selection kept."""
+
     clusters: ClusterTable
     lsh_config: LshConfig
-    edge_count: int = 0
+    edges: tuple = field(default_factory=lambda: (np.zeros(0, dtype=np.uint64),) * 2 + (np.zeros(0),))
     candidate_pairs: int = 0
     pairs_scored: int = 0
     timings: dict = field(default_factory=dict)
 
+    @property
+    def edge_count(self) -> int:
+        return int(self.edges[0].size)
+
     def assignment(self) -> dict:
         return dict(zip(self.clusters.image.tolist(), self.clusters.cluster.tolist()))
+
+    def scored_pairs(self) -> tuple:
+        """(a, b, score) of every pair the run scored and kept: the kept
+        edges, then each cluster member against its head (the cut's pivot)."""
+        table = self.clusters
+        member = ~table.head
+        cut = (table.image[member], np.repeat(table.heads, table.sizes)[member], table.score[member])
+        return tuple(map(np.concatenate, zip(self.edges, cut)))
 
 
 def resolve_lsh_config(config: PipelineConfig, embeddings: EmbeddingSet) -> LshConfig:
@@ -98,7 +113,7 @@ def static_clusters(
     return StaticRunResult(
         clusters,
         lsh_config,
-        edge_count=int(edges_a.size),
+        edges=(edges_a, edges_b, edge_scores),
         candidate_pairs=int(pairs_a.size),
         pairs_scored=pairs_scored,
         timings=stage.seconds,

@@ -5,10 +5,13 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import neardup
 from neardup import (
     ClusterStore,
     batch_search,
@@ -583,3 +586,34 @@ def test_truncated_model_exits_one_without_traceback(workspace, tmp_path, capsys
     err = capsys.readouterr().err
     assert "error in run:" in err and "truncated" in err
     assert not (tmp_path / "o.tsv").exists()
+
+
+# main() in a child process whose address space is capped at 4 GiB, in the
+# child only: an allocation the sizes below imply fails there at once,
+# never on the machine
+CAPPED_MAIN = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32)); "
+    "from neardup.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [("gen-corpus", "dupes_per_base count of 100000000000"), ("evaluate", "classifier.hidden width 100000000000")],
+)
+def test_sizes_no_file_format_can_hold_exit_one_before_allocating(workspace, tmp_path, command, field):
+    (tmp_path / "wide.json").write_text(json.dumps({"classifier": {"hidden": [100000000000]}}))
+    argv = {
+        "gen-corpus": ["gen-corpus", "--out", str(tmp_path / "c"), "--n-base", "5",
+                       "--dupes-dist", '{"100000000000": 1}'],
+        "evaluate": ["evaluate", "--corpus", str(workspace / "corpus"), "--config", str(tmp_path / "wide.json")],
+    }[command]
+    src = os.path.dirname(os.path.dirname(neardup.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 1, out.stderr
+    assert f"error in {command}: " in out.stderr and field in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "c").exists()

@@ -20,7 +20,7 @@ from neardup.clustering import ClusterIndex, clusters_to_tsv
 from neardup.classifier import init_model, predict_rows
 from neardup.search import row_pair_keys
 from neardup.selection import select_edges
-from neardup.util import atomic_write_text
+from neardup.util import atomic_write_text, pairs_within
 
 from conftest import popcount_model, star_set
 
@@ -327,6 +327,38 @@ def test_choose_head_member_scores_match_fresh_calls(rng):
     assert np.array_equal(table.score[member], one_call)
     for m, h, score in zip(table.image[member].tolist(), head.tolist(), table.score[member].tolist()):
         assert predict_rows(model, emb, emb.rows_of([h]), emb.rows_of([m]))[0] == score
+
+
+def test_choose_head_takes_known_scores_bit_for_bit(rng, monkeypatch):
+    # the trained-width model above; a share of the pairs comes scored, in
+    # either orientation, from a call of another shape, and no byte of the
+    # table moves: only the other pairs are scored, in one call
+    emb = EmbeddingSet.from_bits(np.arange(60, dtype=np.uint64), rng.integers(0, 2, size=(60, 256), dtype=np.uint8))
+    model = init_model(256, seed=3)
+    for b in model.biases:
+        b += rng.normal(scale=0.1, size=b.shape)
+    sizes = [2, 7, 1, 13, 4, 33]
+    ids = rng.permutation(60).astype(np.uint64)
+    fresh = choose_head(ids, sizes, model, emb)
+    ia, ib = pairs_within(sizes)
+    calls = []
+    real = clustering.predict_rows
+
+    def counting(model, embeddings, rows_a, rows_b):
+        calls.append(len(rows_a))
+        return real(model, embeddings, rows_a, rows_b)
+
+    monkeypatch.setattr(clustering, "predict_rows", counting)
+    for share in (0.0, 0.5, 1.0):
+        known = rng.random(ia.size) < share
+        swap = rng.random(ia.size) < 0.5
+        a, b = np.where(swap, ids[ib], ids[ia])[known], np.where(swap, ids[ia], ids[ib])[known]
+        scored = (a, b, real(model, emb, emb.rows_of(a), emb.rows_of(b)))
+        calls.clear()
+        table = choose_head(ids, sizes, model, emb, scored=scored)
+        assert calls == ([] if known.all() else [ia.size - known.sum()])
+        for got, want in zip(table.columns, fresh.columns):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_choose_head_ties_and_errors():

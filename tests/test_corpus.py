@@ -110,6 +110,10 @@ def test_spec_validation():
         SyntheticCorpusSpec(dupes_per_base={1: 0.0})
     spec = SyntheticCorpusSpec(dupes_per_base={0: 2, 1: 2})
     assert spec.dupes_per_base == {0: 0.5, 1: 0.5}  # weights normalize
+    # at most 2^32 images, the dense ids an index holds; a count of weight 0 is never drawn
+    SyntheticCorpusSpec(n_base=2, dupes_per_base={2**31 - 1: 1, 2**40: 0})
+    with pytest.raises(DataError, match="n_base 2 with a dupes_per_base count of 2147483648"):
+        SyntheticCorpusSpec(n_base=2, dupes_per_base={0: 1, 2**31: 1})
 
 
 def test_groundtruth_helpers():

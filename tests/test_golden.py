@@ -18,6 +18,16 @@ call now. No cluster table, head index or embedding pin moved with it.
 Reusing the match and medoid scores in merge, rather than scoring those
 pairs again, moved no byte.
 
+The pins of manifest.json, segment-1-2.ndsg and segment-1-3.ndsg moved
+once more when segments went to version 4, which stores no score on a
+head and no cluster id on a row whose own id names its cluster:
+manifest.json e9424903… -> f7470709…, segment-1-2.ndsg 78af370e… ->
+c08657e1… (41,744 -> 34,272 bytes) and segment-1-3.ndsg 2d83d9a2… ->
+6ae6e584… (62,606 -> 53,086 bytes). The version-3 files of this run,
+decoded by the version-3 reader and written again by the version-4 writer,
+give the new digests byte for byte, and the manifest differs only in the
+segments' CRC32s. No cluster table, head index or embedding pin moved.
+
 HEAD_INDEX_SHA256 moved once, 24123629… -> e45e61c6…, when the index file
 went to version 2: the head-only byte left the header and the term, count
 and byte-length columns moved ahead of one payload. The same postings
@@ -62,9 +72,9 @@ STORE_FILE_SHA256 = {
     "clusters-3.tsv": "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda",
     "heads-3.json": "c6f32d5a0984fd49e12437b718e807a7c3f266df70836b4cd86e18b58bdf5783",
     "embeddings-3.ndem": "86ab212dc10ad9859cff013a4b79fba4103f389ecf8e0e449ebb73967e077b74",
-    "manifest.json": "e9424903f8d56dc71a2883bc2f4f2e80444234e76f2fec385224a9b8e44482a9",
-    "segment-1-2.ndsg": "78af370e785033a2fec994a2f3d1147047784b81dbffc76ec33fc2bcd1646530",
-    "segment-1-3.ndsg": "2d83d9a2b43614b9c4fda933001ca270f185b4de3826cc71a0a136e62dfcf17e",
+    "manifest.json": "f74707096a0b48a45ed1f85a2db5a2aab6094bd4cbf628272afdcd2ef6ee0798",
+    "segment-1-2.ndsg": "c08657e129eec6cfbf9cdfeceb280c4e06563c42703f6c88b25022b3637f954c",
+    "segment-1-3.ndsg": "6ae6e584c2ed9e9ba7eabef3bbffc01afd445d0263c2b98e7166193319eff5f4",
 }
 # the same run with top-K binding: (k, candidate pairs, edges, non-singleton clusters, sha256)
 RUN_FULL_SMALL_K = (

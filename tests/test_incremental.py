@@ -15,7 +15,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neardup import (
@@ -38,6 +38,7 @@ from neardup import (
 )
 from neardup.clustering import clusters_to_tsv
 from neardup.incremental import HEAD, LISTED, MEMBER, SegmentRef, _decode_segment, _encode_segment
+from neardup.incremental import _COLUMNS
 from neardup.index import serialize_index
 
 from conftest import cluster_table, popcount_model, star_set
@@ -256,10 +257,11 @@ def test_store_open_rejects_bad_state(tmp_path, model):
     ClusterStore.open(tmp_path / "two")
 
 
-# the earlier segment formats: per-row image ids and head flags, per-cluster
-# head entries and augmentation lists under four counts (version 2), and
-# each segment's head postings as CSR columns between aug_count and is_head
-# under two more (version 1)
+# the earlier segment formats: every row's cluster id and score under one
+# count (version 3); per-row image ids and head flags, per-cluster head
+# entries and augmentation lists under four counts (version 2); and each
+# segment's head postings as CSR columns between aug_count and is_head under
+# two more (version 1)
 _V2_COLUMNS = (
     ("ids", "<u8"), ("image", "<u8"), ("cluster", "<u8"), ("score", "<f8"), ("head_cluster", "<u8"),
     ("head_image", "<u8"), ("aug_image", "<u8"), ("aug_score", "<f8"), ("aug_count", "<u4"),
@@ -269,7 +271,12 @@ _V1_COLUMNS = _V2_COLUMNS[:9] + (("terms", "<u4"), ("term_count", "<u4"), ("post
 
 
 def earlier_segment(version, store):
-    """The one segment of a whole store in segment format 1 or 2."""
+    """The one segment of a whole store in segment format 1, 2 or 3."""
+    if version == 3:
+        body = struct.pack("<4sHHQ", b"NDSG", 3, store.embeddings.d, len(store))
+        columns = (store.embeddings.ids, store.cluster, store.score, store.role, store.embeddings.packed)
+        body += b"".join(np.ascontiguousarray(c, dtype=dtype).tobytes() for c, (_, dtype) in zip(columns, _COLUMNS))
+        return body + struct.pack("<I", zlib.crc32(body))
     table, heads, index = store.table, store.heads, store.head_index
     columns = dict(
         ids=store.embeddings.ids, image=table.image, cluster=table.cluster, score=table.score,
@@ -302,6 +309,89 @@ def test_store_open_rejects_a_version_1_segment(tmp_path):
 
 def test_store_open_rejects_a_version_2_segment(tmp_path):
     assert_refuses_segment_version(tmp_path / "store", 2)
+
+
+def test_store_open_rejects_a_version_3_segment(tmp_path):
+    assert_refuses_segment_version(tmp_path / "store", 3)
+
+
+@st.composite
+def segment_columns(draw):
+    """d and the full columns of a segment: heads, members and listed
+    members, each in a cluster named by its own id, another id of the
+    segment or an id outside it; scores of any float, NaN included."""
+    n = draw(st.integers(0, 12))
+    d = draw(st.sampled_from([8, 64]))
+    ids = np.array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n, unique=True)), dtype=np.uint64)
+    role = np.array(draw(st.lists(st.sampled_from([MEMBER, HEAD, LISTED]), min_size=n, max_size=n)), dtype=np.uint8)
+    cluster = ids.copy()
+    for i in range(n):
+        name = draw(st.sampled_from(["own", "inside", "outside"]))
+        if name == "inside":
+            cluster[i] = ids[draw(st.integers(0, n - 1))]
+        elif name == "outside":
+            cluster[i] = draw(st.integers(0, 2**64 - 1))
+    score = np.array([np.nan if r == HEAD else draw(st.floats(width=64)) for r in role.tolist()], dtype=np.float64)
+    packed = np.frombuffer(draw(st.binary(min_size=n * d // 8, max_size=n * d // 8)), dtype=np.uint8)
+    return d, dict(ids=ids, cluster=cluster, score=score, role=role, packed=packed)
+
+
+EMPTY_SEGMENT = (64, {name: np.zeros(0, dtype=dtype) for name, dtype in _COLUMNS})
+
+
+@settings(max_examples=150, deadline=None)
+@given(segment_columns())
+@example(EMPTY_SEGMENT)
+def test_segment_round_trip_stores_no_implied_value(case):
+    d, columns = case
+    blob = _encode_segment(d, columns)
+    decoded_d, decoded = _decode_segment(blob, "segment")
+    assert decoded_d == d and sorted(decoded) == sorted(columns)
+    for name, dtype in _COLUMNS:
+        assert decoded[name].dtype == np.dtype(dtype)
+        assert decoded[name].tobytes() == columns[name].tobytes()  # NaN bits included
+    # a 32-byte header and the CRC; per image its id, role byte and bits;
+    # a cluster id only where it is not the image's id, a score only off a head
+    named = np.count_nonzero(columns["cluster"] != columns["ids"])
+    scored = np.count_nonzero(columns["role"] != HEAD)
+    assert len(blob) == 36 + columns["ids"].size * (9 + d // 8) + 8 * (named + scored)
+
+
+def with_role_byte(blob, row, value):
+    """A segment's bytes with one row's role byte set to value, under a
+    valid checksum."""
+    images, named, scored = struct.unpack_from("<QQQ", blob, 8)
+    body = bytearray(blob[:-4])
+    body[32 + 8 * (images + named + scored) + row] = value
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+def test_decode_segment_refuses_bad_role_bytes():
+    # 5 heads its own cluster; 6 is listed in it; 7 is a member of cluster 9
+    columns = dict(
+        ids=np.array([5, 6, 7], dtype=np.uint64), cluster=np.array([5, 5, 9], dtype=np.uint64),
+        score=np.array([np.nan, 0.5, 0.25]), role=np.array([HEAD, LISTED, MEMBER], dtype=np.uint8),
+        packed=np.arange(3, dtype=np.uint8),
+    )
+    blob = _encode_segment(8, columns)
+    assert _decode_segment(blob, "segment")[1]["cluster"].tolist() == [5, 5, 9]
+    for row, value, message in (
+        (2, 3, "image 7: role 3"),
+        (2, 0b1000, "image 7: reserved bits"),
+        (0, HEAD, "2 cluster ids and 2 scores, where the role column calls for 3 and 2"),  # 5 loses its self-named bit
+        (1, HEAD, "2 cluster ids and 2 scores, where the role column calls for 2 and 1"),  # listed 6 becomes a head
+    ):
+        with pytest.raises(StoreError, match=message):
+            _decode_segment(with_role_byte(blob, row, value), "segment")
+
+
+def test_save_refuses_a_head_with_a_score(tmp_path):
+    emb = star_set(D, SEED, [(1, []), (2, [0]), (3, [1])])
+    store = ClusterStore(lshc(), emb, [1, 1, 3], [0.5, 0.9, np.nan], [HEAD, LISTED, HEAD], directory=tmp_path / "store")
+    assert store.clusters[1] == NearDupeCluster(1, 1, [(2, 0.9)])  # in memory the score goes unread
+    with pytest.raises(StoreError, match="head 1 has score 0.5"):
+        store.save()
+    assert not (tmp_path / "store").exists()
 
 
 def test_store_open_rejects_malformed_manifest_and_heads(tmp_path, model):
@@ -708,6 +798,34 @@ def test_run_incremental_matches_static_clustering(model, tmp_path):
     assert rand_index(static.clusters.cluster, [final[i] for i in static.clusters.image.tolist()]) == 1.0
     assert store.batch_id == 2
     assert len(store) == 6
+
+
+def test_run_incremental_heads_take_the_scores_nvn_made(model, tmp_path, monkeypatch):
+    from neardup import clustering, incremental
+
+    inside, scored = [False], []
+    real_choose, real_predict = incremental.choose_head, clustering.predict_rows
+
+    def choose(*args):
+        inside[0] = True
+        try:
+            return real_choose(*args)
+        finally:
+            inside[0] = False
+
+    def predict(model, embeddings, rows_a, rows_b):
+        if inside[0]:
+            scored.append(len(rows_a))
+        return real_predict(model, embeddings, rows_a, rows_b)
+
+    monkeypatch.setattr(incremental, "choose_head", choose)
+    monkeypatch.setattr(clustering, "predict_rows", predict)
+    # two pairs one bit apart and a lone image: each pair is an edge NvN kept
+    new = batch([(0, []), (1, [0]), (20, list(range(10, 26))), (21, list(range(10, 26)) + [40]),
+                 (40, list(range(28, 48)))])
+    store, assignments, _ = run_incremental(tmp_path / "store", new, model, cfg())
+    assert [p for _, _, p in assignments] == ["nvn_new"] * 5 and len(store.table) == 3
+    assert scored == []
 
 
 def test_run_incremental_joins_via_heads(model, tmp_path):

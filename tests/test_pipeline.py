@@ -176,6 +176,10 @@ def test_config_rejects_unknown_and_invalid():
         PipelineConfig.from_dict({"classifier": {"model_path": __file__}})  # evaluate takes --model
     with pytest.raises(DataError):
         PipelineConfig.from_dict({"search": {"k": 0}})
+    # a model file holds each layer dimension as a u32
+    assert PipelineConfig.from_dict({"classifier": {"hidden": [2**32 - 1]}}).classifier.hidden == [2**32 - 1]
+    with pytest.raises(DataError, match="classifier.hidden width 4294967296"):
+        PipelineConfig.from_dict({"classifier": {"hidden": [8, 2**32]}})
 
 
 @pytest.mark.parametrize(
