@@ -72,6 +72,8 @@ from .search import (
     batch_search,
     overlap_pairs,
     recall_at_distance,
+    self_pairs,
+    top_pairs,
     unordered_pairs,
 )
 from .selection import (

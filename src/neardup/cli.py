@@ -4,8 +4,8 @@ Every pipeline setting comes from the one --config file (its defaults when
 the flag is left out), so build-index, search, select and cluster in turn
 write the same cluster file as run. Every output file is written atomically
 (temp file + rename), so an aborted command never leaves a partial artifact
-behind. Failures print the failing stage to stderr and exit 1. Logging goes
-to stderr; -v raises verbosity.
+behind. Failures, a failed allocation among them, print the failing stage
+to stderr and exit 1. Logging goes to stderr; -v raises verbosity.
 """
 
 import argparse
@@ -350,11 +350,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
     try:
         return args.func(args)
-    except NearDupError as exc:
-        print(f"error in {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error in {args.command}: {exc}", file=sys.stderr)
+    except (NearDupError, OSError, MemoryError) as exc:
+        # a failed allocation has no message when Python, not NumPy, raises it
+        print(f"error in {args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

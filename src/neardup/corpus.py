@@ -190,21 +190,17 @@ def _candidate_cross_group_pairs(
 ) -> np.ndarray:
     """Sorted unordered cross-group pairs, (n, 2), that the index surfaces as candidates."""
     from .index import build_index
-    from .search import overlap_pairs
+    from .search import self_pairs
 
-    index = build_index(embeddings, lsh_config)
-    ext_q, ext_i, _ = overlap_pairs(embeddings, index, min_overlap=min_overlap)
+    a, b, _ = self_pairs(build_index(embeddings, lsh_config), min_overlap)
+    ends = np.concatenate((a, b))
     order = np.argsort(truth.ids)
-    sorted_ids = truth.ids[order]
-    ext = np.concatenate((ext_q, ext_i))
-    pos, known = find_sorted(sorted_ids, ext)
+    pos, known = find_sorted(truth.ids[order], ends)
     if not known.all():
-        raise DataError(f"image {ext[~known][0]} has no ground-truth group")
-    gq, gi = np.split(truth.group_of[order[pos]], 2)
-    cross = gq != gi
-    a = np.minimum(ext_q[cross], ext_i[cross])
-    b = np.maximum(ext_q[cross], ext_i[cross])
-    return np.unique(np.stack([a, b], axis=1), axis=0)
+        raise DataError(f"image {ends[~known][0]} has no ground-truth group")
+    group_a, group_b = np.split(truth.group_of[order[pos]], 2)
+    cross = group_a != group_b
+    return np.column_stack((a[cross], b[cross]))
 
 
 # -- labeled pair CSV --------------------------------------------------------

@@ -19,7 +19,7 @@ from .embeddings import EmbeddingSet, LshConfig, select_bits
 from .errors import DataError
 from .index import build_index
 from .metrics import pairwise_precision_recall, purity, rand_index
-from .search import batch_search, recall_at_distance, unordered_pairs
+from .search import RECALL_K, recall_at_distance, self_pairs, top_pairs
 from .selection import select_edges
 from .util import StageTimer, atomic_write_text, find_sorted
 
@@ -77,8 +77,14 @@ def static_clusters(
 ) -> StaticRunResult:
     """Run the full static pipeline over one embedding set; timings holds
     the seconds of its five stages, which -v logs."""
+    return _static_run(embeddings, model, config, lsh_config)[0]
+
+
+def _static_run(embeddings: EmbeddingSet, model: MlpModel, config: PipelineConfig, lsh_config: LshConfig):
+    """static_clusters' result, and the self_pairs its search cut to
+    search.k: the candidate pairs before any K, for evaluate."""
     if len(embeddings) == 0:
-        return StaticRunResult(ClusterTable(), lsh_config, timings={})
+        return StaticRunResult(ClusterTable(), lsh_config, timings={}), None
 
     stage = StageTimer()
     if lsh_config is None:
@@ -86,10 +92,10 @@ def static_clusters(
     index = build_index(embeddings, lsh_config)
     stage("index", "%d images, %d postings", len(embeddings), index.posting_count())
 
-    hits = batch_search(embeddings, index, k=config.search.k, min_overlap=config.search.min_overlap)
-    stage("search", "%d candidate pairs", hits.query.size)
+    pairs = self_pairs(index, config.search.min_overlap)
+    pairs_a, pairs_b, _ = top_pairs(pairs, config.search.k)
+    stage("search", "%d candidate pairs", pairs_a.size)
 
-    pairs_a, pairs_b = unordered_pairs(hits)
     edges_a, edges_b, edge_scores, pairs_scored = select_edges(
         pairs_a, pairs_b, model, embeddings, config.classifier.threshold
     )
@@ -110,7 +116,7 @@ def static_clusters(
     clusters = add_singletons(clusters, embeddings.ids)
     stage("cut", "%d clusters (%d non-singleton)", len(clusters), int((clusters.sizes > 1).sum()))
 
-    return StaticRunResult(
+    result = StaticRunResult(
         clusters,
         lsh_config,
         edges=(edges_a, edges_b, edge_scores),
@@ -118,6 +124,7 @@ def static_clusters(
         pairs_scored=pairs_scored,
         timings=stage.seconds,
     )
+    return result, pairs
 
 
 def run_full(embeddings: EmbeddingSet, model: MlpModel, config: PipelineConfig, clusters_path):
@@ -200,7 +207,7 @@ def evaluate_pipeline(
             "seconds": round(stage.seconds["train"], 3),
         }
 
-    run = static_clusters(embeddings, model, config, lsh_config=lsh_config)
+    run, pairs = _static_run(embeddings, model, config, lsh_config)
     # the truth group of each table row, by one sorted lookup
     by_id = np.argsort(truth.ids, kind="stable")
     pos, known = find_sorted(truth.ids[by_id], run.clusters.image)
@@ -209,12 +216,12 @@ def evaluate_pipeline(
     predicted, actual = run.clusters.cluster, truth.group_of[by_id[pos]]
     precision, recall = pairwise_precision_recall(predicted, actual)
 
+    stage = StageTimer()
     group_vec = np.empty(len(embeddings), dtype=np.uint64)
     group_vec[embeddings.rows_of(run.clusters.image)] = actual
-    r_at_d = recall_at_distance(
-        embeddings, group_vec, lsh_config, distance_threshold,
-        min_overlap=config.search.min_overlap,
-    )
+    # the run's own join, cut to RECALL_K instead of search.k
+    r_at_d = recall_at_distance(embeddings, group_vec, top_pairs(pairs, RECALL_K), distance_threshold)
+    stage("recall", "recall@%d %.4f", distance_threshold, r_at_d)
 
     sizes, counts = np.unique(run.clusters.sizes, return_counts=True)
 
@@ -230,6 +237,6 @@ def evaluate_pipeline(
         "pairs_scored": run.pairs_scored,
         "edges": run.edge_count,
         "cluster_size_histogram": dict(zip(map(str, sizes.tolist()), counts.tolist())),
-        "timings": {k: round(v, 6) for k, v in run.timings.items()},
+        "timings": {k: round(v, 6) for k, v in {**run.timings, **stage.seconds}.items()},
         "training": training,
     }

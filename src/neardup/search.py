@@ -1,20 +1,28 @@
-"""Batch top-K candidate retrieval by LSH term overlap.
+"""Candidate retrieval by LSH term overlap.
 
 Queries and the index are joined term-by-term: every (query, indexed image)
 pair sharing a term contributes one co-occurrence, so the number of shared
 terms is exactly the pair's overlap count. Pairs reaching min_overlap become
-hits, ranked per query by (overlap desc, index image id asc) and truncated
-to K. A query indexed under its own id never matches itself.
+hits. A query indexed under its own id never matches itself.
 
 The join is one vectorised kernel. Each query term maps to its posting range
 with one sorted lookup, and all ranges expand at once into (query row, dense
 id) keys, which a sort counts. Query rows go through in blocks of at most
 JOIN_KEY_BUDGET keys (a row over budget alone is a block of its own), so
 the keys held at once do not grow with the square of the list lengths.
-When the queries are exactly the indexed set, each query row takes only the
-postings after its own in every list: the join skips the diagonal and emits
-each unordered pair once (Bayardo, Ma and Srikant, "Scaling Up All Pairs
-Similarity Search", WWW 2007).
+
+A set searched against its own index takes the half join: each posting
+meets only the postings after it in its list, so the join skips the
+diagonal and emits each unordered pair once (Bayardo, Ma and Srikant,
+"Scaling Up All Pairs Similarity Search", WWW 2007). self_pairs gives those
+pairs as they come, (a, b, overlap) with a < b, and top_pairs trims them to
+what a top-K search keeps in either direction; the static run, NvN ingest,
+evaluate and hard-negative sampling read this one pair stream.
+
+batch_search ranks each query's hits by (overlap desc, index image id asc)
+and truncates them to K. When its queries are exactly the indexed set, as
+in the staged search over a saved index, overlap_pairs takes the same half
+join and mirrors each pair into both directions.
 """
 
 import operator
@@ -23,10 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, LshConfig, hamming_distance_matrix
+from .embeddings import EmbeddingSet, hamming_distance_matrix
 from .errors import ConfigMismatchError, DataError
-from .index import PostingIndex, build_index, posting_order, sorted_runs
-from .util import pairs_within, top_in_groups
+from .index import PostingIndex, posting_order, sorted_runs
+from .util import find_sorted, pairs_within, top_in_groups
 
 # Join keys one block materialises and sorts. A block holds every key of its
 # query rows, so its count is exact. overlap_pairs self-join, 2-vCPU Xeon
@@ -37,7 +45,7 @@ from .util import pairs_within, top_in_groups
 # the cache, not the data or the caller, so it is a constant, not a knob.
 JOIN_KEY_BUDGET = 1 << 16
 
-# hits per query recall_at_distance retrieves, in either direction of a pair
+# the top-K cut of the candidate pairs evaluate's recall_at_distance reads
 RECALL_K = 100
 
 
@@ -135,26 +143,20 @@ def join_blocks(row_keys: np.ndarray, budget: int) -> list:
     return bounds
 
 
-def _self_join_lists(queries: EmbeddingSet, q_terms: np.ndarray, index: PostingIndex):
-    """The posting position of every query cell (row, term column) when the
-    index holds exactly the lists build_index makes of the query terms, as
-    an (n, t) array; else None. Each list then rises strictly and holds
-    every query row with its term, so a row's later postings are the pairs
-    it leads."""
+def _self_join_lists(queries: EmbeddingSet, q_terms: np.ndarray, index: PostingIndex) -> bool:
+    """Whether the index holds exactly the lists build_index makes of the
+    query terms. Each list then rises strictly and holds every query row
+    with its term, so _half_join of the index is the queries' self-join."""
     n, t = q_terms.shape
     if index.ids.size != n * t or not np.array_equal(queries.ids, index.dictionary):
-        return None
+        return False
     order = posting_order(q_terms, index.config)
     terms, offsets = sorted_runs(q_terms.reshape(-1)[order])
-    if not (
+    return (
         np.array_equal(index.terms, terms)
         and np.array_equal(index.offsets, offsets)
         and np.array_equal(index.ids, order // t)
-    ):
-        return None
-    position = np.empty(n * t, dtype=np.int64)
-    position[order] = np.arange(n * t, dtype=np.int64)
-    return position.reshape(n, t)
+    )
 
 
 def _join(lo: np.ndarray, hi: np.ndarray, ids: np.ndarray, min_overlap: int):
@@ -191,6 +193,70 @@ def _join(lo: np.ndarray, hi: np.ndarray, ids: np.ndarray, min_overlap: int):
     return np.concatenate(rows), np.concatenate(dense), np.concatenate(counts)
 
 
+def _half_join(index: PostingIndex, min_overlap: int):
+    """The join of an index's images with each other: (row, dense, count)
+    of every pair with count >= min_overlap, once, with row < dense, sorted
+    by (row, dense). Both are dense ids.
+
+    Each posting meets only the postings after it in its list. The index
+    must hold one posting per image and term column, as build_index makes
+    it; the lists rise, so the later postings are the pairs a row leads.
+    """
+    n, t = index.dictionary.size, index.config.term_count
+    if index.ids.size != n * t:
+        raise DataError(f"a self-join needs {t} postings per image, the index holds {index.ids.size} for {n}")
+    lengths = np.diff(index.offsets)
+    column = index.terms >> np.uint32(index.config.term_bits)
+    # the posting of each (image, term column) cell; the per-posting
+    # temporaries go before the join, which holds the most memory
+    position = np.full(n * t, -1, dtype=np.int64)
+    position[index.ids.astype(np.int64) * t + np.repeat(column, lengths)] = np.arange(n * t)
+    if (position < 0).any():
+        raise DataError("a self-join needs one posting per image and term column")
+    position = position.reshape(n, t)
+    return _join(position + 1, np.repeat(index.offsets[1:], lengths)[position], index.ids, min_overlap)
+
+
+def self_pairs(index: PostingIndex, min_overlap: int = 2):
+    """Every unordered pair of the index's own images sharing at least
+    min_overlap terms, once: aligned (a, b, overlap) arrays (uint64, uint64,
+    int64) with a < b by id, sorted by (a, b). No K applied; see top_pairs.
+
+    The index must be one build_index made (or one read back from its file).
+    """
+    if min_overlap < 1:
+        raise DataError(f"min_overlap must be >= 1, got {min_overlap}")
+    rows, dense, counts = _half_join(index, min_overlap)
+    a, b = index.dictionary[rows], index.dictionary[dense]
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((b, a))
+    return a[order], b[order], counts[order]
+
+
+def top_pairs(pairs, k: int):
+    """The (a, b, overlap) pairs of self_pairs that a top-k search keeps in
+    either direction, in their order: the pairs unordered_pairs gives of
+    batch_search at k over the same set and index.
+
+    A pair goes only when both its ends have more than k hits and neither
+    ranks it in its top k by (overlap desc, id asc), so only the pairs of
+    such ends are ranked.
+    """
+    if k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
+    a, b, overlap = pairs
+    ends, hits = np.unique(np.concatenate((a, b)), return_counts=True)
+    busy = ends[hits > k]
+    from_a, from_b = find_sorted(busy, a)[1], find_sorted(busy, b)[1]
+    # each pair with a busy end, seen from that end
+    side_a, side_b = np.flatnonzero(from_a), np.flatnonzero(from_b)
+    seen = np.concatenate((side_a, side_b))
+    end, other = np.concatenate((a[side_a], b[side_b])), np.concatenate((b[side_a], a[side_b]))
+    keep = ~(from_a & from_b)
+    keep[seen[top_in_groups(end, overlap[seen], other, k)]] = True
+    return a[keep], b[keep], overlap[keep]
+
+
 def overlap_pairs(queries: EmbeddingSet, index: PostingIndex, min_overlap: int = 2):
     """All (query_id, index_id, overlap) triples with overlap >= min_overlap.
 
@@ -206,11 +272,8 @@ def overlap_pairs(queries: EmbeddingSet, index: PostingIndex, min_overlap: int =
     if q_terms.shape[0] == 0 or index.terms.size == 0:
         return np.zeros(0, np.uint64), np.zeros(0, np.uint64), np.zeros(0, np.int64)
 
-    position = _self_join_lists(queries, q_terms, index)
-    if position is not None:
-        # self-join: each row meets only the postings after its own
-        list_end = np.repeat(index.offsets[1:], np.diff(index.offsets))
-        rows, dense, counts = _join(position + 1, list_end[position], index.ids, min_overlap)
+    if _self_join_lists(queries, q_terms, index):
+        rows, dense, counts = _half_join(index, min_overlap)
         # mirror the half result, (a, b) also read as (b, a)
         rows, dense = np.concatenate((rows, dense)), np.concatenate((dense, rows))
         counts = np.concatenate((counts, counts))
@@ -242,13 +305,12 @@ def batch_search(queries: EmbeddingSet, index: PostingIndex, k: int = 20, min_ov
 def recall_at_distance(
     embeddings: EmbeddingSet,
     group_of: np.ndarray,
-    config: LshConfig,
+    pairs,
     distance_threshold: int,
-    min_overlap: int = 2,
 ) -> float:
     """Fraction of same-group pairs within hamming distance_threshold that
-    search retrieves (in either direction) when the whole corpus is indexed
-    and queried against itself.
+    the candidate pairs hold, in either order: pairs[0] and pairs[1] are
+    aligned id arrays, such as those of top_pairs.
 
     group_of[i] is the ground-truth group of embeddings.ids[i]. Returns 1.0
     when no pair is within the threshold (nothing to miss).
@@ -264,9 +326,7 @@ def recall_at_distance(
     if rows_a.size == 0:
         return 1.0
 
-    index = build_index(embeddings, config)
-    got_a, got_b = unordered_pairs(batch_search(embeddings, index, k=RECALL_K, min_overlap=min_overlap))
-    got = row_pair_keys(embeddings.rows_of(got_a), embeddings.rows_of(got_b))
+    got = row_pair_keys(embeddings.rows_of(pairs[0]), embeddings.rows_of(pairs[1]))
     wanted = row_pair_keys(rows_a, rows_b)
     return int(np.isin(wanted, got).sum()) / rows_a.size
 

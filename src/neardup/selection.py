@@ -73,9 +73,10 @@ class HeadMatches:
 
 
 def select_edges(a, b, model: MlpModel, embeddings: EmbeddingSet, threshold: float):
-    """Static-pipeline selection over aligned pair arrays, as unordered_pairs
-    returns them: the (a, b, score) arrays of the edges the closure needs,
-    in input order, and the number of pairs scored.
+    """Static-pipeline selection over aligned pair arrays, each unordered
+    pair once, sorted by (a, b) as self_pairs gives them: the (a, b, score)
+    arrays of the edges the closure needs, in input order, and the number
+    of pairs scored.
 
     Clustering needs only connectivity, so a pair whose two images earlier
     edges already join is not scored. The pairs go by ascending hamming

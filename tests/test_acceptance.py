@@ -33,12 +33,15 @@ from neardup import (
     roc_auc,
     run_incremental,
     select_candidates,
+    self_pairs,
     static_clusters,
+    top_pairs,
     train,
     transitive_closure,
 )
 from neardup.classifier import init_model, loss_and_grads, predict_rows
 from neardup.embeddings import derive_terms_matrix
+from neardup.search import RECALL_K
 
 from conftest import popcount_model, star_set
 from test_clustering import as_lists, union_find_oracle
@@ -127,7 +130,7 @@ def test_c01_candidate_generation_matches_brute_force():
 def test_c02_recall_at_distance_on_standard_corpus(standard_corpus):
     emb, truth, lshc = standard_corpus
     t0 = time.perf_counter()
-    value = recall_at_distance(emb, truth.group_of, lshc, 8)
+    value = recall_at_distance(emb, truth.group_of, top_pairs(self_pairs(build_index(emb, lshc)), RECALL_K), 8)
     elapsed = time.perf_counter() - t0
     report(
         2,

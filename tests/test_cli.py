@@ -415,23 +415,29 @@ def test_incremental_empty_first_batch_is_a_noop(workspace, tmp_path, capsys):
     assert (tmp_path / "clusters.tsv").read_text() == ""
 
 
-def test_evaluate_reports_metrics(workspace):
+def test_evaluate_reports_metrics(workspace, caplog):
     root = workspace
-    assert main(
-        [
-            "evaluate",
-            "--corpus", str(root / "corpus"),
-            "--config", str(root / "config.json"),
-            "--model", str(root / "model.ndml"),
-            "--distance", "4",
-            "--report", str(root / "eval.json"),
-        ]
-    ) == 0
+    with caplog.at_level("INFO", logger="neardup"):
+        assert main(
+            [
+                "-v",
+                "evaluate",
+                "--corpus", str(root / "corpus"),
+                "--config", str(root / "config.json"),
+                "--model", str(root / "model.ndml"),
+                "--distance", "4",
+                "--report", str(root / "eval.json"),
+            ]
+        ) == 0
     report = json.loads((root / "eval.json").read_text())
     for key in ("pairwise_precision", "pairwise_recall", "rand_index", "purity"):
         assert 0.0 <= report[key] <= 1.0
     assert report["recall_at_distance"]["distance"] == 4
     assert report["training"] is None
+    # the run's five stages, then recall@distance, each timed and logged once
+    stages = ["index", "search", "select", "closure", "cut", "recall"]
+    assert set(report["timings"]) == set(stages)
+    assert [r.getMessage().split(" ")[0] for r in caplog.records] == stages
 
 
 def test_errors_exit_one_with_stage_name(workspace, tmp_path, capsys):
@@ -597,15 +603,26 @@ CAPPED_MAIN = (
 )
 
 
+# Sizes no file format can hold are refused before anything is allocated.
+# Sizes under those bounds fail in the allocation itself, which main reports.
 @pytest.mark.parametrize(
     "command, field",
-    [("gen-corpus", "dupes_per_base count of 100000000000"), ("evaluate", "classifier.hidden width 100000000000")],
+    [
+        ("gen-corpus", "dupes_per_base count of 100000000000"),
+        ("evaluate", "classifier.hidden width 100000000000"),
+        ("gen-corpus", "Unable to allocate 16.0 GiB"),
+        ("evaluate", "Unable to allocate 2.00 TiB"),
+    ],
 )
 def test_sizes_no_file_format_can_hold_exit_one_before_allocating(workspace, tmp_path, command, field):
-    (tmp_path / "wide.json").write_text(json.dumps({"classifier": {"hidden": [100000000000]}}))
+    allocating = field.startswith("Unable to allocate")
+    hidden = 2**32 - 1 if allocating else 100000000000
+    lsh = json.loads((workspace / "config.json").read_text())["lsh"]
+    (tmp_path / "wide.json").write_text(json.dumps({"lsh": lsh, "classifier": {"hidden": [hidden]}}))
+    spec = ["--n-base", "2147483648", "--dupes-dist", '{"0": 1}'] if allocating else [
+        "--n-base", "5", "--dupes-dist", '{"100000000000": 1}']
     argv = {
-        "gen-corpus": ["gen-corpus", "--out", str(tmp_path / "c"), "--n-base", "5",
-                       "--dupes-dist", '{"100000000000": 1}'],
+        "gen-corpus": ["gen-corpus", "--out", str(tmp_path / "c"), *spec],
         "evaluate": ["evaluate", "--corpus", str(workspace / "corpus"), "--config", str(tmp_path / "wide.json")],
     }[command]
     src = os.path.dirname(os.path.dirname(neardup.__file__))

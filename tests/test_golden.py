@@ -57,6 +57,7 @@ from neardup import (
     save_model,
     train_default_model,
 )
+from neardup import pipeline, search
 from neardup.clustering import clusters_to_tsv
 from neardup.index import build_index, load_index, serialize_index
 
@@ -141,11 +142,17 @@ def test_run_full_digest_where_top_k_binds(seeded, tmp_path, k, pairs, edges, cl
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_evaluate_pipeline_report(seeded):
+def test_evaluate_pipeline_report(seeded, monkeypatch):
     config, model, emb, _ = seeded
     _, truth = generate_corpus(spec(12, 500))
+    calls = []
+    for module, name in ((pipeline, "build_index"), (search, "_join")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     report = evaluate_pipeline(emb, truth, config, model=model)
     assert {key: report[key] for key in EVALUATE_REPORT} == EVALUATE_REPORT
+    # the run and recall@distance read one index and one join
+    assert calls == ["build_index", "_join"]
 
 
 @pytest.fixture(scope="module")

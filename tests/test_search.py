@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neardup import (
@@ -18,10 +18,12 @@ from neardup import (
     recall_at_distance,
     save_index,
     search,
+    self_pairs,
+    top_pairs,
     unordered_pairs,
 )
 from neardup.embeddings import derive_terms_matrix
-from neardup.search import SearchHit, SearchResultBatch, join_blocks
+from neardup.search import RECALL_K, SearchHit, SearchResultBatch, join_blocks
 
 from conftest import star_set, term_sets
 
@@ -176,11 +178,20 @@ def test_bad_parameters_rejected(lsh64, rng):
         batch_search(random_set(rng, 2), index, k=0)
     with pytest.raises(DataError):
         overlap_pairs(random_set(rng, 2), index, min_overlap=0)
+    with pytest.raises(DataError):
+        self_pairs(index, min_overlap=0)
+    with pytest.raises(DataError):
+        top_pairs(self_pairs(index), k=0)
 
 
 def test_empty_query_batch(lsh64, rng):
     index = build_index(random_set(rng, 5), lsh64)
     assert batch_search(random_set(rng, 0), index) == {}
+
+
+def recall_candidates(emb, cfg):
+    """The pairs evaluate hands recall_at_distance: the self-join cut to RECALL_K."""
+    return top_pairs(self_pairs(build_index(emb, cfg)), RECALL_K)
 
 
 def test_recall_at_distance_star(lsh64):
@@ -189,7 +200,12 @@ def test_recall_at_distance_star(lsh64):
     noise = [(10 + i, list(range(i, i + 18))) for i in range(4)]
     emb = star_set(64, 21, members + noise)
     groups = np.array([0, 0, 0, 0, 1, 2, 3, 4])
-    assert recall_at_distance(emb, groups, lsh64, distance_threshold=4) == 1.0
+    assert recall_at_distance(emb, groups, recall_candidates(emb, lsh64), distance_threshold=4) == 1.0
+    # a pair the candidates miss counts against recall, in either order
+    a, b, _ = recall_candidates(emb, lsh64)
+    close = (a < 4) & (b < 4)
+    assert close.sum() == 6
+    assert recall_at_distance(emb, groups, (b[close][1:], a[close][1:]), distance_threshold=4) == 5 / 6
 
 
 def test_recall_at_distance_nothing_close(lsh64):
@@ -197,13 +213,13 @@ def test_recall_at_distance_nothing_close(lsh64):
     members = [(0, []), (1, list(range(30)))]
     emb = star_set(64, 22, members)
     groups = np.array([0, 0])
-    assert recall_at_distance(emb, groups, lsh64, distance_threshold=4) == 1.0
+    assert recall_at_distance(emb, groups, recall_candidates(emb, lsh64), distance_threshold=4) == 1.0
 
 
 def test_recall_at_distance_alignment_checked(lsh64):
     emb = star_set(64, 23, [(0, []), (1, [0])])
     with pytest.raises(DataError):
-        recall_at_distance(emb, np.array([0]), lsh64, distance_threshold=4)
+        recall_at_distance(emb, np.array([0]), recall_candidates(emb, lsh64), distance_threshold=4)
 
 
 # -- the blocked join against the brute-force oracle ---------------------------
@@ -232,7 +248,7 @@ def ranked_oracle(queries, indexed, cfg, min_overlap, k):
 
 def takes_half_path(queries, index):
     terms = derive_terms_matrix(queries.bits_matrix(), index.config)
-    return search._self_join_lists(queries, terms, index) is not None
+    return search._self_join_lists(queries, terms, index)
 
 
 @settings(max_examples=120, deadline=None)
@@ -315,13 +331,67 @@ def test_join_blocks_stay_within_budget(row_keys, budget):
             assert block + keys[stop] > budget
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    n_bases=st.integers(1, 4),
+    flip_p=st.sampled_from([0.0, 0.02, 0.08, 0.3]),
+    k=st.sampled_from([1, 2, 5, 100]),
+    min_overlap=st.integers(1, 3),
+    budget=st.sampled_from([1, 5, 64, None]),
+)
+# one base, few flips: every row has more than k hits, so the trim drops pairs
+@example(seed=1, n=40, n_bases=1, flip_p=0.02, k=2, min_overlap=1, budget=None)
+@example(seed=2, n=30, n_bases=2, flip_p=0.08, k=5, min_overlap=3, budget=5)
+def test_self_pairs_are_unordered_pairs_of_batch_search(seed, n, n_bases, flip_p, k, min_overlap, budget):
+    rng = np.random.default_rng(seed)
+    indexed = clustered_set(rng, n, n_bases, flip_p)
+    index = build_index(indexed, LSH64)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(search, "JOIN_KEY_BUDGET", budget)
+        pairs = self_pairs(index, min_overlap)
+        want_a, want_b = unordered_pairs(batch_search(indexed, index, k=k, min_overlap=min_overlap))
+
+    # untrimmed: each oracle pair once, a < b by id, sorted by (a, b)
+    oracle = sorted((q, i, c) for q, i, c in search_oracle(indexed, indexed, LSH64, min_overlap) if q < i)
+    assert list(zip(*(p.tolist() for p in pairs))) == oracle
+    assert pairs[0].dtype == pairs[1].dtype == np.uint64 and pairs[2].dtype == np.int64
+
+    a, b, overlap = top_pairs(pairs, k)
+    np.testing.assert_array_equal(a, want_a)
+    np.testing.assert_array_equal(b, want_b)
+    overlap_of = {(x, y): c for x, y, c in oracle}
+    assert overlap.tolist() == [overlap_of[p] for p in zip(a.tolist(), b.tolist())]
+    # a dropped pair has more than k hits at both ends
+    ends, hits = np.unique(np.concatenate(pairs[:2]), return_counts=True)
+    over = set(ends[hits > k].tolist())
+    dropped = set(zip(*(p.tolist() for p in pairs[:2]))) - set(zip(a.tolist(), b.tolist()))
+    assert all(x in over and y in over for x, y in dropped)
+
+
+def test_self_pairs_need_one_posting_per_image_and_term_column(lsh64, rng):
+    indexed = clustered_set(rng, 12, 2, 0.02)
+    index = build_index(indexed, lsh64)
+    # one posting short; or the first posting moved to another image, which
+    # then has two postings in that term column
+    short = PostingIndex(lsh64, index.dictionary, index.terms, np.r_[index.offsets[:-1], index.ids.size - 1], index.ids[:-1])
+    ids = index.ids.copy()
+    ids[0] = (ids[0] + 1) % len(indexed)
+    doubled = PostingIndex(lsh64, index.dictionary, index.terms, index.offsets, ids)
+    for bad in (short, doubled):
+        with pytest.raises(DataError, match="self-join needs"):
+            self_pairs(bad)
+
+
 def test_self_join_materialises_half_the_keys(lsh64, rng, monkeypatch):
     indexed = clustered_set(rng, 60, 3, 0.05)
     index = build_index(indexed, lsh64)
     seen = []
     join = search._join
     monkeypatch.setattr(search, "_join", lambda lo, hi, *a: seen.append(int((hi - lo).sum())) or join(lo, hi, *a))
-    overlap_pairs(indexed, index)
+    self_pairs(index)
     lengths = np.diff(index.offsets)
     # each list of length L pairs its postings L * (L - 1) / 2 times
     assert seen == [int((lengths * (lengths - 1) // 2).sum())]
@@ -355,7 +425,7 @@ def test_loaded_index_takes_the_half_join(lsh64, rng, tmp_path, monkeypatch):
     save_index(build_index(indexed.subset(indexed.ids[::-1]), lsh64), tmp_path / "reversed.ndix")
     assert takes_half_path(indexed, loaded) and not takes_half_path(indexed, load_index(tmp_path / "reversed.ndix"))
     half = [overlap_pairs(indexed, loaded, min_overlap=m) for m in (1, 2, 3)]
-    monkeypatch.setattr(search, "_self_join_lists", lambda *args: None)
+    monkeypatch.setattr(search, "_self_join_lists", lambda *args: False)
     for m, got in zip((1, 2, 3), half):
         for g, w in zip(got, overlap_pairs(indexed, loaded, min_overlap=m)):
             np.testing.assert_array_equal(g, w)
