@@ -7,6 +7,12 @@ are ReLU, the output is a single sigmoid unit, training is mini-batch Adam
 on binary cross-entropy. Everything is plain dense numpy float64; no ML
 runtime is involved.
 
+A model is its weights and biases, nothing more: the decision cut of every
+stage is config's classifier.threshold. train ends by rounding every
+parameter to the model file's float32, so a trained model scores bit for
+bit like the file save_model writes of it, and the validation figures,
+among them the cut choose_threshold picks, describe that model.
+
 predict_rows is the one scoring entry point. It scores row pairs in chunks
 of SCORE_CHUNK_ROWS, and forward_batch adds the bias and applies ReLU in
 place on each layer's product, so a chunk holds one activation array per
@@ -33,7 +39,7 @@ from .metrics import _pr_points, pr_auc, roc_auc
 from .util import ByteReader, atomic_write_bytes
 
 MODEL_MAGIC = b"NDML"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # Pairs predict_rows scores per forward pass. A 1024-row chunk's widest
 # activation (512 units, float64) is 4 MiB; at 8192 rows it is 32 MiB. On
@@ -70,7 +76,6 @@ class MlpModel:
 
     weights: list
     biases: list
-    threshold: float = 0.5
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
@@ -180,9 +185,11 @@ def train(pairs: np.ndarray, embeddings: EmbeddingSet, config: PipelineConfig) -
     with the settings of config.classifier.
 
     Deterministic under config.seed: initialization, the validation split
-    and per-epoch shuffles all draw from one seeded generator. The decision
-    threshold is chosen on the validation split as the highest-precision
-    cut with recall >= MIN_RECALL.
+    and per-epoch shuffles all draw from one seeded generator. The weights
+    and biases end rounded to float32, the model file's precision. When
+    the split holds both classes, validation reports its size, PR and ROC
+    AUC and, as "threshold", the highest-precision cut with recall >=
+    MIN_RECALL; otherwise it is empty.
     """
     settings = config.classifier
     pairs = np.asarray(pairs, dtype=np.uint64).reshape(-1, 3)
@@ -242,14 +249,17 @@ def train(pairs: np.ndarray, embeddings: EmbeddingSet, config: PipelineConfig) -
                     p -= settings.learning_rate * (m / c1) / (np.sqrt(v / c2) + settings.eps)
         epoch_losses.append(sum(batch_losses) / n_train)
 
+    model = MlpModel(
+        [w.astype(np.float32).astype(np.float64) for w in model.weights],
+        [b.astype(np.float32).astype(np.float64) for b in model.biases],
+    )
     validation = {}
     y_val = labels[val_rows]
     if val_rows.size and y_val.min() != y_val.max():
         val_scores = predict_rows(model, embeddings, rows_a[val_rows], rows_b[val_rows])
-        model.threshold = choose_threshold(val_scores, y_val)
         validation = {
             "size": int(val_rows.size),
-            "threshold": model.threshold,
+            "threshold": choose_threshold(val_scores, y_val),
             "pr_auc": pr_auc(val_scores, y_val),
             "roc_auc": roc_auc(val_scores, y_val),
         }
@@ -311,7 +321,8 @@ def predict_rows(model: MlpModel, embeddings: EmbeddingSet, rows_a, rows_b) -> n
 #
 # magic "NDML" | version u16 | n_layers u16
 # per layer: rows u32 | cols u32 | rows*cols f32 weights (row-major) | rows f32 biases
-# then threshold f32. Little-endian. Weights are stored at f32 precision.
+# Little-endian, nothing after the last layer. Weights are stored at f32
+# precision, the precision train ends at.
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -320,7 +331,6 @@ def save_model(model: MlpModel, path) -> None:
         parts.append(struct.pack("<II", w.shape[0], w.shape[1]))
         parts.append(w.astype("<f4").tobytes())
         parts.append(b.astype("<f4").tobytes())
-    parts.append(struct.pack("<f", model.threshold))
     atomic_write_bytes(path, b"".join(parts))
 
 
@@ -332,13 +342,12 @@ def load_model(path) -> MlpModel:
         rows, cols = r.unpack("<II")
         weights.append(r.array("<f4", rows * cols).reshape(rows, cols))
         biases.append(r.array("<f4", rows))
-    (threshold,) = r.unpack("<f")
     r.done()
-    if not (np.isfinite(threshold) and all(np.isfinite(a).all() for a in weights + biases)):
-        raise FormatError(f"{path}: non-finite weight, bias or threshold")
+    if not all(np.isfinite(a).all() for a in weights + biases):
+        raise FormatError(f"{path}: non-finite weight or bias")
     weights = [w.astype(np.float64) for w in weights]
     biases = [b.astype(np.float64) for b in biases]
     try:
-        return MlpModel(weights, biases, threshold=float(threshold))
+        return MlpModel(weights, biases)
     except ModelError as exc:
         raise FormatError(f"{path}: {exc}") from exc

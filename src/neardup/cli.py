@@ -116,14 +116,12 @@ def cmd_train_classifier(args) -> int:
         "pairs": len(pairs),
         "epoch_losses": [round(x, 6) for x in result.epoch_losses],
         "validation": result.validation,
-        "threshold": result.model.threshold,
     }
     if args.report:
         atomic_write_json(args.report, report)
-    print(
-        f"trained on {len(pairs)} pairs, final loss {result.epoch_losses[-1]:.6f}, "
-        f"threshold {result.model.threshold:.6f} -> {args.out}"
-    )
+    chosen = result.validation.get("threshold")
+    cut = "no validation threshold" if chosen is None else f"validation threshold {chosen:.6f}"
+    print(f"trained on {len(pairs)} pairs, final loss {result.epoch_losses[-1]:.6f}, {cut} -> {args.out}")
     return 0
 
 

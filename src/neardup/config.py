@@ -87,6 +87,8 @@ class PipelineConfig:
     augmentation: AugmentationSettings = field(default_factory=AugmentationSettings)
 
     def validate(self) -> "PipelineConfig":
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         for section in (self.lsh, self.search, self.classifier, self.augmentation):
             section.validate()
         return self
@@ -144,13 +146,17 @@ def _section(cls, key: str, payload):
     return cls(**payload)
 
 
+# Integers reach NumPy as its default int64, which holds values below 2^63.
+INT_LIMIT = 2**63
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_type(name: str, value, kind) -> None:
     """JSON values must match the field's declared type: int, float (an int
-    is accepted), str, or list (of ints)."""
+    is accepted), str, or list (of ints). An int must fit in int64."""
     if kind is int:
         ok = _is_int(value)
     elif kind is float:
@@ -162,3 +168,6 @@ def _check_type(name: str, value, kind) -> None:
     if not ok:
         expected = "list of integers" if kind is list else kind.__name__
         raise DataError(f"config value {name} must be {expected}, got {value!r}")
+    values = value if kind is list else [value]
+    if any(_is_int(v) and not -INT_LIMIT <= v < INT_LIMIT for v in values):
+        raise DataError(f"config value {name} must lie in [-2^63, 2^63), got {value!r}")

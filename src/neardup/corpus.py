@@ -39,6 +39,8 @@ class SyntheticCorpusSpec:
     flip_max: int = 12
 
     def __post_init__(self):
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.n_base <= 0:
             raise DataError("n_base must be positive")
         if self.d <= 0 or self.d % 8:

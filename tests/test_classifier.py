@@ -2,6 +2,7 @@
 gradients against the analytic ones, and training behavior checks."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from neardup import (
     MlpModel,
     ModelError,
     PipelineConfig,
+    SyntheticCorpusSpec,
     TrainingError,
     choose_threshold,
+    generate_corpus,
     init_model,
     load_model,
     predict_rows,
     save_model,
     train,
+    train_default_model,
 )
 from neardup import classifier
 from neardup.classifier import SCORE_CHUNK_ROWS, forward_batch, loss_and_grads
@@ -174,7 +178,7 @@ def test_train_deterministic_under_seed():
     b = train(pairs, emb, cfg)
     assert all(np.array_equal(x, y) for x, y in zip(a.model.weights, b.model.weights))
     assert all(np.array_equal(x, y) for x, y in zip(a.model.biases, b.model.biases))
-    assert a.model.threshold == b.model.threshold
+    assert a.validation == b.validation  # the chosen threshold among them
     c = train(pairs, emb, training_config(8, hidden=[8], epochs=5, batch_size=16))
     assert not all(
         np.array_equal(x, y) for x, y in zip(a.model.weights, c.model.weights)
@@ -325,14 +329,12 @@ def test_model_shape_validation():
 
 def test_model_file_round_trip(tmp_path, rng):
     m = random_model(rng, [12, 5, 1])
-    m.threshold = 0.37
     path = tmp_path / "m.ndml"
     save_model(m, path)
     loaded = load_model(path)
     # storage is f32: loading returns the rounded values exactly
-    for w, lw in zip(m.weights, loaded.weights):
-        assert np.array_equal(lw, w.astype(np.float32).astype(np.float64))
-    assert loaded.threshold == np.float32(0.37)
+    for p, lp in zip(m.weights + m.biases, loaded.weights + loaded.biases):
+        assert np.array_equal(lp, p.astype(np.float32).astype(np.float64))
     # a second save of the loaded model is byte-identical
     save_model(loaded, tmp_path / "m2.ndml")
     assert (tmp_path / "m2.ndml").read_bytes() == path.read_bytes()
@@ -360,13 +362,53 @@ def test_model_file_rejects_truncation(tmp_path, rng):
         with pytest.raises(FormatError):
             load_model(cut)
     # a well-formed file holding no layers is not a model
-    cut.write_bytes(blob[:6] + b"\x00\x00" + blob[-4:])
+    cut.write_bytes(blob[:6] + b"\x00\x00")
     with pytest.raises(FormatError):
         load_model(cut)
-    # nor is one whose threshold is NaN
-    cut.write_bytes(blob[:-4] + np.array([np.nan], dtype="<f4").tobytes())
-    with pytest.raises(FormatError):
-        load_model(cut)
+    # nor is one with a NaN weight (the first, after the header and the
+    # first layer's shape) or a NaN bias (the output unit's, the last value)
+    nan = np.array([np.nan], dtype="<f4").tobytes()
+    for blob_with_nan in (blob[:16] + nan + blob[20:], blob[:-4] + nan):
+        cut.write_bytes(blob_with_nan)
+        with pytest.raises(FormatError, match="non-finite weight or bias"):
+            load_model(cut)
+
+
+def test_version_1_model_file_is_refused(tmp_path, rng):
+    # version 1 ended in an f32 threshold that no stage read
+    path = tmp_path / "m.ndml"
+    save_model(random_model(rng, [6, 3, 1]), path)
+    blob = path.read_bytes()
+    assert blob[4:6] == struct.pack("<H", 2)
+    path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:] + struct.pack("<f", 0.5))
+    with pytest.raises(FormatError, match="unsupported version 1, expected 2"):
+        load_model(path)
+
+
+def small_model():
+    """train's model on small_training_set, and its embeddings."""
+    emb, pairs = small_training_set()
+    cfg = training_config(1, hidden=[8], epochs=60, batch_size=16, learning_rate=3e-2)
+    return train(pairs, emb, cfg).model, emb
+
+
+def golden_model():
+    """The model test_golden pins: default settings on its seed-11 corpus."""
+    emb, truth = generate_corpus(SyntheticCorpusSpec(seed=11, n_base=300, d=256, flip_min=1, flip_max=8))
+    return train_default_model(emb, truth, PipelineConfig())[0].model, emb
+
+
+@pytest.mark.parametrize("trained", [small_model, golden_model])
+def test_trained_model_scores_as_its_file(tmp_path, trained):
+    # train ends at the file's f32 precision, so the model in process and
+    # its reloaded file are one model, score for score
+    model, emb = trained()
+    save_model(model, tmp_path / "m.ndml")
+    loaded = load_model(tmp_path / "m.ndml")
+    for p, lp in zip(model.weights + model.biases, loaded.weights + loaded.biases):
+        assert np.array_equal(lp, p)
+    rows_a, rows_b = np.random.default_rng(3).integers(0, len(emb), size=(2, 20_000))
+    assert np.array_equal(predict_rows(loaded, emb, rows_a, rows_b), predict_rows(model, emb, rows_a, rows_b))
 
 
 @settings(max_examples=150, deadline=None)

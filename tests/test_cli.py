@@ -14,11 +14,13 @@ import pytest
 import neardup
 from neardup import (
     ClusterStore,
+    PipelineConfig,
     batch_search,
     generate_labels,
     load_corpus,
     read_clusters_tsv,
     save_model,
+    train_default_model,
     unordered_pairs,
     write_labels_csv,
 )
@@ -116,7 +118,8 @@ def test_train_report(workspace):
     report = json.loads((workspace / "train-report.json").read_text())
     assert report["pairs"] == 300
     assert len(report["epoch_losses"]) == 10
-    assert 0.0 < report["threshold"] < 1.0
+    assert 0.0 < report["validation"]["threshold"] < 1.0
+    assert "threshold" not in report
 
 
 def test_index_search_select_cluster_flow(workspace):
@@ -186,14 +189,13 @@ def test_staged_flow_writes_the_run_cluster_file(tmp_path):
     assert main(["gen-corpus", "--out", str(tmp_path / "corpus"), "--n-base", "200", "--d", "64",
                  "--seed", "9", "--flip-max", "4"]) == 0
     # each setting moves this corpus's clusters and differs from the removed
-    # flags' defaults (k 20, min-overlap 2, seed 42) and from the model's
-    # stored threshold, which no stage cuts at
+    # flags' defaults (k 20, min-overlap 2, seed 42)
     config = {"seed": 7, "lsh": {"d": 64, "m": 36, "term_bits": 6},
               "search": {"k": 1, "min_overlap": 3}, "classifier": {"threshold": 0.6}}
     (tmp_path / "config.json").write_text(json.dumps(config))
     # integer weights: every score is exact in any call, so a rescored pivot
     # pair scores what selection scored
-    save_model(popcount_model(64, theta=4.5, alpha=1.0, threshold=0.2), tmp_path / "model.ndml")
+    save_model(popcount_model(64, theta=4.5, alpha=1.0), tmp_path / "model.ndml")
     common = ["--config", str(tmp_path / "config.json")]
     scored = ["--model", str(tmp_path / "model.ndml"), "--embeddings", emb, *common]
     out = {name: str(tmp_path / name) for name in ("index", "hits", "edges", "staged", "run")}
@@ -438,6 +440,64 @@ def test_evaluate_reports_metrics(workspace, caplog):
     stages = ["index", "search", "select", "closure", "cut", "recall"]
     assert set(report["timings"]) == set(stages)
     assert [r.getMessage().split(" ")[0] for r in caplog.records] == stages
+
+
+def test_evaluate_trains_the_model_its_saved_file_holds(workspace, tmp_path):
+    # a trained model scores as its file does, so evaluate without --model
+    # reports what evaluate with that model's saved file reports
+    embeddings, truth = load_corpus(workspace / "corpus")
+    config = PipelineConfig.load(workspace / "config.json")
+    save_model(train_default_model(embeddings, truth, config)[0].model, tmp_path / "model.ndml")
+    reports = []
+    for model in ([], ["--model", str(tmp_path / "model.ndml")]):
+        out = tmp_path / f"eval-{len(reports)}.json"
+        argv = ["evaluate", "--corpus", str(workspace / "corpus"), "--config", str(workspace / "config.json")]
+        assert main(argv + model + ["--report", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    trained, loaded = reports
+    assert trained["training"] is not None and loaded["training"] is None
+    drop = ("training", "timings")
+    assert {k: v for k, v in trained.items() if k not in drop} == {k: v for k, v in loaded.items() if k not in drop}
+
+
+def test_train_report_without_a_validation_split(workspace, tmp_path, capsys):
+    # four labelled pairs leave no split, so there is no chosen cut to report
+    embeddings, truth = load_corpus(workspace / "corpus")
+    labels = generate_labels(truth, embeddings, n_pos=2, n_neg=2, seed=1)
+    write_labels_csv(labels, tmp_path / "labels.csv")
+    assert main(["train-classifier", "--labels", str(tmp_path / "labels.csv"), "--embeddings", emb_path(workspace),
+                 "--config", str(workspace / "config.json"), "--out", str(tmp_path / "model.ndml"),
+                 "--report", str(tmp_path / "report.json")]) == 0
+    assert "no validation threshold" in capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["validation"] == {} and "threshold" not in report
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, message",
+    [
+        ("gen-corpus", None, ["--seed", "-3"], "seed must be >= 0, got -3"),
+        ("evaluate", {"seed": -1}, [], "seed must be >= 0, got -1"),
+        ("evaluate", {}, ["--distance", "-1"], "distance must be >= 0, got -1"),
+        ("incremental", {"augmentation": {"k_aug": 2**70}}, [], "augmentation.k_aug must lie in [-2^63, 2^63)"),
+    ],
+)
+def test_out_of_range_integers_exit_one(workspace, tmp_path, capsys, command, config, flags, message):
+    argv = {
+        "gen-corpus": ["--out", str(tmp_path / "out")],
+        "evaluate": ["--corpus", str(workspace / "corpus"), "--model", str(workspace / "model.ndml")],
+        "incremental": ["--store", str(tmp_path / "out"), "--new", emb_path(workspace),
+                        "--model", str(workspace / "model.ndml")],
+    }[command]
+    if config is not None:  # the workspace config with these top-level keys replaced
+        settings = json.loads((workspace / "config.json").read_text())
+        (tmp_path / "config.json").write_text(json.dumps({**settings, **config}))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert main([command, *argv, *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"error in {command}:" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # nothing written, no store made
 
 
 def test_errors_exit_one_with_stage_name(workspace, tmp_path, capsys):

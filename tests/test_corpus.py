@@ -114,6 +114,9 @@ def test_spec_validation():
     SyntheticCorpusSpec(n_base=2, dupes_per_base={2**31 - 1: 1, 2**40: 0})
     with pytest.raises(DataError, match="n_base 2 with a dupes_per_base count of 2147483648"):
         SyntheticCorpusSpec(n_base=2, dupes_per_base={0: 1, 2**31: 1})
+    # np.random.default_rng takes no negative seed
+    with pytest.raises(DataError, match="seed must be >= 0, got -3"):
+        SyntheticCorpusSpec(seed=-3)
 
 
 def test_groundtruth_helpers():

@@ -34,6 +34,23 @@ and byte-length columns moved ahead of one payload. The same postings
 written by the version-1 writer and laid out again as columns give the new
 digest byte for byte; the 11,881-byte payload did not change.
 
+The model pins and the ingest pins moved once when train began to end at
+the model file's float32 precision and the .ndml file, now version 2,
+lost its trailing threshold: MODEL_FILE_SHA256 62d0057c… -> 4c00cc32…
+(the version and the threshold go; the f32 weights are the same bytes),
+and MODEL_VALIDATION's threshold 0.8235048195230601 -> 0.8235048191676093,
+since validation now scores the rounded model (pr_auc and roc_auc held).
+The ingest took the in-process float64 model before, which scored every
+pair apart from its reloaded file by up to 2.6e-9, and printed row
+"315 307 member" as 0.966919 where the file's model prints 0.966918; so
+INGEST_SHA256 and the clusters-3.tsv pin 2c81e8a0… -> 79f1cdfc…,
+heads-3.json c6f32d5a… -> cc7cd4da…, manifest.json f7470709… ->
+a7dd1a91…, segment-1-2.ndsg c08657e1… -> 0016f6a9… and segment-1-3.ndsg
+6ae6e584… -> 7f2c215d…. The parent code, given the fixture model saved
+and reloaded, gives these new ingest and store digests byte for byte, and
+with it RUN_FULL_SHA256, both RUN_FULL_SMALL_K rows, EVALUATE_REPORT,
+HEAD_INDEX_SHA256 and the embeddings-3.ndem pin held.
+
 The edge count of test_run_full_cluster_tsv_digest moved once, 1242 -> 836,
 when selection stopped scoring pairs whose images earlier edges already
 join: the count is of the edges the closure needed, not of every passing
@@ -62,7 +79,7 @@ from neardup.clustering import clusters_to_tsv
 from neardup.index import build_index, load_index, serialize_index
 
 RUN_FULL_SHA256 = "db8024457abf4a690b5a5f9cd801769d9e7a90206d71f4b5958bc47d5567182d"
-INGEST_SHA256 = "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda"
+INGEST_SHA256 = "79f1cdfcbf3d4581afdcc07a64a67cfb60dc2bd9d57ffb6e86caf5295f3f8cce"
 # the head index over the stored heads in id order, as the index file codec writes it
 HEAD_INDEX_SHA256 = "e45e61c61e9a04438132ff0e8785b7eaec5d417a902174103cfede84dd81e9a7"
 # what the store holds, byte for byte: its files (manifest.json and the
@@ -70,12 +87,12 @@ HEAD_INDEX_SHA256 = "e45e61c61e9a04438132ff0e8785b7eaec5d417a902174103cfede84dd8
 # store wrote, the cluster file, the heads oracle and the embedding file of
 # the reopened store
 STORE_FILE_SHA256 = {
-    "clusters-3.tsv": "2c81e8a04c8aeb48558458ed485009d23e8f5c6e2935259a69ddee92ae13ebda",
-    "heads-3.json": "c6f32d5a0984fd49e12437b718e807a7c3f266df70836b4cd86e18b58bdf5783",
+    "clusters-3.tsv": "79f1cdfcbf3d4581afdcc07a64a67cfb60dc2bd9d57ffb6e86caf5295f3f8cce",
+    "heads-3.json": "cc7cd4dacab5f5946d2704bfa17e4c2c109de474c3905e9c31fb6ba257bb0520",
     "embeddings-3.ndem": "86ab212dc10ad9859cff013a4b79fba4103f389ecf8e0e449ebb73967e077b74",
-    "manifest.json": "f74707096a0b48a45ed1f85a2db5a2aab6094bd4cbf628272afdcd2ef6ee0798",
-    "segment-1-2.ndsg": "c08657e129eec6cfbf9cdfeceb280c4e06563c42703f6c88b25022b3637f954c",
-    "segment-1-3.ndsg": "6ae6e584c2ed9e9ba7eabef3bbffc01afd445d0263c2b98e7166193319eff5f4",
+    "manifest.json": "a7dd1a9113d512204c8949cb3411ddb8b5be7d009b2a5202d1a51724cf8b229a",
+    "segment-1-2.ndsg": "0016f6a962179d278cdbbf49cf3a96890af779e488c3e41f45053505d10028d9",
+    "segment-1-3.ndsg": "7f2c215dadec7a61f608adea8c58b3dde10d8234f1320bdc9edcfccba2ef69af",
 }
 # the same run with top-K binding: (k, candidate pairs, edges, non-singleton clusters, sha256)
 RUN_FULL_SMALL_K = (
@@ -84,8 +101,8 @@ RUN_FULL_SMALL_K = (
 )
 
 # the seeded fixture's trained model: its model file and its validation dict
-MODEL_FILE_SHA256 = "62d0057c51e4987d432a9857f5cbda46dd62f71d5df098c57718804679f1c6c4"
-MODEL_VALIDATION = {"size": 200, "threshold": 0.8235048195230601, "pr_auc": 0.9999999999999999, "roc_auc": 1.0}
+MODEL_FILE_SHA256 = "4c00cc32660c07b626b5581ee095260981acf1dff3781f1df8f8ae8599eaf493"
+MODEL_VALIDATION = {"size": 200, "threshold": 0.8235048191676093, "pr_auc": 0.9999999999999999, "roc_auc": 1.0}
 
 
 # evaluate_pipeline's label metrics for the second corpus against its truth

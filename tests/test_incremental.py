@@ -406,7 +406,8 @@ def test_store_open_rejects_malformed_manifest_and_heads(tmp_path, model):
     payload = json.loads(good)
     bad_manifests = ['{"version": 2}', '{"version": 2, "segments": {}}', "[1]", json.dumps(dict(payload, k_aug="3"))]
     for key, value in (("lsh", None), ("lsh", {"d": 64}), ("segments", [{}]), ("segments", [[0, 0, 4, 1]]),
-                       ("batch_id", -1), ("segments", payload["segments"] * 2)):
+                       ("batch_id", -1), ("batch_id", 2**63), ("k_aug", 2**63),
+                       ("segments", payload["segments"] * 2)):
         bad_manifests.append(json.dumps(dict(payload, **{key: value})))
     for key, value in (("d", "64"), ("d", 2**70), ("term_bits", 7), ("selected_bits", [0.5] * 36)):
         bad_manifests.append(json.dumps(dict(payload, lsh=dict(payload["lsh"], **{key: value}))))

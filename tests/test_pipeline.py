@@ -180,6 +180,20 @@ def test_config_rejects_unknown_and_invalid():
     assert PipelineConfig.from_dict({"classifier": {"hidden": [2**32 - 1]}}).classifier.hidden == [2**32 - 1]
     with pytest.raises(DataError, match="classifier.hidden width 4294967296"):
         PipelineConfig.from_dict({"classifier": {"hidden": [8, 2**32]}})
+    # np.random.default_rng takes no negative seed
+    with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+        PipelineConfig.from_dict({"seed": -1})
+    # an integer reaches NumPy as int64, alone or in a list, and in a float field too
+    assert PipelineConfig.from_dict({"augmentation": {"k_aug": 2**63 - 1}}).augmentation.k_aug == 2**63 - 1
+    for payload in (
+        {"augmentation": {"k_aug": 2**63}},
+        {"augmentation": {"k_aug": 2**70}},
+        {"seed": -(2**63) - 1},
+        {"classifier": {"hidden": [8, 2**63]}},
+        {"classifier": {"learning_rate": 2**63}},
+    ):
+        with pytest.raises(DataError, match=r"must lie in \[-2\^63, 2\^63\)"):
+            PipelineConfig.from_dict(payload)
 
 
 @pytest.mark.parametrize(

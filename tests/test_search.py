@@ -214,6 +214,9 @@ def test_recall_at_distance_nothing_close(lsh64):
     emb = star_set(64, 22, members)
     groups = np.array([0, 0])
     assert recall_at_distance(emb, groups, recall_candidates(emb, lsh64), distance_threshold=4) == 1.0
+    # a negative radius holds no pair, so it would read as nothing to miss
+    with pytest.raises(DataError, match="distance must be >= 0, got -1"):
+        recall_at_distance(emb, groups, recall_candidates(emb, lsh64), distance_threshold=-1)
 
 
 def test_recall_at_distance_alignment_checked(lsh64):
